@@ -1,15 +1,12 @@
-"""Run every workload over ten seeds and record (or compare) the baseline.
+"""Run every workload over ten seeds and record ``baseline.json``.
 
-    python3 perfbench/baseline.py [--workloads grid-mixed,serve-mix]
-        [--seeds 0-9] [--compare] [--out perfbench/baseline.json]
+    python3 perfbench/baseline.py [--workloads grid-mixed,serve-mix] [--seeds 0-9]
 
 For each workload: one untraced ``run.py`` per seed, then one traced run
-at the first seed.  Reports each end-to-end metric's median, quartiles
+at the first seed.  Prints each end-to-end metric's median, quartiles
 and spread (interquartile distance / median) against the bound in
-``BENCHMARK.json``, and the traced per-layer attribution.  Without
-``--compare`` the result is written to ``--out``; with it, the medians
-are compared against that file instead and a metric worse than its
-bound is flagged.
+``BENCHMARK.json``, and writes them with the traced per-layer
+attribution to ``perfbench/baseline.json``.
 """
 
 from __future__ import annotations
@@ -40,13 +37,10 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workloads", default=",".join(WORKLOADS))
     parser.add_argument("--seeds", default="0-9")
-    parser.add_argument("--compare", action="store_true")
-    parser.add_argument("--out", default=str(BENCH_DIR / "baseline.json"))
     args = parser.parse_args()
     config = json.loads((ROOT / "BENCHMARK.json").read_text())
     bounds = {metric["name"]: metric["bound"] for metric in config["end_to_end"]}
     seeds = parse_seeds(args.seeds)
-    previous = json.loads(open(args.out).read()) if args.compare else None
 
     baseline = {
         "provenance": provenance("all", seeds[0], False),
@@ -67,29 +61,24 @@ def main() -> int:
                 "unit": runs[0][0]["metrics"][name]["unit"],
                 "samples_per_run": [report["samples"] for _, report in runs],
             }
-            flag = ""
-            if name != "setup_s":
-                worst = max(worst, spread / bounds[name])
-                flag = "ok" if spread < bounds[name] / 3 else "SPREAD"
-            line = f"{workload:18} {name:12} median {q2:10.4f} q1 {q1:10.4f} q3 {q3:10.4f} spread {spread:6.3f} {flag}"
-            if previous is not None:
-                before = previous["workloads"][workload]["end_to_end"][name]["median"]
-                change = q2 / before - 1
-                line += f"  vs baseline {change:+.3f}" + (" WORSE" if change > bounds[name] else "")
-            print(line, flush=True)
+            worst = max(worst, spread / bounds[name])
+            flag = "ok" if spread < bounds[name] / 3 else "SPREAD"
+            print(
+                f"{workload:18} {name:12} median {q2:10.4f} q1 {q1:10.4f} q3 {q3:10.4f}"
+                f" spread {spread:6.3f} {flag}",
+                flush=True,
+            )
         traced, report = run(workload, seeds[0], config["run_seconds"], True)
         entry["correct"] = entry["correct"] and traced["correct"]
         entry["per_layer"] = {name: m["value"] for name, m in traced["metrics"].items()}
         entry["traced_checks"] = report["checks"]
         entry["details"] = [report["details"] for _, report in runs]
-        entry["host_probe_s"] = [report["provenance"]["host_probe_s"] for _, report in runs]
         print(f"{workload:18} correct={entry['correct']} checks={report['checks']}", flush=True)
         baseline["workloads"][workload] = entry
-    print(f"largest spread / bound (setup_s excluded): {worst:.3f}")
-    if previous is None:
-        with open(args.out, "w") as out:
-            out.write(json.dumps(baseline, indent=1, sort_keys=True) + "\n")
-        print(f"baseline written to {args.out}")
+    print(f"largest spread / bound: {worst:.3f}")
+    out = BENCH_DIR / "baseline.json"
+    out.write_text(json.dumps(baseline, indent=1, sort_keys=True) + "\n")
+    print(f"baseline written to {out}")
     return 0
 
 

@@ -25,9 +25,8 @@ SRC = ROOT / "src"
 #: per-run scratch space (stores, journals), removed when a run ends
 WORK_DIR = ROOT / ".perfbench-work"
 
-#: the grid references cost 30 s (grid-mixed, naive backend) and ~600 s
-#: (grid-arborescence, naive backend) per input seed, so they are pinned
-#: for this many input seeds and ``--seed`` picks one of them
+#: input seeds ``pin.py`` records by default (``grid-arborescence``, whose
+#: naive reference takes ~13 minutes a seed, is pinned for fewer)
 INPUT_SEEDS = 16
 
 GRID_WORKLOADS = {
@@ -61,9 +60,20 @@ GRID_WORKLOADS = {
 WORKLOADS = (*GRID_WORKLOADS, "serve-mix")
 
 
-def input_seed(seed: int) -> int:
-    """The pinned grid input seed a benchmark ``--seed`` selects."""
-    return seed % INPUT_SEEDS
+def reference_path(name: str) -> pathlib.Path:
+    return BENCH_DIR / f"reference-{name}.json"
+
+
+def load_reference(workload: str, seed: int) -> tuple[int, dict, list[str]]:
+    """(input seed, pinned digests, note-free cells) a benchmark ``--seed`` selects.
+
+    The seed picks one of the reference's naive-checked input seeds.
+    """
+    name = GRID_WORKLOADS[workload]["reference"] if workload in GRID_WORKLOADS else workload
+    entry = json.loads(reference_path(name).read_text())
+    seeds = sorted(entry["cells"], key=int)
+    chosen = seeds[seed % len(seeds)]
+    return int(chosen), entry["cells"][chosen], entry.get("note_free", {}).get(chosen, [])
 
 
 def child_env() -> dict:
@@ -126,6 +136,9 @@ def group_cells(record_dicts: list[dict]) -> dict[str, list[dict]]:
 
 #: every median has company: a run takes at least this many samples
 MIN_SAMPLES = 3
+#: share of a run's budget spent on set-up-only starts, which make
+#: ``setup_s`` (the fastest start of the run) a minimum over many starts
+SETUP_SHARE = 0.2
 
 
 def collect(budget: float, take, cost) -> list:
@@ -137,15 +150,10 @@ def collect(budget: float, take, cost) -> list:
     samples: list = []
     started = time.monotonic()
     while True:
-        typical = median([cost(sample) for sample in samples]) if samples else 0.0
+        typical = statistics.median([cost(sample) for sample in samples]) if samples else 0.0
         if len(samples) >= MIN_SAMPLES and time.monotonic() - started + typical > budget:
             return samples
         samples.append(take(len(samples)))
-
-
-
-def median(values):
-    return statistics.median(values)
 
 
 def quartiles(values) -> tuple[float, float, float]:
@@ -189,22 +197,6 @@ def source_digest() -> str:
     return h.hexdigest()[:20]
 
 
-def host_probe_s(repeats: int = 7) -> float:
-    """Median seconds of a fixed pure-Python loop: the host's speed now.
-
-    Shared hosts drift; comparing this probe between runs tells a slower
-    program from a slower machine.
-    """
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        total = 0
-        for i in range(300_000):
-            total += i * i
-        times.append(time.perf_counter() - start)
-    return statistics.median(times)
-
-
 def provenance(workload: str, seed: int, trace: bool) -> dict:
     commit = dirty = None
     # only trust git when the checkout itself is the repository root
@@ -227,7 +219,6 @@ def provenance(workload: str, seed: int, trace: bool) -> dict:
         "source_sha256": source_digest(),
         "versions": versions,
         "cpu_count": os.cpu_count(),
-        "host_probe_s": host_probe_s(),
         "platform": platform.platform(),
         "executable": pathlib.Path(sys.executable).name,
     }

@@ -1,7 +1,7 @@
 """One cold grid run in a fresh interpreter, as ``repro experiments`` pays it.
 
     python3 perfbench/grid_child.py WORKLOAD INPUT_SEED WORK_DIR [--trace]
-        [--backend naive]
+        [--backend naive] [--setup-only]
 
 Imports the package, resolves topologies and parses failure models (the
 set-up the parent times, up to the monotonic instant ``run_grid`` is
@@ -9,7 +9,8 @@ entered), then runs ``run_grid`` with a ``ResultStore`` and a resume
 journal in ``WORK_DIR``.  Prints one JSON line: the entry instant, the
 ``run_grid`` wall time, peak RSS, and per cell its record digest and
 latency.  ``--trace`` installs the layer wrappers and an
-``obs.Telemetry`` first and adds the per-layer metrics.
+``obs.Telemetry`` first and adds the per-layer metrics; ``--setup-only``
+prints the entry instant and exits before ``run_grid``.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ def main() -> int:
     parser.add_argument("work_dir")
     parser.add_argument("--trace", action="store_true")
     parser.add_argument("--backend", default=None, help="override (reference runs)")
+    parser.add_argument("--setup-only", action="store_true")
     args = parser.parse_args()
     spec = GRID_WORKLOADS[args.workload]
 
@@ -58,6 +60,9 @@ def main() -> int:
     import repro.experiments as experiments
 
     entered = time.monotonic()
+    if args.setup_only:
+        print(json.dumps({"entered": entered}))
+        return 0
     start = time.perf_counter()
     with obs.installed(telemetry) if telemetry is not None else contextlib.nullcontext():
         result = experiments.run_grid(
@@ -69,9 +74,12 @@ def main() -> int:
     cells = {}
     for key, records in group_cells([r.to_dict() for r in result.records]).items():
         computed = [r for r in records if r["status"] != "skipped"]
+        # records compare without their wall-clock field
+        timeless = [dict(r, runtime_seconds=0.0) for r in records]
         cells[key] = {
-            # records compare without their wall-clock field
-            "digest": digest([dict(r, runtime_seconds=0.0) for r in records]),
+            "digest": digest(timeless),
+            # for cells whose reference pins every field but the notes
+            "note_free_digest": digest([dict(r, note="") for r in timeless]),
             "errors": sum(r["status"] == "error" for r in records),
             "seconds": sum(r["runtime_seconds"] for r in computed) if computed else None,
         }

@@ -18,11 +18,11 @@ import json
 import sys
 
 from common import (
-    BENCH_DIR,
     GRID_WORKLOADS,
     SRC,
     WORKLOADS,
     provenance,
+    reference_path,
 )
 
 #: end-to-end metrics: (name, unit); every workload reports all of them
@@ -87,13 +87,13 @@ PER_LAYER = (
 )
 
 
-def _missing_program() -> str | None:
+def _missing_program(workload: str) -> str | None:
     """Why the program under test cannot run here, or ``None``."""
     if not (SRC / "repro" / "__init__.py").is_file():
         return f"no package source at {SRC / 'repro'}"
-    for name in ("grid-mixed", "grid-arborescence"):
-        if not (BENCH_DIR / f"reference-{name}.json").is_file():
-            return f"missing pinned reference for {name}"
+    name = GRID_WORKLOADS[workload]["reference"] if workload in GRID_WORKLOADS else workload
+    if not reference_path(name).is_file():
+        return f"missing pinned reference for {name}"
     return None
 
 
@@ -105,7 +105,7 @@ def main(argv=None) -> int:
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
-    problem = _missing_program()
+    problem = _missing_program(args.workload)
     if problem is not None:
         print(f"perfbench: cannot run: {problem}", file=sys.stderr)
         return 2

@@ -11,9 +11,11 @@ answer store:
 3. cold clients: sequential ``repro query verdict`` processes, each
    timed from spawn to exit.
 
-Every reply must equal the answer of an in-process ``QueryService``
-that replays the same sequence (records compared with
-``runtime_seconds`` zeroed).
+Every reply is checked against the answer digests pinned in
+``reference-serve-mix.json`` (records compared with ``runtime_seconds``
+zeroed); ``pin.py`` records them from an in-process ``QueryService``
+replay of the same sequence, checked against the naive backend.
+Set-up-only rounds (step 1, then the server stops) add set-up samples.
 """
 
 from __future__ import annotations
@@ -25,12 +27,15 @@ import subprocess
 import sys
 import threading
 import time
+from statistics import median
 
 from common import (
+    SETUP_SHARE,
     child_env,
     collect,
+    digest,
+    load_reference,
     make_work_dir,
-    median,
     percentile,
     remove_work_dir,
 )
@@ -119,13 +124,26 @@ def make_inputs(seed: int) -> dict:
     return {"warmups": warmups, "sequence": sequence, "queries": queries}
 
 
+def phases(inputs: dict) -> dict[str, list[tuple[str, dict]]]:
+    """Every request of a round as (op, params), by phase, in order."""
+    return {
+        "warmups": list(inputs["warmups"]),
+        "sequence": list(inputs["sequence"]),
+        "queries": [("verdict", verdict_params(masks)) for masks in inputs["queries"]],
+    }
+
+
 def normalize(result: dict) -> dict:
     """A reply result without its wall-clock field."""
     record = dict(result["record"], runtime_seconds=0.0)
     return dict(result, record=record)
 
 
-# -- in-process replay: the reference answers and the compute split ----------
+def answer_digest(result: dict) -> str:
+    return digest(normalize(result))
+
+
+# -- in-process replay: the answers pin.py pins, and the compute split --------
 
 
 def replay(inputs: dict) -> dict:
@@ -133,15 +151,14 @@ def replay(inputs: dict) -> dict:
 
     Requests run one per ``run_batch`` call, in order, against a fresh
     session and an empty store, exactly as the server would compute
-    them without batching.
+    them without batching.  ``answers`` holds the normalized results by
+    phase, in request order.
     """
     from repro.experiments import ExperimentSession, ResultStore
     from repro.serve import QueryService
     from repro.serve.protocol import Request
 
-    requests = list(inputs["warmups"]) + list(inputs["sequence"])
-    requests += [("verdict", verdict_params(masks)) for masks in inputs["queries"]]
-    answers: dict[str, dict] = {}
+    answers: dict[str, list[dict]] = {}
     compute_ms: list[float] = []
     work = make_work_dir()
     try:
@@ -149,21 +166,29 @@ def replay(inputs: dict) -> dict:
             session=ExperimentSession(), store=ResultStore(work / "answers.json")
         )
         start = time.perf_counter()
-        for index, (op, params) in enumerate(requests):
-            begin = time.perf_counter()
-            (response,) = service.run_batch([Request(id=str(index), op=op, params=params)])
-            compute_ms.append((time.perf_counter() - begin) * 1000.0)
-            if not response.get("ok"):
-                raise RuntimeError(f"in-process {op} failed: {response.get('error')}")
-            answers[_identity(op, params)] = normalize(response["result"])
+        for phase, requests in phases(inputs).items():
+            answers[phase] = []
+            for op, params in requests:
+                begin = time.perf_counter()
+                request = Request(id=str(len(compute_ms)), op=op, params=params)
+                (response,) = service.run_batch([request])
+                compute_ms.append((time.perf_counter() - begin) * 1000.0)
+                if not response.get("ok"):
+                    raise RuntimeError(f"in-process {op} failed: {response.get('error')}")
+                answers[phase].append(normalize(response["result"]))
         wall = time.perf_counter() - start
     finally:
         remove_work_dir(work)
     return {"answers": answers, "compute_ms": compute_ms, "wall_s": wall, "stats": service.stats()}
 
 
-def _identity(op: str, params: dict) -> str:
-    return json.dumps([op, params], sort_keys=True)
+def wrong_answers(answers: dict[str, list[dict]], pinned: dict[str, list[str]]) -> int:
+    """How many replayed answers differ from the pinned digests."""
+    return sum(
+        digest(answer) != want
+        for phase, wants in pinned.items()
+        for answer, want in zip(answers[phase], wants, strict=True)
+    )
 
 
 # -- one round against a real server ------------------------------------------
@@ -243,7 +268,7 @@ class Server:
             self.stderr.close()
 
 
-def _closed_loop(port: int, sequence, answers) -> tuple[list[float], int, float]:
+def _closed_loop(port: int, sequence, pinned) -> tuple[list[float], int, float]:
     """(latencies ms, wrong-or-failed count, wall s) of the closed loop."""
     from repro.serve import QueryClient
 
@@ -252,7 +277,8 @@ def _closed_loop(port: int, sequence, answers) -> tuple[list[float], int, float]
 
     def client_loop(slot: int) -> None:
         with QueryClient(port=port, timeout=TIMEOUT) as client:
-            for op, params in sequence[slot::CLIENTS]:
+            for index in range(slot, len(sequence), CLIENTS):
+                op, params = sequence[index]
                 begin = time.perf_counter()
                 try:
                     reply = client.request(op, params, raise_on_error=False)
@@ -263,7 +289,7 @@ def _closed_loop(port: int, sequence, answers) -> tuple[list[float], int, float]
                 if (
                     not reply.get("ok")
                     or reply.get("partial")
-                    or normalize(reply["result"]) != answers[_identity(op, params)]
+                    or answer_digest(reply["result"]) != pinned[index]
                 ):
                     wrong[slot] += 1
 
@@ -276,7 +302,7 @@ def _closed_loop(port: int, sequence, answers) -> tuple[list[float], int, float]
     return [ms for slot in latencies for ms in slot], sum(wrong), time.perf_counter() - start
 
 
-def _cold_query(port: int, masks, answers) -> tuple[float, bool]:
+def _cold_query(port: int, masks, want: str) -> tuple[float, bool]:
     """(round trip ms including client start, correct?) of one ``repro query``."""
     command = [
         sys.executable, "-m", "repro", "query", "verdict", "--port", str(port),
@@ -293,11 +319,11 @@ def _cold_query(port: int, masks, answers) -> tuple[float, bool]:
     if done.returncode != 0:
         return elapsed, False
     reply = json.loads(done.stdout)
-    want = answers[_identity("verdict", verdict_params(masks))]
-    return elapsed, reply.get("ok") and normalize(reply["result"]) == want
+    return elapsed, bool(reply.get("ok")) and answer_digest(reply["result"]) == want
 
 
-def run_round(inputs: dict, answers: dict, scrape: bool = False) -> dict:
+def run_round(inputs: dict, pinned: dict, scrape: bool = False, setup_only: bool = False) -> dict:
+    """One fresh server; ``setup_only`` stops it after the warm-ups."""
     from repro.serve import QueryClient
 
     work = make_work_dir()
@@ -306,18 +332,19 @@ def run_round(inputs: dict, answers: dict, scrape: bool = False) -> dict:
         server = Server(work)
         wrong = 0
         with QueryClient(port=server.port, timeout=TIMEOUT) as client:
-            for op, params in inputs["warmups"]:
+            for (op, params), want in zip(inputs["warmups"], pinned["warmups"], strict=True):
                 reply = client.request(op, params, raise_on_error=False)
-                if not reply.get("ok") or normalize(reply["result"]) != answers[
-                    _identity(op, params)
-                ]:
-                    wrong += 1
+                wrong += not reply.get("ok") or answer_digest(reply["result"]) != want
         setup = time.monotonic() - server.spawned
-        latencies, loop_wrong, loop_wall = _closed_loop(server.port, inputs["sequence"], answers)
+        if setup_only:
+            return {"setup_s": setup, "attempted": len(inputs["warmups"]), "failed": wrong}
+        latencies, loop_wrong, loop_wall = _closed_loop(
+            server.port, inputs["sequence"], pinned["sequence"]
+        )
         wrong += loop_wrong
         query_ms = []
-        for masks in inputs["queries"]:
-            elapsed, ok = _cold_query(server.port, masks, answers)
+        for masks, want in zip(inputs["queries"], pinned["queries"], strict=True):
+            elapsed, ok = _cold_query(server.port, masks, want)
             query_ms.append(elapsed)
             wrong += not ok
         out = {
@@ -391,25 +418,33 @@ def traced_replays(inputs: dict, runs: int = 2) -> list[tuple[dict, float, dict]
 
 
 def measure(seed: int, seconds: float, trace: bool) -> dict:
-    inputs = make_inputs(seed)
-    answers = replay(inputs)["answers"]
+    input_seed, pinned, _ = load_reference("serve-mix", seed)
+    inputs = make_inputs(input_seed)
 
-    # untraced rounds fill the run, or half of it when traced replays follow
+    # untraced rounds fill the run, or half of it when traced replays
+    # follow; a fifth of that goes to set-up-only rounds
+    budget = seconds / 2 if trace else seconds
     rounds = collect(
-        seconds / 2 if trace else seconds,
-        lambda index: run_round(inputs, answers, scrape=trace and index == 0),
+        budget * (1 - SETUP_SHARE),
+        lambda index: run_round(inputs, pinned, scrape=trace and index == 0),
         lambda r: r["setup_s"] + r["wall_s"],
+    )
+    starts = collect(
+        budget * SETUP_SHARE,
+        lambda _: run_round(inputs, pinned, setup_only=True),
+        lambda r: r["setup_s"],
     )
 
     latencies = [ms for r in rounds for ms in r["latency_ms"]]
     query_ms = [ms for r in rounds for ms in r["query_ms"]]
+    setups = [r["setup_s"] for r in rounds + starts]
     result = {
-        "input_seed": seed,
+        "input_seed": input_seed,
         "samples": len(rounds),
-        "attempted": sum(r["attempted"] for r in rounds),
-        "failed": sum(r["failed"] for r in rounds),
+        "attempted": sum(r["attempted"] for r in rounds + starts),
+        "failed": sum(r["failed"] for r in rounds + starts),
         "metrics": {
-            "setup_s": median([r["setup_s"] for r in rounds]),
+            "setup_s": min(setups),
             "wall_s": median([r["wall_s"] for r in rounds]),
             "peak_rss_mb": median([r["rss_mb"] for r in rounds]),
             "op_p50_ms": median(latencies),
@@ -420,22 +455,24 @@ def measure(seed: int, seconds: float, trace: bool) -> dict:
             "query_p50_ms": median(query_ms),
             "op_samples": len(latencies),
             "query_samples": len(query_ms),
+            "setup_samples": len(setups),
             "wall_s_samples": [r["wall_s"] for r in rounds],
-            "setup_s_samples": [r["setup_s"] for r in rounds],
+            "setup_s_samples": setups,
         },
         "checks": {},
     }
     if trace:
         import layers
 
-        # a second untraced replay, warm like the traced ones, is the
+        # an untraced replay, warm like the traced ones, is the
         # compute-time base of the serve split and of trace.overhead
         timing = replay(inputs)
-        result["failed"] += timing["answers"] != answers
+        replays = traced_replays(inputs)
+        for answers in [timing["answers"]] + [answers for _, _, answers in replays]:
+            result["attempted"] += sum(len(phase) for phase in answers.values())
+            result["failed"] += wrong_answers(answers, pinned)
         compute_p50 = median(timing["compute_ms"])
         layer_values = _server_layers(rounds[0], median(rounds[0]["latency_ms"]), compute_p50)
-        replays = traced_replays(inputs)
-        result["failed"] += sum(answers_seen != answers for _, _, answers_seen in replays)
         (first, wall, _), (second, _, _) = replays
         traced, mismatched = layers.traced_summary(first, second, wall)
         result["checks"]["count_determinism"] = not mismatched
