@@ -20,9 +20,8 @@ and pattern construction once.  Pass ``session=`` (an
 :class:`~repro.experiments.session.ExperimentSession`) to source engine
 state from a shared session; a ``backend="naive"`` session selects the
 hop-by-hop reference walk (identical results, kept for differential
-testing), as does the deprecated ``use_engine=False`` keyword.  Failure
-sets naming links outside the graph fall back to the naive walk
-automatically.
+testing).  Failure sets naming links outside the graph fall back to the
+naive walk automatically.
 """
 
 from __future__ import annotations
@@ -101,7 +100,6 @@ class TouringBroadcast:
         source: Node,
         failures: FailureSet = frozenset(),
         max_hops: int | None = None,
-        use_engine: bool | None = None,
         session=None,
     ) -> BroadcastResult:
         """Walk the touring packet until the source detects completion.
@@ -113,11 +111,8 @@ class TouringBroadcast:
         """
         from ...experiments.session import resolve_session
 
-        if session is None and use_engine is None:
-            # the constructor-level session is only the default; an
-            # explicit use_engine= (deprecated) still overrides it
-            session = self._session
-        session = resolve_session(session, use_engine, caller="TouringBroadcast.run")
+        # the constructor-level session is only the default
+        session = resolve_session(session if session is not None else self._session)
         limit = max_hops if max_hops is not None else 4 * graph.number_of_edges() + 4
         if session.use_engine:
             state, memo = self._prepared(graph, session)
@@ -220,9 +215,8 @@ class TouringBroadcast:
         graph: nx.Graph,
         source: Node,
         failures: FailureSet = frozenset(),
-        use_engine: bool | None = None,
         session=None,
     ) -> bool:
         """Did the broadcast inform the whole surviving component of the source?"""
-        result = self.run(graph, source, failures, use_engine=use_engine, session=session)
+        result = self.run(graph, source, failures, session=session)
         return result.completed and result.covers(component_of(graph, source, failures))

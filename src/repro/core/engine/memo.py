@@ -169,7 +169,7 @@ def _route_indexed(
     return RouteResult(Outcome.LOOP, path, steps)
 
 
-def route_covers(
+def _route_covers(
     network: IndexedNetwork,
     pattern: MemoizedPattern,
     source: int,
@@ -185,27 +185,11 @@ def route_covers(
     walk that joins a delivered state is itself delivered and can stop
     early.  Callers reset the set whenever the failure mask (or the
     destination or pattern) changes.  On a ``False`` answer, re-run
-    :func:`route_indexed` for the exact counterexample trace.
+    :func:`route_indexed` for the exact counterexample trace.  Records
+    no telemetry: the one caller,
+    :meth:`~repro.core.engine.sweep.EngineState.mask_outcome`, leaves the
+    walk counters to the sweeps.
     """
-    telemetry = _obs.active()
-    if telemetry is None:
-        return _route_covers(network, pattern, source, destination, fmask, delivered)
-    before = len(pattern.table)
-    covered = _route_covers(network, pattern, source, destination, fmask, delivered)
-    # no step count here (the walk exits early through the shared
-    # delivered set); misses stay exact via the table delta
-    _record_walk(telemetry, "covers", pattern.table, before, None)
-    return covered
-
-
-def _route_covers(
-    network: IndexedNetwork,
-    pattern: MemoizedPattern,
-    source: int,
-    destination: int,
-    fmask: int,
-    delivered: set[int],
-) -> bool:
     if source == destination:
         return True
     incident = network.incident_mask
@@ -297,7 +281,7 @@ def _tour_indexed(
     raise AssertionError("state bound exceeded without repeating a state")  # pragma: no cover
 
 
-def tour_recurrent_indices(
+def _tour_recurrent_indices(
     network: IndexedNetwork,
     pattern: MemoizedPattern,
     start: int,
@@ -307,22 +291,8 @@ def tour_recurrent_indices(
 
     The allocation-light core of :func:`tour_indexed` for yes/no
     coverage checks: no label translation, no path materialization.
+    The touring sweep batches its walk counters itself.
     """
-    telemetry = _obs.active()
-    if telemetry is None:
-        return _tour_recurrent_indices(network, pattern, start, fmask)
-    before = len(pattern.table)
-    result = _tour_recurrent_indices(network, pattern, start, fmask)
-    _record_walk(telemetry, "tour", pattern.table, before, None)
-    return result
-
-
-def _tour_recurrent_indices(
-    network: IndexedNetwork,
-    pattern: MemoizedPattern,
-    start: int,
-    fmask: int,
-) -> set[int] | None:
     incident = network.incident_mask
     stride = network.n + 1
     current = start

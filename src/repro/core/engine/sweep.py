@@ -36,7 +36,7 @@ from ...graphs.connectivity import component_of
 from ...graphs.edges import FailureSet, Node, sorted_nodes
 from ...runtime.deadline import Deadline
 from ...runtime.faults import fire as _fault_fire
-from ..resilience import DEFAULT_FAILURE_PARAMS
+from ..resilience import DEFAULT_FAILURE_PARAMS, EXHAUSTIVE_LINK_LIMIT, Counterexample
 from ..model import (
     DestinationAlgorithm,
     ForwardingPattern,
@@ -115,6 +115,61 @@ class EngineState:
             return naive_route(self.naive_network, pattern.pattern, source, destination, failures)
         return route_indexed(network, pattern, src, dst, fmask)
 
+    def mask_outcome(
+        self,
+        memo: MemoizedPattern,
+        destination: Node,
+        failures: FailureSet,
+        wanted: set | None = None,
+    ) -> tuple[int, Counterexample | None]:
+        """Does every source in the destination's surviving component
+        reach it under ``failures``?  The one per-mask delivery check.
+
+        Sources are walked in sorted component order (skipping the
+        destination and, with ``wanted``, every source outside it); walks
+        share a delivered-state set, so a walk that joins a state already
+        proven to deliver stops early.  The first failing source is
+        re-walked for its exact trace.  Masks naming links outside the
+        index (or an un-indexed destination) take the naive walk, keeping
+        the naive checkers' semantics to the letter.  Returns ``(scenarios
+        checked, Counterexample | None)`` and records no telemetry:
+        callers batch their own counters.
+        """
+        network = self.network
+        dest_idx = network.index.get(destination)
+        fmask = network.mask_of(failures) if dest_idx is not None else None
+        checked = 0
+        if fmask is None:
+            naive = self.naive_network
+            for source in sorted_nodes(component_of(self.graph, destination, failures)):
+                if source == destination or (wanted is not None and source not in wanted):
+                    continue
+                checked += 1
+                result = naive_route(naive, memo.pattern, source, destination, failures)
+                if not result.delivered:
+                    return checked, Counterexample(source, destination, failures, result)
+            return checked, None
+        if network.m <= EXHAUSTIVE_LINK_LIMIT:
+            # the per-mask partition cache pays off when masks repeat
+            # across destinations (exhaustive sweeps); on larger, sampled
+            # graphs it would cache every random mask's prefixes forever
+            component = self.tracker.component_sorted(fmask, dest_idx)
+        else:
+            component = sorted_nodes(
+                network.labels[i] for i in network.component_of_indices(fmask, dest_idx)
+            )
+        index = network.index
+        delivered: set[int] = set()
+        for source in component:
+            if source == destination or (wanted is not None and source not in wanted):
+                continue
+            checked += 1
+            if not _route_covers(network, memo, index[source], dest_idx, fmask, delivered):
+                # re-walk for the exact trace (decisions are all cached)
+                result = route_indexed(network, memo, index[source], dest_idx, fmask)
+                return checked, Counterexample(source, destination, failures, result)
+        return checked, None
+
     def connected(self, source: Node, destination: Node, failures: FailureSet) -> bool:
         """Engine twin of :func:`repro.graphs.connectivity.are_connected`.
 
@@ -132,8 +187,6 @@ class EngineState:
             from ...graphs.connectivity import are_connected
 
             return are_connected(self.graph, source, destination, failures)
-        from ..resilience import EXHAUSTIVE_LINK_LIMIT
-
         if network.m <= EXHAUSTIVE_LINK_LIMIT:
             return self.tracker.same_component(fmask, src, dst)
         return network.connected_indices(fmask, src, dst)
@@ -462,7 +515,7 @@ def _sweep_pattern_resilience(
     backend: str = "engine",
     default_params: tuple = DEFAULT_FAILURE_PARAMS,
 ) -> Any:
-    from ..resilience import EXHAUSTIVE_LINK_LIMIT, Counterexample, Verdict, default_failure_sets
+    from ..resilience import Verdict, default_failure_sets
 
     if backend == "numpy":
         from .vectorized import VectorizedUnsupported, pattern_sweep_numpy
@@ -501,74 +554,24 @@ def _sweep_pattern_resilience(
         )
         if exhaustive is None:
             exhaustive = default_exhaustive
-    network = state.network
-    tracker = state.tracker
-    memo = MemoizedPattern(network, pattern)
-    index = network.index
-    node_labels = network.labels
-    dest_idx = index.get(destination)
+    memo = MemoizedPattern(state.network, pattern)
     wanted = None if sources is None else set(sources)
-    # the per-mask partition cache pays off when masks repeat across
-    # destinations (exhaustive sweeps); on larger, sampled graphs the
-    # incremental peel would cache every random mask's prefixes forever
-    use_tracker = network.m <= EXHAUSTIVE_LINK_LIMIT
     checked = 0
     # walk accounting is batched over the WHOLE sweep (one registry
     # flush in the finally below): a covers walk is sub-microsecond, so
     # even a per-walk counter update would dominate it
     telemetry = _obs.active()
-    covers_walks = 0
     memo_before = len(memo.table)
     try:
         for failures in failure_iter:
-            fmask = network.mask_of(failures) if dest_idx is not None else None
-            if fmask is None:
-                # Links outside the graph (or an un-indexed destination):
-                # keep the naive path's semantics to the letter.
-                component = sorted_nodes(component_of(state.graph, destination, failures))
-                naive = state.naive_network
-                for source in component:
-                    if source == destination or (wanted is not None and source not in wanted):
-                        continue
-                    checked += 1
-                    result = naive_route(naive, pattern, source, destination, failures)
-                    if not result.delivered:
-                        return Verdict(
-                            False,
-                            checked,
-                            Counterexample(source, destination, failures, result),
-                            exhaustive,
-                        )
-                continue
-            if use_tracker:
-                component = tracker.component_sorted(fmask, dest_idx)
-            else:
-                component = sorted_nodes(
-                    node_labels[i] for i in network.component_of_indices(fmask, dest_idx)
-                )
-            delivered_states: set[int] = set()
-            for source in component:
-                if source == destination or (wanted is not None and source not in wanted):
-                    continue
-                checked += 1
-                covers_walks += 1
-                if not _route_covers(
-                    network, memo, index[source], dest_idx, fmask, delivered_states
-                ):
-                    # re-walk for the exact trace (decisions are all cached)
-                    result = route_indexed(network, memo, index[source], dest_idx, fmask)
-                    return Verdict(
-                        False,
-                        checked,
-                        Counterexample(source, destination, failures, result),
-                        exhaustive,
-                    )
+            count, counterexample = state.mask_outcome(memo, destination, failures, wanted)
+            checked += count
+            if counterexample is not None:
+                return Verdict(False, checked, counterexample, exhaustive)
         return Verdict(True, checked, exhaustive=exhaustive)
     finally:
         if telemetry is not None:
-            _record_walk(
-                telemetry, "covers", memo.table, memo_before, None, walks=covers_walks
-            )
+            _record_walk(telemetry, "covers", memo.table, memo_before, None, walks=checked)
 
 
 # ---------------------------------------------------------------------------
@@ -855,7 +858,7 @@ def _sweep_touring(
     backend: str = "engine",
     deadline: Deadline | None = None,
 ) -> SweepResult:
-    from ..resilience import EXHAUSTIVE_LINK_LIMIT, Counterexample, Verdict
+    from ..resilience import Verdict
 
     state = shared_state if shared_state is not None else EngineState(graph)
     network = state.network

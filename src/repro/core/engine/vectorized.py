@@ -28,8 +28,8 @@ Verdict parity is bit-for-bit: scenario counts, the ``exhaustive``
 flag, and the first counterexample (re-walked scalar for its exact
 trace, sources re-ranked in the checkers' ``sorted_nodes`` order) all
 match the scalar engine and the naive reference.  Failure sets naming
-links outside the graph take the same naive fallback the scalar engine
-takes, in their original positions.
+links outside the graph go through the scalar engine's own per-mask
+check (its naive fallback), in their original positions.
 
 numpy is an *optional* dependency: everything here imports without it,
 :func:`require_numpy` raises the clean gating error, and every entry
@@ -49,10 +49,8 @@ except ModuleNotFoundError:  # pragma: no cover - exercised by the no-numpy CI j
 
 from repro import obs as _obs
 
-from ...graphs.connectivity import component_of
 from ...graphs.edges import FailureSet, Node, sorted_nodes
 from ..resilience import DEFAULT_FAILURE_PARAMS
-from ..simulator import route as naive_route
 from .indexed import IndexedNetwork
 from .memo import MemoizedPattern, route_indexed
 
@@ -615,32 +613,6 @@ def _walk_delivered(network: IndexedNetwork, table: _DecisionTable, destination:
 # ---------------------------------------------------------------------------
 
 
-def _naive_set_check(state, pattern, destination, wanted, failures):
-    """Scalar evaluation of one non-maskable failure set — the letter of
-    the scalar engine's naive-fallback branch.  Returns
-    ``(scenarios checked within this set, Counterexample | None)``."""
-    from ..resilience import Counterexample
-
-    telemetry = _obs.active()
-    if telemetry is not None:
-        telemetry.count(
-            "repro_numpy_naive_sets_total",
-            help="non-maskable failure sets evaluated scalar inside numpy sweeps",
-        )
-
-    component = sorted_nodes(component_of(state.graph, destination, failures))
-    naive = state.naive_network
-    checked = 0
-    for source in component:
-        if source == destination or (wanted is not None and source not in wanted):
-            continue
-        checked += 1
-        result = naive_route(naive, pattern, source, destination, failures)
-        if not result.delivered:
-            return checked, Counterexample(source, destination, failures, result)
-    return checked, None
-
-
 def _ordered_row_failure(network, component_row, eligible_row, delivered_flags_row):
     """The first failing source of one mask row, in checker order.
 
@@ -724,10 +696,16 @@ def pattern_sweep_numpy(
     # thunk) for the earliest failing failure set found so far
     best = None
 
+    memo = MemoizedPattern(network, pattern)
+    telemetry = _obs.active()
     for position, failures in batch.fallbacks:
-        checked, counterexample = _naive_set_check(
-            state, pattern, destination, wanted, failures
-        )
+        # non-maskable: the engine's per-mask check takes its naive branch
+        if telemetry is not None:
+            telemetry.count(
+                "repro_numpy_naive_sets_total",
+                help="non-maskable failure sets evaluated scalar inside numpy sweeps",
+            )
+        checked, counterexample = state.mask_outcome(memo, destination, failures, wanted)
         counts[position] = checked
         if counterexample is not None:
             # fallback positions ascend, so this is the earliest fallback
@@ -736,7 +714,6 @@ def pattern_sweep_numpy(
             best = (position, checked, counterexample)
             break
 
-    memo = MemoizedPattern(network, pattern)
     for chunk in batch.chunks:
         if best is not None and int(chunk.positions[0]) > best[0]:
             break  # everything here lies after the earliest failure
@@ -1126,10 +1103,7 @@ def delivered_flags(state, memo: MemoizedPattern, source: Node, destination: Nod
     batch = batch_for(state, failure_sets)
     flags = [False] * batch.total
     for position, failures in batch.fallbacks:
-        result = naive_route(
-            state.naive_network, memo.pattern, source, destination, failures
-        )
-        flags[position] = result.delivered
+        flags[position] = state.route(memo, source, destination, failures).delivered
     if source == destination:
         for chunk in batch.chunks:
             for position in chunk.positions:

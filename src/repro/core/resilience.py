@@ -18,9 +18,7 @@ destination × failure-set grid.  Engine state is owned by an
 to share index maps and caches across calls; the default is the shared
 :func:`~repro.experiments.session.default_session`.  A session with
 ``backend="naive"`` selects the hop-by-hop reference path (same
-verdicts) — kept for differential testing and the speedup benchmarks;
-the legacy ``use_engine=`` keyword is still accepted and resolves to
-the matching session backend with a :class:`DeprecationWarning`.
+verdicts) — kept for differential testing and the speedup benchmarks.
 ``processes`` fans independent destinations/pairs out across forked
 workers.
 """
@@ -142,7 +140,6 @@ def check_pattern_resilience(
     destination: Node,
     sources: Iterable[Node] | None = None,
     failure_sets: Iterable[FailureSet] | None = None,
-    use_engine: bool | None = None,
     session=None,
 ) -> Verdict:
     """Check one concrete pattern: every connected source must be served.
@@ -152,7 +149,7 @@ def check_pattern_resilience(
     """
     from ..experiments.session import resolve_session
 
-    session = resolve_session(session, use_engine, caller="check_pattern_resilience")
+    session = resolve_session(session)
     if session.use_engine:
         from .engine.sweep import sweep_pattern_resilience
 
@@ -193,16 +190,13 @@ def check_perfect_resilience_source_destination(
     algorithm: SourceDestinationAlgorithm,
     pairs: Iterable[tuple[Node, Node]] | None = None,
     failure_sets: Iterable[FailureSet] | None = None,
-    use_engine: bool | None = None,
     processes: int | None = None,
     session=None,
 ) -> Verdict:
     """Is the algorithm perfectly resilient on ``graph`` in the π^{s,t} model?"""
     from ..experiments.session import resolve_session
 
-    session = resolve_session(
-        session, use_engine, caller="check_perfect_resilience_source_destination"
-    )
+    session = resolve_session(session)
     if session.use_engine:
         from .engine.sweep import ScenarioGrid, sweep_resilience
 
@@ -240,7 +234,6 @@ def check_perfect_resilience_destination(
     algorithm: DestinationAlgorithm,
     destinations: Iterable[Node] | None = None,
     failure_sets: Iterable[FailureSet] | None = None,
-    use_engine: bool | None = None,
     processes: int | None = None,
     session=None,
 ) -> Verdict:
@@ -251,7 +244,7 @@ def check_perfect_resilience_destination(
     """
     from ..experiments.session import resolve_session
 
-    session = resolve_session(session, use_engine, caller="check_perfect_resilience_destination")
+    session = resolve_session(session)
     if session.use_engine:
         from .engine.sweep import ScenarioGrid, sweep_resilience
 
@@ -293,7 +286,6 @@ def check_r_tolerance(
     destination: Node,
     r: int,
     failure_sets: Iterable[FailureSet] | None = None,
-    use_engine: bool | None = None,
     session=None,
 ) -> Verdict:
     """Is the pattern r-tolerant for (source, destination) on ``graph``?
@@ -303,7 +295,7 @@ def check_r_tolerance(
     """
     from ..experiments.session import resolve_session
 
-    session = resolve_session(session, use_engine, caller="check_r_tolerance")
+    session = resolve_session(session)
     pattern = algorithm.build(graph, source, destination)
     failure_iter, exhaustive = (
         (failure_sets, False) if failure_sets is not None else default_failure_sets(graph)
@@ -406,13 +398,12 @@ def check_perfect_touring(
     algorithm: TouringAlgorithm,
     starts: Iterable[Node] | None = None,
     failure_sets: Iterable[FailureSet] | None = None,
-    use_engine: bool | None = None,
     session=None,
 ) -> Verdict:
     """Does the π^∀ pattern tour every component under every failure set?"""
     from ..experiments.session import resolve_session
 
-    session = resolve_session(session, use_engine, caller="check_perfect_touring")
+    session = resolve_session(session)
     if session.use_engine:
         from .engine.sweep import ScenarioGrid, sweep_resilience
 
@@ -445,7 +436,6 @@ def check_ideal_resilience(
     algorithm: DestinationAlgorithm,
     destinations: Iterable[Node] | None = None,
     k: int | None = None,
-    use_engine: bool | None = None,
     session=None,
 ) -> Verdict:
     """Ideal resilience (§I.B.1, Chiesa et al.): survive k-1 failures.
@@ -458,7 +448,7 @@ def check_ideal_resilience(
     from ..experiments.session import resolve_session
     from ..graphs.connectivity import global_edge_connectivity
 
-    session = resolve_session(session, use_engine, caller="check_ideal_resilience")
+    session = resolve_session(session)
     if k is None:
         k = global_edge_connectivity(graph)
     if k < 1:
@@ -499,7 +489,6 @@ def check_k_resilient_touring(
     max_failures: int,
     starts: Iterable[Node] | None = None,
     failure_sets: Iterable[FailureSet] | None = None,
-    use_engine: bool | None = None,
     session=None,
 ) -> Verdict:
     """k-resilient touring: tours must survive every |F| <= max_failures."""
@@ -515,7 +504,6 @@ def check_k_resilient_touring(
         algorithm,
         starts=starts,
         failure_sets=failure_sets,
-        use_engine=use_engine,
         session=session,
     )
 

@@ -3,8 +3,7 @@
 The one surface for the paper's comparison.  Schemes and topologies are
 resolved **by name** through registries (:mod:`~repro.experiments.
 registry`), engine state is owned by an :class:`~repro.experiments.
-session.ExperimentSession` (replacing scattered ``use_engine=`` flags
-and hand-threaded ``EngineState``), grids run through
+session.ExperimentSession`, grids run through
 :func:`~repro.experiments.runner.run_grid`, and results are typed
 :class:`~repro.experiments.results.ExperimentRecord` rows that merge
 into a :class:`~repro.experiments.results.ResultStore`.

@@ -159,6 +159,90 @@ def _cell_key(
     )
 
 
+@dataclass
+class _Skip:
+    """Plan item: a scheme whose applicability predicate rejects a
+    topology.  Deterministic and instant: not a cell, never journaled."""
+
+    topology_name: str
+    scheme_name: str
+    reason: str
+
+
+@dataclass
+class _Cell:
+    """Plan item: one journaled (topology, scheme, failure model) unit.
+
+    ``replay`` holds a journaled cell's records; ``None`` means the cell
+    is computed.
+    """
+
+    key: str
+    topology_name: str
+    graph: nx.Graph
+    spec: SchemeSpec
+    model: BaseFailureModel
+    grid: dict | None
+    demands: Any
+    matrix_name: str
+    include_static: bool
+    replay: list[ExperimentRecord] | None = None
+
+
+def _plan_grid(
+    resolved_topologies: Sequence[tuple[str, nx.Graph]],
+    resolved_schemes: Sequence[SchemeSpec],
+    failure_models: Sequence[BaseFailureModel],
+    metrics: Sequence[str],
+    matrix: str,
+    matrix_seed: int,
+    journal: CellJournal | None,
+) -> list[_Skip | _Cell]:
+    """The grid in order: skip items and cells, journaled cells replayed.
+
+    One seeded grid per (topology, failure model) and one demand matrix
+    per topology, shared by every scheme — identical scenarios across
+    competitors, no per-cell rebuilds.  Sampled models have no grid:
+    their cells stream via the estimator.
+    """
+    needs_matrix = "congestion" in metrics or "stretch" in metrics
+    plan: list[_Skip | _Cell] = []
+    for topology_name, graph in resolved_topologies:
+        grids = {
+            model: None if model.sampled else model.grid(graph) for model in failure_models
+        }
+        demands = None
+        matrix_name = ""
+        if needs_matrix:
+            from ..traffic.matrices import build_named_matrix
+
+            demands, matrix_name = build_named_matrix(graph, matrix, seed=matrix_seed)
+        for spec in resolved_schemes:
+            if not spec.applicable(graph):
+                plan.append(_Skip(topology_name, spec.name, f"requires {spec.requires}"))
+                continue
+            for index, model in enumerate(failure_models):
+                key = _cell_key(topology_name, spec.name, model, matrix, matrix_seed, metrics)
+                replay = None
+                if journal is not None and key in journal:
+                    replay = [ExperimentRecord.from_dict(entry) for entry in journal.payload(key)]
+                plan.append(
+                    _Cell(
+                        key,
+                        topology_name,
+                        graph,
+                        spec,
+                        model,
+                        grids[model],
+                        demands,
+                        matrix_name,
+                        include_static=index == 0,
+                        replay=replay,
+                    )
+                )
+    return plan
+
+
 def run_grid(
     topologies: Iterable,
     schemes: Iterable | None = None,
@@ -188,6 +272,11 @@ def run_grid(
     charged per cell).  Pass ``store`` to merge
     the records into a persistent :class:`ResultStore` on the way out.
 
+    The run is plan → execute → stitch: one planning walk orders the
+    skip records, journal replays and compute cells; an executor yields
+    the computed cells' outputs; one stitch loop publishes everything
+    in grid order.
+
     Robustness seams:
 
     * A cell that raises does not abort the grid — it becomes one
@@ -199,23 +288,27 @@ def run_grid(
       it completes, and cells already in the journal are replayed
       instead of recomputed, so a killed grid restarts where it left
       off and produces the identical record list.
-    * ``deadline`` (defaulting to the session's) is checked between
-      cells; on expiry the grid stops cleanly with
-      ``exhaustive=False``.  Completed cells are always whole.
+    * ``deadline`` (defaulting to the session's) is checked before
+      every cell, replayed or computed, and charged one unit after
+      every computed cell; skip records are not cells.  On expiry the
+      grid stops cleanly with ``exhaustive=False``.  Completed cells
+      are always whole.
     * ``progress`` is an opt-in heartbeat: a callable invoked after
       every cell (computed or replayed) with a dict of ``done``,
       ``total``, ``errors``, ``replayed``, ``elapsed`` seconds and an
       ``eta`` estimate (``None`` until the first cell lands).  It never
       touches records — purely an observer.
-    * ``processes`` (default: the session's) fans independent compute
-      cells out across forked workers that adopt the parent's warm
+    * ``processes`` (default: the session's) only picks the executor.
+      With one process (or an active fault-injection plan, whose
+      per-cell decisions belong to the parent) cells run lazily in
+      process, each as the stitch loop reaches it.  With more, compute
+      cells fan out across forked workers that adopt the parent's warm
       session state (engine indexes are pre-built per topology, so
       workers inherit them as copy-on-write pages instead of
-      re-indexing).  Records, journal appends and counters are stitched
-      in grid order in the parent, so the output is identical to a
-      serial run apart from ``runtime_seconds`` wall-clock noise.  An
-      active fault-injection plan forces the serial path: per-cell
-      fault decisions belong to the driver process.
+      re-indexing), and a worker does not start a cell after a
+      wall-clock expiry.  Either way the same stitch loop publishes the
+      output, so it is identical to a serial run apart from
+      ``runtime_seconds`` wall-clock noise.
     """
     unknown = set(metrics) - set(METRICS)
     if unknown:
@@ -233,450 +326,179 @@ def run_grid(
     resolved_topologies = _resolve_topologies(topologies)
     if processes is None:
         processes = session.processes
-    if processes > 1 and active_plan() is None:
-        result = _parallel_grid(
-            session,
-            resolved_topologies,
-            resolved_schemes,
-            failure_models,
-            metrics,
-            matrix,
-            matrix_seed,
-            journal,
-            deadline,
-            processes,
-            progress,
-        )
-        if store is not None:
-            store.merge(result.records)
-        return result
-    result = GridResult()
-    needs_matrix = "congestion" in metrics or "stretch" in metrics
-    cell_index = 0
-    telemetry = _obs.active()
-    grid_start = time.perf_counter()
-    error_cells = 0
-    total_cells: int | None = None
-    if progress is not None:
-        # the heartbeat's denominator: every applicable (topology,
-        # scheme, model) cell — applicability predicates are cheap and
-        # pure, so probing them twice is safe
-        total_cells = sum(
-            len(failure_models)
-            for _, graph in resolved_topologies
-            for spec in resolved_schemes
-            if spec.applicable(graph)
-        )
+    plan = _plan_grid(
+        resolved_topologies,
+        resolved_schemes,
+        failure_models,
+        metrics,
+        matrix,
+        matrix_seed,
+        journal,
+    )
+    tasks = [item for item in plan if isinstance(item, _Cell) and item.replay is None]
+    #: task index -> the injected error its cell raises (stitch-decided)
+    injected: dict[int, InjectedFault] = {}
 
-    def _heartbeat() -> None:
-        elapsed = time.perf_counter() - grid_start
-        eta = None
-        if cell_index and total_cells is not None:
-            eta = elapsed / cell_index * max(total_cells - cell_index, 0)
-        progress(
-            {
-                "done": cell_index,
-                "total": total_cells,
-                "errors": error_cells,
-                "replayed": result.resumed_cells,
-                "elapsed": elapsed,
-                "eta": eta,
-            }
-        )
-
-    for topology_name, graph in resolved_topologies:
-        if not result.exhaustive:
-            break
-        # one seeded grid per (topology, failure model) and one demand
-        # matrix per topology, shared by every scheme — identical
-        # scenarios across competitors, no per-cell rebuilds.  Sampled
-        # models have no grid: their cells stream via the estimator.
-        grids = {
-            model: None if model.sampled else model.grid(graph) for model in failure_models
-        }
-        demands = None
-        matrix_name = ""
-        if needs_matrix:
-            from ..traffic.matrices import build_named_matrix
-
-            demands, matrix_name = build_named_matrix(graph, matrix, seed=matrix_seed)
-        for spec in resolved_schemes:
-            if not result.exhaustive:
-                break
-            if not spec.applicable(graph):
-                # deterministic, instant: not journaled, no cell index
-                reason = f"requires {spec.requires}"
-                result.skipped.append((topology_name, spec.name, reason))
-                if telemetry is not None:
-                    telemetry.count(
-                        "repro_grid_cells_total",
-                        len(failure_models),
-                        help="grid cells by status",
-                        status="skipped",
-                    )
-                for model in failure_models:
-                    result.records.append(
-                        ExperimentRecord(
-                            experiment="applicability",
-                            topology=topology_name,
-                            scheme=spec.name,
-                            failure_model=model.label,
-                            status="skipped",
-                            note=reason,
-                        )
-                    )
-                continue
-            for index, model in enumerate(failure_models):
-                if deadline is not None and deadline.expired():
-                    result.exhaustive = False
-                    break
-                key = _cell_key(topology_name, spec.name, model, matrix, matrix_seed, metrics)
-                if journal is not None and key in journal:
-                    # replayed cells keep their grid position (and cell
-                    # index) so resumed output is identical to an
-                    # uninterrupted run
-                    result.records.extend(
-                        ExperimentRecord.from_dict(entry) for entry in journal.payload(key)
-                    )
-                    result.resumed_cells += 1
-                    cell_index += 1
-                    if telemetry is not None:
-                        telemetry.count(
-                            "repro_grid_cells_total",
-                            help="grid cells by status",
-                            status="replayed",
-                        )
-                    if progress is not None:
-                        _heartbeat()
-                    continue
-                fault = fire("cell", cell_index)
-                if fault is not None and fault.kind == "grid-kill":
-                    # BaseException: the per-cell recovery below must not
-                    # be able to catch a simulated hard crash
-                    raise GridKill(f"injected grid kill at cell {cell_index}: {key}")
-                start = time.perf_counter()
-                with _obs.span(
-                    "grid_cell",
-                    topology=topology_name,
-                    scheme=spec.name,
-                    failure_model=model.label,
-                ):
-                    try:
-                        if fault is not None and fault.kind == "cell-error":
-                            raise InjectedFault(f"injected cell error at cell {cell_index}")
-                        cell_records = _run_cell(
-                            session,
-                            topology_name,
-                            graph,
-                            spec,
-                            spec.instantiate(),
-                            model,
-                            grids[model],
-                            metrics,
-                            demands,
-                            matrix_name,
-                            include_static=index == 0,
-                            deadline=deadline,
-                        )
-                    except Exception as error:  # noqa: BLE001 - any cell bug becomes a record
-                        cell_records = [
-                            ExperimentRecord(
-                                experiment="error",
-                                topology=topology_name,
-                                scheme=spec.name,
-                                failure_model=model.label,
-                                status="error",
-                                note=f"{type(error).__name__}: {error}",
-                                params={
-                                    "matrix": matrix_name,
-                                    "traceback": traceback.format_exc(),
-                                },
-                                runtime_seconds=time.perf_counter() - start,
-                            )
-                        ]
-                cell_failed = any(record.status == "error" for record in cell_records)
-                if cell_failed:
-                    error_cells += 1
-                if telemetry is not None:
-                    telemetry.count(
-                        "repro_grid_cells_total",
-                        help="grid cells by status",
-                        status="error" if cell_failed else "ok",
-                    )
-                    telemetry.observe(
-                        "repro_grid_cell_seconds",
-                        time.perf_counter() - start,
-                        help="wall-clock seconds per computed grid cell",
-                    )
-                if journal is not None:
-                    # journal before publishing: the invariant is that
-                    # every cell whose records are visible is journaled,
-                    # so a kill between the two costs one recomputation,
-                    # never a lost cell
-                    journal.append(key, [record.to_dict() for record in cell_records])
-                result.records.extend(cell_records)
-                cell_index += 1
-                if progress is not None:
-                    _heartbeat()
-                if deadline is not None:
-                    deadline.charge()
-    if store is not None:
-        store.merge(result.records)
-    return result
-
-
-def _parallel_grid(
-    session: ExperimentSession,
-    resolved_topologies: Sequence[tuple[str, nx.Graph]],
-    resolved_schemes: Sequence[SchemeSpec],
-    failure_models: Sequence[BaseFailureModel],
-    metrics: Sequence[str],
-    matrix: str,
-    matrix_seed: int,
-    journal: CellJournal | None,
-    deadline: Deadline | None,
-    processes: int,
-    progress,
-) -> GridResult:
-    """Warm-worker execution of the grid: plan serially, fan compute
-    cells out across forked workers, stitch records in grid order.
-
-    The planning walk mirrors the serial loop exactly — applicability
-    skips and journal replays are resolved in the parent (they are
-    instant), and only compute cells are dispatched.  Workers adopt the
-    parent's warm session (engine states pre-built per topology) across
-    the fork as copy-on-write pages via ``parallel_map``'s initializer
-    seam, so no worker re-indexes a graph.  Records, journal appends,
-    telemetry counts and heartbeats all happen in the parent, in grid
-    order, so the record list is identical to a serial run's apart from
-    ``runtime_seconds`` wall-clock noise.  A deadline is checked at
-    worker cell entry (an unstarted cell returns ``None``) and charged
-    per stitched cell in the parent (``Budget`` units are driver-side);
-    the result is truncated at the first unfinished cell with
-    ``exhaustive=False`` — completed cells are always whole.
-    """
-    from ..core.engine.sweep import parallel_map, worker_warm
-
-    result = GridResult()
-    telemetry = _obs.active()
-    needs_matrix = "congestion" in metrics or "stretch" in metrics
-    # the ordered cell plan: ("records", [skip records]) for
-    # applicability skips, ("replay", [records]) for journaled cells,
-    # ("compute", task index) for real work
-    actions: list[tuple[str, Any]] = []
-    tasks: list[dict] = []
-    for topology_name, graph in resolved_topologies:
-        grids = {
-            model: None if model.sampled else model.grid(graph) for model in failure_models
-        }
-        demands = None
-        matrix_name = ""
-        if needs_matrix:
-            from ..traffic.matrices import build_named_matrix
-
-            demands, matrix_name = build_named_matrix(graph, matrix, seed=matrix_seed)
-        if session.use_engine:
-            # pre-warm: build the index maps before the fork so every
-            # worker inherits them instead of rebuilding per cell
-            session.state(graph)
-        for spec in resolved_schemes:
-            if not spec.applicable(graph):
-                reason = f"requires {spec.requires}"
-                result.skipped.append((topology_name, spec.name, reason))
-                if telemetry is not None:
-                    telemetry.count(
-                        "repro_grid_cells_total",
-                        len(failure_models),
-                        help="grid cells by status",
-                        status="skipped",
-                    )
-                actions.append(
-                    (
-                        "records",
-                        [
-                            ExperimentRecord(
-                                experiment="applicability",
-                                topology=topology_name,
-                                scheme=spec.name,
-                                failure_model=model.label,
-                                status="skipped",
-                                note=reason,
-                            )
-                            for model in failure_models
-                        ],
-                    )
-                )
-                continue
-            for index, model in enumerate(failure_models):
-                key = _cell_key(topology_name, spec.name, model, matrix, matrix_seed, metrics)
-                if journal is not None and key in journal:
-                    actions.append(
-                        (
-                            "replay",
-                            [ExperimentRecord.from_dict(entry) for entry in journal.payload(key)],
-                        )
-                    )
-                    continue
-                tasks.append(
-                    dict(
-                        key=key,
-                        topology_name=topology_name,
-                        graph=graph,
-                        spec=spec,
-                        algorithm=spec.instantiate(),
-                        model=model,
-                        grid=grids[model],
-                        demands=demands,
-                        matrix_name=matrix_name,
-                        include_static=index == 0,
-                    )
-                )
-                actions.append(("compute", len(tasks) - 1))
-
-    def compute_cell(task_index: int):
-        # items are plain indices: the task list (graphs, schemes,
-        # demand matrices) rides into the workers through this closure
-        # via fork inheritance, never through pickling
-        task = tasks[task_index]
+    def compute(position: int):
+        # items are plain indices: the cells (graphs, schemes, demand
+        # matrices) ride into forked workers through this closure via
+        # fork inheritance, never through pickling
+        cell = tasks[position]
         if deadline is not None and deadline.expired():
-            return None  # unstarted cell: the parent truncates here
-        cell_session = worker_warm() or session
+            return None  # not started: the stitch loop cuts the grid here
         start = time.perf_counter()
         with _obs.span(
             "grid_cell",
-            topology=task["topology_name"],
-            scheme=task["spec"].name,
-            failure_model=task["model"].label,
+            topology=cell.topology_name,
+            scheme=cell.spec.name,
+            failure_model=cell.model.label,
         ):
             try:
-                cell_records = _run_cell(
-                    cell_session,
-                    task["topology_name"],
-                    task["graph"],
-                    task["spec"],
-                    task["algorithm"],
-                    task["model"],
-                    task["grid"],
+                if position in injected:
+                    raise injected.pop(position)
+                records = _run_cell(
+                    session,
+                    cell.topology_name,
+                    cell.graph,
+                    cell.spec,
+                    cell.spec.instantiate(),
+                    cell.model,
+                    cell.grid,
                     metrics,
-                    task["demands"],
-                    task["matrix_name"],
-                    include_static=task["include_static"],
+                    cell.demands,
+                    cell.matrix_name,
+                    include_static=cell.include_static,
                     # wall-clock deadlines are fork-consistent; Budget
                     # units charged by a worker's sampler stay in the
                     # worker (unit budgets bound driver-side loops)
                     deadline=deadline,
                 )
             except Exception as error:  # noqa: BLE001 - any cell bug becomes a record
-                cell_records = [
+                records = [
                     ExperimentRecord(
                         experiment="error",
-                        topology=task["topology_name"],
-                        scheme=task["spec"].name,
-                        failure_model=task["model"].label,
+                        topology=cell.topology_name,
+                        scheme=cell.spec.name,
+                        failure_model=cell.model.label,
                         status="error",
                         note=f"{type(error).__name__}: {error}",
-                        params={
-                            "matrix": task["matrix_name"],
-                            "traceback": traceback.format_exc(),
-                        },
+                        params={"matrix": cell.matrix_name, "traceback": traceback.format_exc()},
                         runtime_seconds=time.perf_counter() - start,
                     )
                 ]
-        return cell_records, time.perf_counter() - start
+        return records, time.perf_counter() - start
 
-    def _warm_session():
-        # runs in the worker, post-fork: inner sweeps must stay serial
-        # there (a daemonic pool worker cannot fork again), and one
-        # process per grid cell is the whole parallelism budget anyway.
-        # The attribute write lands on the worker's fork-local copy —
-        # the parent's session keeps its processes setting.
-        session.processes = 1
-        return session
-
-    outputs = (
-        parallel_map(compute_cell, list(range(len(tasks))), processes, initializer=_warm_session)
-        if tasks
-        else []
-    )
-
-    # stitch in grid order: records, journal appends, counters and
-    # heartbeats land exactly where the serial loop would put them
-    cell_index = 0
-    error_cells = 0
     grid_start = time.perf_counter()
-    total_cells: int | None = None
-    if progress is not None:
-        total_cells = sum(
-            len(failure_models)
-            for _, graph in resolved_topologies
-            for spec in resolved_schemes
-            if spec.applicable(graph)
-        )
+    if processes > 1 and active_plan() is None:
+        from ..core.engine.sweep import parallel_map
 
-    def _heartbeat() -> None:
-        elapsed = time.perf_counter() - grid_start
-        eta = None
-        if cell_index and total_cells is not None:
-            eta = elapsed / cell_index * max(total_cells - cell_index, 0)
-        progress(
-            {
-                "done": cell_index,
-                "total": total_cells,
-                "errors": error_cells,
-                "replayed": result.resumed_cells,
-                "elapsed": elapsed,
-                "eta": eta,
-            }
-        )
+        if session.use_engine:
+            # pre-warm: build the index maps before the fork so every
+            # worker inherits them instead of rebuilding per cell
+            for _, graph in resolved_topologies:
+                session.state(graph)
 
-    for position, (kind, payload) in enumerate(actions):
-        if kind == "records":
-            result.records.extend(payload)
-            continue
-        if kind == "replay":
-            result.records.extend(payload)
-            result.resumed_cells += 1
-            cell_index += 1
+        def serial_inner_sweeps():
+            # runs in the worker, post-fork: inner sweeps must stay
+            # serial there (a daemonic pool worker cannot fork again),
+            # and one process per grid cell is the whole parallelism
+            # budget anyway.  The write lands on the worker's fork-local
+            # copy — the parent's session keeps its processes setting.
+            session.processes = 1
+            return session
+
+        outputs = iter(
+            parallel_map(compute, range(len(tasks)), processes, initializer=serial_inner_sweeps)
+        )
+    else:
+        outputs = map(compute, range(len(tasks)))  # lazy: one cell per pull
+
+    result = GridResult()
+    telemetry = _obs.active()
+    total_cells = sum(isinstance(item, _Cell) for item in plan)
+    cell_index = 0  # cells published so far, replayed or computed
+    computed = 0  # task index of the next computed cell
+    error_cells = 0
+    for item in plan:
+        if isinstance(item, _Skip):
+            result.skipped.append((item.topology_name, item.scheme_name, item.reason))
             if telemetry is not None:
                 telemetry.count(
                     "repro_grid_cells_total",
+                    len(failure_models),
                     help="grid cells by status",
-                    status="replayed",
+                    status="skipped",
                 )
-            if progress is not None:
-                _heartbeat()
+            result.records.extend(
+                ExperimentRecord(
+                    experiment="applicability",
+                    topology=item.topology_name,
+                    scheme=item.scheme_name,
+                    failure_model=model.label,
+                    status="skipped",
+                    note=item.reason,
+                )
+                for model in failure_models
+            )
             continue
-        output = outputs[payload]
-        if output is None:
-            # the worker saw the deadline before starting this cell
+        if deadline is not None and deadline.expired():
             result.exhaustive = False
             break
-        cell_records, elapsed = output
-        cell_failed = any(record.status == "error" for record in cell_records)
-        if cell_failed:
-            error_cells += 1
+        if item.replay is not None:
+            # replayed cells keep their grid position (and cell index)
+            # so resumed output is identical to an uninterrupted run
+            records = item.replay
+            status = "replayed"
+            result.resumed_cells += 1
+        else:
+            fault = fire("cell", cell_index)
+            if fault is not None and fault.kind == "grid-kill":
+                # BaseException: the per-cell recovery must not be able
+                # to catch a simulated hard crash
+                raise GridKill(f"injected grid kill at cell {cell_index}: {item.key}")
+            if fault is not None and fault.kind == "cell-error":
+                injected[computed] = InjectedFault(f"injected cell error at cell {cell_index}")
+            output = next(outputs)
+            computed += 1
+            if output is None:
+                result.exhaustive = False
+                break
+            records, elapsed = output
+            cell_failed = any(record.status == "error" for record in records)
+            error_cells += cell_failed
+            status = "error" if cell_failed else "ok"
+            if telemetry is not None:
+                telemetry.observe(
+                    "repro_grid_cell_seconds",
+                    elapsed,
+                    help="wall-clock seconds per computed grid cell",
+                )
+            if journal is not None:
+                # journal before publishing: the invariant is that
+                # every cell whose records are visible is journaled,
+                # so a kill between the two costs one recomputation,
+                # never a lost cell
+                journal.append(item.key, [record.to_dict() for record in records])
         if telemetry is not None:
-            telemetry.count(
-                "repro_grid_cells_total",
-                help="grid cells by status",
-                status="error" if cell_failed else "ok",
-            )
-            telemetry.observe(
-                "repro_grid_cell_seconds",
-                elapsed,
-                help="wall-clock seconds per computed grid cell",
-            )
-        if journal is not None:
-            journal.append(tasks[payload]["key"], [record.to_dict() for record in cell_records])
-        result.records.extend(cell_records)
+            telemetry.count("repro_grid_cells_total", help="grid cells by status", status=status)
+        result.records.extend(records)
         cell_index += 1
         if progress is not None:
-            _heartbeat()
-        if deadline is not None and not deadline.charge() and position + 1 < len(actions):
-            # budget/deadline spent with cells still unpublished — the
-            # serial loop would have stopped before them too
-            result.exhaustive = False
-            break
+            running = time.perf_counter() - grid_start
+            progress(
+                {
+                    "done": cell_index,
+                    "total": total_cells,
+                    "errors": error_cells,
+                    "replayed": result.resumed_cells,
+                    "elapsed": running,
+                    "eta": running / cell_index * max(total_cells - cell_index, 0),
+                }
+            )
+        if item.replay is None and deadline is not None:
+            deadline.charge()
+    if store is not None:
+        store.merge(result.records)
     return result
 
 

@@ -1,28 +1,19 @@
 """The :class:`ExperimentSession`: one owner for all engine state.
 
-Before this module, every entry point threaded engine state by hand:
-checkers took ``use_engine=`` flags and built a throwaway
-:class:`~repro.core.engine.sweep.EngineState` per call, the congestion
-harness built its own, ``measure_stretch`` another, broadcast cached one
-privately.  A session centralizes that: it owns a bounded cache of
-per-graph engine states (index maps, component caches, memoized decision
-tables) plus per-(graph, scheme) traffic engines, and it decides the
-*backend* — ``"engine"`` (the fast indexed path), ``"numpy"`` (the
-vectorized mask-walk backend, batching many failure masks per
-destination through array ops; needs the optional numpy dependency and
-falls back to scalar-engine semantics where an instance cannot
-vectorize), or ``"naive"`` (the hop-by-hop reference simulator, kept
-for differential testing).
-
-Consumers accept ``session=``; the legacy ``use_engine=`` keyword is
-still accepted everywhere it existed, but it now merely resolves to a
-session (with a :class:`DeprecationWarning`) via
-:func:`resolve_session`.
+A session owns a bounded cache of per-graph engine states (index maps,
+component caches, memoized decision tables) plus per-(graph, scheme)
+traffic engines, and it decides the *backend* — ``"engine"`` (the fast
+indexed path), ``"numpy"`` (the vectorized mask-walk backend, batching
+many failure masks per destination through array ops; needs the
+optional numpy dependency and falls back to scalar-engine semantics
+where an instance cannot vectorize), or ``"naive"`` (the hop-by-hop
+reference simulator, kept for differential testing).  Consumers accept
+``session=``; :func:`resolve_session` turns ``None`` into the shared
+default.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections import OrderedDict
 
 import networkx as nx
@@ -232,29 +223,6 @@ def naive_session() -> ExperimentSession:
     return _NAIVE_SESSION
 
 
-def resolve_session(
-    session: ExperimentSession | None = None,
-    use_engine: bool | None = None,
-    caller: str = "this function",
-) -> ExperimentSession:
-    """Back-compat shim: turn the legacy ``use_engine=`` flag into a session.
-
-    * both ``None`` — the shared engine-backend :func:`default_session`;
-    * ``session`` given — used as-is (``use_engine`` must then be absent);
-    * ``use_engine`` given — emits a :class:`DeprecationWarning` and
-      resolves to the shared session of the matching backend, so old
-      call sites keep their exact semantics.
-    """
-    if use_engine is None:
-        return session if session is not None else default_session()
-    # validate before warning: the ValueError path is a caller bug, not a
-    # deprecated-but-working call, and must not also emit the warning
-    if session is not None:
-        raise ValueError("pass either session= or the deprecated use_engine=, not both")
-    warnings.warn(
-        f"{caller}: the use_engine= keyword is deprecated; pass "
-        f'session=ExperimentSession(backend="engine"/"naive") instead',
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return default_session() if use_engine else naive_session()
+def resolve_session(session: ExperimentSession | None = None) -> ExperimentSession:
+    """``session`` as given, or the shared engine-backend :func:`default_session`."""
+    return session if session is not None else default_session()

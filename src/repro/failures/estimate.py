@@ -21,8 +21,8 @@ drawn scenario counts toward ``repro_failure_samples_total{model=...}``.
 
 The per-mask evaluation reuses the engine's warm seams: destination
 schemes get one forwarding pattern + decision table per destination
-(the same walk the serve layer's mask-outcome memo replicates), other
-routing models fall back to the reference checkers one mask at a time.
+and the engine's per-mask delivery check, other routing models fall
+back to the reference checkers one mask at a time.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import networkx as nx
 
 from repro import obs as _obs
 
-from ..graphs.edges import FailureSet, sorted_nodes
+from ..graphs.edges import FailureSet
 from ..runtime.deadline import Deadline
 from .models import FailureModel
 
@@ -133,12 +133,13 @@ class MaskEvaluator:
 
     Destination algorithms on an engine-backed session get the warm
     path: one forwarding pattern and decision table per destination,
-    built once, then each mask is a component walk with the shared
-    delivered-state early exit — exactly the per-mask block of the
-    engine sweep (and the serve mask-outcome memo).  Everything else
-    (source-destination and touring schemes, naive sessions, masks
-    naming links outside the graph) goes through the reference checkers
-    one mask at a time.
+    built once, then each mask is the engine's per-mask delivery check
+    (:meth:`~repro.core.engine.sweep.EngineState.mask_outcome`, the one
+    the sweeps and the serve mask memo run) over the destinations in
+    graph order — the checkers' order, so the note names the checkers'
+    counterexample.  Everything else (source-destination and touring
+    schemes, naive sessions) goes through the reference checkers one
+    mask at a time.
     """
 
     def __init__(self, graph: nx.Graph, algorithm, session=None):
@@ -149,20 +150,16 @@ class MaskEvaluator:
         self.algorithm = algorithm
         self.session = resolve_session(session)
         self._state = None
-        self._entries: list | None = None
+        self._memos: list | None = None
         if self.session.use_engine and isinstance(algorithm, DestinationAlgorithm):
             from ..core.engine.memo import MemoizedPattern
 
             state = self.session.state(graph)
-            network = state.network
-            entries = []
-            for destination in sorted_nodes(graph.nodes):
-                pattern = algorithm.build(graph, destination)
-                entries.append(
-                    (destination, network.index[destination], MemoizedPattern(network, pattern))
-                )
             self._state = state
-            self._entries = entries
+            self._memos = [
+                (destination, MemoizedPattern(state.network, algorithm.build(graph, destination)))
+                for destination in graph.nodes
+            ]
 
     def delivered(self, failures: FailureSet) -> tuple[bool, str]:
         """Does the scheme deliver every packet under ``failures``?
@@ -170,39 +167,12 @@ class MaskEvaluator:
         Returns ``(delivered, note)`` — the note describes the first
         failing (source, destination) when delivery fails.
         """
-        if self._entries is not None:
-            outcome = self._delivered_fast(failures)
-            if outcome is not None:
-                return outcome
-        return self._delivered_reference(failures)
-
-    def _delivered_fast(self, failures: FailureSet):
-        from ..core.engine.memo import _route_covers, route_indexed
-        from ..core.resilience import EXHAUSTIVE_LINK_LIMIT, Counterexample
-
-        state = self._state
-        network = state.network
-        fmask = network.mask_of(failures)
-        if fmask is None:
-            return None  # links outside the index: reference path decides
-        index = network.index
-        for destination, dest_idx, memo in self._entries:
-            if network.m <= EXHAUSTIVE_LINK_LIMIT:
-                component = state.tracker.component_sorted(fmask, dest_idx)
-            else:
-                component = sorted_nodes(
-                    network.labels[i]
-                    for i in network.component_of_indices(fmask, dest_idx)
-                )
-            delivered_states: set[int] = set()
-            for source in component:
-                if source == destination:
-                    continue
-                if not _route_covers(
-                    network, memo, index[source], dest_idx, fmask, delivered_states
-                ):
-                    result = route_indexed(network, memo, index[source], dest_idx, fmask)
-                    return False, str(Counterexample(source, destination, failures, result))
+        if self._memos is None:
+            return self._delivered_reference(failures)
+        for destination, memo in self._memos:
+            _, counterexample = self._state.mask_outcome(memo, destination, failures)
+            if counterexample is not None:
+                return False, str(counterexample)
         return True, ""
 
     def _delivered_reference(self, failures: FailureSet) -> tuple[bool, str]:

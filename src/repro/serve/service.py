@@ -44,17 +44,16 @@ from collections import OrderedDict
 
 from repro import obs as _obs
 
-from ..core.engine.memo import MemoizedPattern, _route_covers, route_indexed
+from ..core.engine.memo import MemoizedPattern
 from ..core.engine.sweep import ScenarioGrid, sweep_resilience
 from ..core.model import DestinationAlgorithm
-from ..core.resilience import EXHAUSTIVE_LINK_LIMIT, Counterexample, Verdict
+from ..core.resilience import Verdict
 from ..experiments.registry import SchemeNotApplicable, scheme as scheme_by_name
 from ..experiments.results import ExperimentRecord, ResultStore
 from ..experiments.runner import METRICS, run_grid
 from ..experiments.session import ExperimentSession
 from ..failures import estimate_resilience, model_from_params
 from ..failures.models import FailureModel
-from ..graphs.connectivity import component_of
 from ..graphs.edges import sorted_nodes
 from ..runtime.deadline import Deadline
 from .protocol import (
@@ -232,61 +231,22 @@ class QueryService:
     def _mask_outcome(self, state, entry: _PatternEntry, destination, failures):
         """(scenarios checked, counterexample | None) for ONE failure mask.
 
-        Replicates the per-mask block of the engine's
-        ``_sweep_pattern_resilience`` exactly — same component order,
-        same shared delivered-state early exit, same naive fallback for
-        masks naming links outside the graph — so folding per-mask
-        outcomes reproduces the sweep verdict bit for bit (pinned by a
-        differential test).  Outcomes are memoized per pattern entry:
-        this is the coalescing seam that lets concurrent queries share
-        walks.
+        The engine's :meth:`~repro.core.engine.sweep.EngineState.
+        mask_outcome` — the same per-mask check the sweeps run, so
+        folding per-mask outcomes reproduces the sweep verdict — behind
+        an outcome memo per pattern entry: the coalescing seam that lets
+        concurrent queries share walks.
         """
         cached = entry.outcomes.get(failures)
         if cached is not None:
             self.stats_counters["mask_memo_hits"] += 1
             return cached
         self.stats_counters["mask_memo_misses"] += 1
-        network = state.network
-        index = network.index
-        dest_idx = index.get(destination)
-        fmask = network.mask_of(failures) if dest_idx is not None else None
-        checked = 0
-        outcome = None
-        if fmask is None:
-            from ..core.simulator import route as naive_route
-
-            component = sorted_nodes(component_of(state.graph, destination, failures))
-            naive = state.naive_network
-            for source in component:
-                if source == destination:
-                    continue
-                checked += 1
-                result = naive_route(naive, entry.pattern, source, destination, failures)
-                if not result.delivered:
-                    outcome = Counterexample(source, destination, failures, result)
-                    break
-        else:
-            if network.m <= EXHAUSTIVE_LINK_LIMIT:
-                component = state.tracker.component_sorted(fmask, dest_idx)
-            else:
-                component = sorted_nodes(
-                    network.labels[i] for i in network.component_of_indices(fmask, dest_idx)
-                )
-            delivered_states: set[int] = set()
-            for source in component:
-                if source == destination:
-                    continue
-                checked += 1
-                if not _route_covers(
-                    network, entry.memo, index[source], dest_idx, fmask, delivered_states
-                ):
-                    result = route_indexed(network, entry.memo, index[source], dest_idx, fmask)
-                    outcome = Counterexample(source, destination, failures, result)
-                    break
+        outcome = state.mask_outcome(entry.memo, destination, failures)
         while len(entry.outcomes) >= MASK_MEMO_LIMIT:
             entry.outcomes.popitem(last=False)
-        entry.outcomes[failures] = (checked, outcome)
-        return (checked, outcome)
+        entry.outcomes[failures] = outcome
+        return outcome
 
     def _masked_verdict(self, topology, spec, graph, destination, masks) -> Verdict:
         """Fold memoized per-mask outcomes into the sweep's exact verdict."""

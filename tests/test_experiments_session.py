@@ -1,4 +1,4 @@
-"""The ExperimentSession: state ownership, backends, the use_engine shim."""
+"""The ExperimentSession: state ownership, backends, session resolution."""
 
 import warnings
 
@@ -216,52 +216,6 @@ class TestBackends:
         assert result.walk == naive.walk
 
 
-class TestUseEngineShim:
-    """Satellite: the legacy ``use_engine=`` keyword keeps working."""
-
-    def test_use_engine_false_warns_and_matches_naive(self):
-        graph = fan_graph(6)
-        pattern = TourToDestination().build(graph, 0)
-        with pytest.warns(DeprecationWarning, match="use_engine= keyword is deprecated"):
-            legacy = check_pattern_resilience(graph, pattern, 0, use_engine=False)
-        modern = check_pattern_resilience(graph, pattern, 0, session=naive_session())
-        assert legacy.resilient == modern.resilient
-        assert legacy.scenarios_checked == modern.scenarios_checked
-
-    def test_use_engine_true_warns_and_matches_engine(self):
-        graph = fan_graph(6)
-        pattern = TourToDestination().build(graph, 0)
-        with pytest.warns(DeprecationWarning):
-            legacy = check_pattern_resilience(graph, pattern, 0, use_engine=True)
-        modern = check_pattern_resilience(graph, pattern, 0)
-        assert legacy.resilient == modern.resilient
-        assert legacy.scenarios_checked == modern.scenarios_checked
-
-    def test_default_emits_no_warning(self):
-        graph = fan_graph(6)
-        pattern = TourToDestination().build(graph, 0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            verdict = check_pattern_resilience(graph, pattern, 0)
-        assert verdict.resilient
-
-    def test_broadcast_use_engine_shim(self):
-        graph = fan_graph(6)
-        broadcast = TouringBroadcast(RightHandTouring())
-        with pytest.warns(DeprecationWarning):
-            legacy = broadcast.run(graph, source=1, use_engine=False)
-        modern = broadcast.run(graph, source=1, session=naive_session())
-        assert legacy.walk == modern.walk
-
-    def test_session_and_use_engine_together_is_an_error(self):
-        # validation must run before the deprecation warning: the error
-        # path is a caller bug, not a deprecated-but-working call
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            with pytest.raises(ValueError):
-                resolve_session(ExperimentSession(), use_engine=True)
-
-
 class TestResolveSession:
     def test_default_is_shared_engine_session(self):
         first = resolve_session()
@@ -272,3 +226,11 @@ class TestResolveSession:
     def test_explicit_session_passes_through(self):
         session = ExperimentSession(backend="naive")
         assert resolve_session(session) is session
+
+    def test_default_emits_no_warning(self):
+        graph = fan_graph(6)
+        pattern = TourToDestination().build(graph, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            verdict = check_pattern_resilience(graph, pattern, 0)
+        assert verdict.resilient

@@ -434,15 +434,44 @@ class TestEstimateResilience:
         assert value == 12
 
     def test_naive_session_matches_engine_session(self):
+        """The whole estimate, note and series included, on a graph whose
+        node insertion order differs from sorted order: the engine walks
+        destinations in the checkers' (graph) order."""
+        import networkx as nx
+
+        from repro.core.resilience import check_pattern_resilience
         from repro.experiments import naive_session
 
-        graph = resolve_topology("ring(6)")
-        algorithm = scheme("distance2").instantiate()
+        base = resolve_topology("grid(3,3)")
+        nodes = list(base.nodes)
+        random.Random(1).shuffle(nodes)
+        shuffled = nx.Graph()
+        shuffled.add_nodes_from(nodes)
+        shuffled.add_edges_from(base.edges)
+        assert list(shuffled.nodes) != sorted(shuffled.nodes)
         model = IIDModel(p=0.3, samples=60, seed=5)
-        fast = estimate_resilience(graph, algorithm, model)
-        slow = estimate_resilience(graph, algorithm, model, session=naive_session())
-        assert fast.successes == slow.successes
-        assert fast.samples == slow.samples
+        for graph, name in ((resolve_topology("ring(6)"), "distance2"), (shuffled, "arborescence")):
+            algorithm = scheme(name).instantiate()
+            fast = estimate_resilience(graph, algorithm, model)
+            slow = estimate_resilience(graph, algorithm, model, session=naive_session())
+            assert fast == slow
+
+        def naive_delivered(graph, algorithm, failures):
+            for destination in graph.nodes:
+                verdict = check_pattern_resilience(
+                    graph, algorithm.build(graph, destination), destination,
+                    failure_sets=[failures], session=naive_session(),
+                )
+                if not verdict.resilient:
+                    return False, str(verdict.counterexample)
+            return True, ""
+
+        # masks naming a link outside the graph take the kernel's naive branch
+        algorithm = scheme("arborescence").instantiate()
+        evaluator = MaskEvaluator(shuffled, algorithm)
+        failing = frozenset({(0, 3), (1, 2), (2, 5), (3, 4), (4, 7)})
+        for failures in (failing, failing | {(0, 99)}, frozenset({(0, 99)})):
+            assert evaluator.delivered(failures) == naive_delivered(shuffled, algorithm, failures)
 
 
 class TestEstimateCongestion:

@@ -523,6 +523,42 @@ class TestParallelGrid:
         assert len(beats) == 2
         assert beats[-1]["done"] == 2 and beats[-1]["total"] == 2
 
+    @staticmethod
+    def _outcome(result):
+        return (
+            [record.to_dict() for record in result.records],
+            result.skipped,
+            result.exhaustive,
+            result.resumed_cells,
+        )
+
+    def test_expired_deadline_stops_before_replayed_cells(self, tmp_path, frozen_clock):
+        # a journaled cell is still a cell: the deadline is checked before it
+        journal_path = tmp_path / "journal.jsonl"
+        run_grid(session=ExperimentSession(), resume=journal_path, **GRID_KWARGS)
+        serial = run_grid(
+            session=ExperimentSession(), resume=journal_path, deadline=Deadline(0.0),
+            **GRID_KWARGS,
+        )
+        parallel = run_grid(
+            session=ExperimentSession(processes=2), resume=journal_path,
+            deadline=Deadline(0.0), **GRID_KWARGS,
+        )
+        assert self._outcome(parallel) == self._outcome(serial)
+        assert serial.records == [] and not serial.exhaustive
+
+    def test_spent_budget_keeps_trailing_skip_records(self, frozen_clock):
+        # skip records are not cells: a budget spent by the last computed
+        # cell still publishes the inapplicable scheme after it
+        kwargs = dict(GRID_KWARGS, topologies=["complete(6)"], schemes=["greedy", "tour"])
+        serial = run_grid(session=ExperimentSession(), deadline=Budget(1), **kwargs)
+        parallel = run_grid(
+            session=ExperimentSession(processes=2), deadline=Budget(1), **kwargs
+        )
+        assert self._outcome(parallel) == self._outcome(serial)
+        assert serial.exhaustive
+        assert [r.scheme for r in serial.records if r.status == "skipped"] == ["tour"]
+
 
 class TestLoadSweepDeadline:
     def test_partial_prefix_matches_full_run(self):

@@ -258,31 +258,45 @@ class TestServiceDifferential:
 
     def test_memoized_verdict_finds_same_counterexample(self):
         """A non-resilient scheme: the fast path reproduces the sweep's
-        exact counterexample string and checked count."""
+        and the naive checker's exact counterexample string and checked
+        count — also through masks naming a link outside the graph,
+        which take the per-mask kernel's naive branch."""
         from repro.core.engine.sweep import ScenarioGrid, sweep_resilience
+        from repro.core.resilience import check_pattern_resilience
+        from repro.experiments import naive_session
 
         graph = resolve_topology("grid")
         spec = scheme("greedy")  # per-destination, no resilience guarantee
         destination = 0
-        masks = [frozenset({(0, 1), (1, 2)}), frozenset({(3, 4)})]
-        verdict = sweep_resilience(
-            graph, spec.instantiate(),
-            ScenarioGrid(destinations=[destination], failure_sets=masks)).verdict
-        assert not verdict.resilient  # the interesting case: a real counterexample
-        service = QueryService()
-        record, _ = service.verdict(
-            {"topology": "grid", "scheme": "greedy", "destination": destination,
-             "failure_sets": proto.failure_sets_to_json(masks)})
-        assert record.metrics["resilient"] == verdict.resilient
-        assert record.metrics["scenarios_checked"] == verdict.scenarios_checked
-        assert record.note == (str(verdict.counterexample) if verdict.counterexample else "")
-        # second evaluation comes fully from the mask memo, same answer
-        before = dict(service.stats_counters)
-        again, _ = service.verdict(
-            {"topology": "grid", "scheme": "greedy", "destination": destination,
-             "failure_sets": proto.failure_sets_to_json(masks)})
-        assert _no_runtime(again.to_dict()) == _no_runtime(record.to_dict())
-        assert service.stats_counters["mask_memo_hits"] > before["mask_memo_hits"]
+        pattern = spec.instantiate().build(graph, destination)
+        for masks in (
+            [frozenset({(0, 1), (1, 2)}), frozenset({(3, 4)})],
+            [frozenset({(0, 99)}), frozenset({(0, 99), (0, 1), (1, 2)})],
+        ):
+            verdict = sweep_resilience(
+                graph, spec.instantiate(),
+                ScenarioGrid(destinations=[destination], failure_sets=masks)).verdict
+            naive = check_pattern_resilience(
+                graph, pattern, destination, failure_sets=masks, session=naive_session())
+            assert not naive.resilient  # the interesting case: a real counterexample
+            service = QueryService()
+            record, _ = service.verdict(
+                {"topology": "grid", "scheme": "greedy", "destination": destination,
+                 "failure_sets": proto.failure_sets_to_json(masks)})
+            for reference in (verdict, naive):
+                assert record.metrics == {
+                    "resilient": reference.resilient,
+                    "scenarios_checked": reference.scenarios_checked,
+                    "exhaustive": reference.exhaustive,
+                }
+                assert record.note == str(reference.counterexample)
+            # second evaluation comes fully from the mask memo, same answer
+            before = dict(service.stats_counters)
+            again, _ = service.verdict(
+                {"topology": "grid", "scheme": "greedy", "destination": destination,
+                 "failure_sets": proto.failure_sets_to_json(masks)})
+            assert _no_runtime(again.to_dict()) == _no_runtime(record.to_dict())
+            assert service.stats_counters["mask_memo_hits"] > before["mask_memo_hits"]
 
     def test_load_matches_offline_load_sweep(self):
         from repro.traffic.load import TrafficEngine
