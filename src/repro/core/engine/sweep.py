@@ -132,8 +132,9 @@ class EngineState:
         re-walked for its exact trace.  Masks naming links outside the
         index (or an un-indexed destination) take the naive walk, keeping
         the naive checkers' semantics to the letter.  Returns ``(scenarios
-        checked, Counterexample | None)`` and records no telemetry:
-        callers batch their own counters.
+        checked, Counterexample | None)``.  The covers walks record no
+        telemetry (callers batch their own counters); only the indexed
+        counterexample re-walk counts, as one ``route`` walk.
         """
         network = self.network
         dest_idx = network.index.get(destination)

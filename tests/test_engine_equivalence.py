@@ -21,14 +21,18 @@ from repro.core.algorithms.naive import (
     RandomCyclicPermutations,
     RandomPortCycles,
 )
+from repro import obs
 from repro.core.engine import EngineState, route_indexed, tour_indexed
 from repro.core.resilience import (
+    EXHAUSTIVE_LINK_LIMIT,
+    Verdict,
     all_failure_sets,
     check_pattern_resilience,
     check_perfect_resilience_destination,
     check_perfect_resilience_source_destination,
     check_perfect_touring,
     check_r_tolerance,
+    sampled_failure_sets,
 )
 from repro.core.engine.vectorized import numpy_available
 from repro.core.simulator import Network, route, tour
@@ -332,3 +336,82 @@ class TestPatternLevel:
             expected.path,
             expected.steps,
         )
+
+
+def assert_mask_outcomes_match(graph, pattern, destination, failure_sets, wanted=None):
+    """The kernel answers each mask exactly like the naive checker run
+    on that one failure set: same count, same counterexample trace."""
+    state = EngineState(graph)
+    memo = state.memoized(pattern)
+    naive = naive_session()
+    for failures in failure_sets:
+        checked, counterexample = state.mask_outcome(memo, destination, failures, wanted)
+        got = Verdict(counterexample is None, checked, counterexample)
+        expected = check_pattern_resilience(
+            graph, pattern, destination, sources=wanted, failure_sets=[failures], session=naive
+        )
+        assert verdict_tuple(got) == verdict_tuple(expected), failures
+
+
+class TestMaskOutcomeKernel:
+    """``EngineState.mask_outcome``: the one per-mask delivery check behind
+    the sweeps, the serve memo, the estimator and the numpy fallback."""
+
+    @pytest.mark.parametrize("index", range(0, RANDOM_GRAPHS_PER_MODEL, 10))
+    def test_matches_naive_on_every_mask(self, index):
+        graph = random_graph(7_000 + index)
+        failure_sets = small_failure_family(graph)
+        for seed, destination in enumerate(graph.nodes):
+            pattern = RandomCyclicDestinationOnly(seed=seed).build(graph, destination)
+            assert_mask_outcomes_match(graph, pattern, destination, failure_sets)
+
+    def test_large_graph_takes_the_uncached_component_path(self):
+        graph = nx.gnp_random_graph(12, 0.5, seed=0)
+        assert graph.number_of_edges() > EXHAUSTIVE_LINK_LIMIT
+        failure_sets = list(sampled_failure_sets(graph, samples=30, seed=0))
+        destination = sorted(graph.nodes)[0]
+        pattern = RandomCyclicDestinationOnly(seed=2).build(graph, destination)
+        assert_mask_outcomes_match(graph, pattern, destination, failure_sets)
+
+    def test_wanted_restricts_the_sources(self):
+        graph = fig6_netrail()
+        nodes = sorted(graph.nodes)
+        destination = nodes[0]
+        pattern = RandomCyclicDestinationOnly(seed=1).build(graph, destination)
+        wanted = set(nodes[::2])  # holds the destination, which is never a source
+        assert_mask_outcomes_match(
+            graph, pattern, destination, small_failure_family(graph), wanted
+        )
+
+    def test_masks_outside_the_index_take_the_naive_walk(self):
+        graph = complete_graph(4)
+        network = EngineState(graph).network
+        weird = [frozenset({(0, 99)}), frozenset({(1, 2), ("x", "y")}), frozenset({(1, 0)})]
+        assert network.mask_of(weird[0]) is None and network.mask_of(weird[1]) is None
+        for seed, destination in enumerate(graph.nodes):
+            pattern = RandomCyclicDestinationOnly(seed=seed).build(graph, destination)
+            assert_mask_outcomes_match(graph, pattern, destination, weird)
+
+    def test_covers_walks_record_no_telemetry(self):
+        # sweeps count their walks once per sweep; inside the kernel only
+        # the indexed counterexample re-walk counts, as one route walk
+        graph = fig6_netrail()
+        destination = sorted(graph.nodes)[0]
+        state = EngineState(graph)
+        memo = state.memoized(RandomCyclicDestinationOnly(seed=1).build(graph, destination))
+        failure_sets = small_failure_family(graph) + [frozenset({(0, 99)})]
+        failing = [
+            failures for failures in failure_sets
+            if state.mask_outcome(memo, destination, failures)[1] is not None
+        ]
+        delivered = [failures for failures in failure_sets if failures not in failing]
+        assert failing and delivered
+        with obs.installed(obs.Telemetry()) as telemetry:
+            for failures in delivered:
+                state.mask_outcome(memo, destination, failures)
+            assert telemetry.registry.families() == []
+            for failures in failing:
+                state.mask_outcome(memo, destination, failures)
+            walks = telemetry.registry.value("repro_engine_walks_total", kind="route")
+        indexed = [failures for failures in failing if state.network.mask_of(failures) is not None]
+        assert walks == len(indexed)

@@ -1,5 +1,6 @@
 """The ExperimentSession: state ownership, backends, session resolution."""
 
+import inspect
 import warnings
 
 import networkx as nx
@@ -8,9 +9,13 @@ import pytest
 from repro.core.algorithms import GreedyLowestNeighbor, RightHandTouring, TourToDestination
 from repro.core.applications.broadcast import TouringBroadcast
 from repro.core.resilience import (
+    check_ideal_resilience,
+    check_k_resilient_touring,
     check_pattern_resilience,
     check_perfect_resilience_destination,
+    check_perfect_resilience_source_destination,
     check_perfect_touring,
+    check_r_tolerance,
 )
 from repro.experiments import ExperimentSession, naive_session, resolve_session
 from repro.graphs import cycle_graph, fan_graph
@@ -195,6 +200,14 @@ class TestBackends:
         assert fast.scenarios_checked == slow.scenarios_checked
         assert fast.exhaustive == slow.exhaustive
 
+    def test_pattern_checker_engine_and_naive_agree(self):
+        graph = fan_graph(6)
+        pattern = TourToDestination().build(graph, 0)
+        fast = check_pattern_resilience(graph, pattern, 0)
+        slow = check_pattern_resilience(graph, pattern, 0, session=naive_session())
+        assert fast.resilient == slow.resilient
+        assert fast.scenarios_checked == slow.scenarios_checked
+
     def test_shared_session_reuses_state_across_checkers(self):
         session = ExperimentSession()
         graph = fan_graph(6)
@@ -234,3 +247,29 @@ class TestResolveSession:
             warnings.simplefilter("error", DeprecationWarning)
             verdict = check_pattern_resilience(graph, pattern, 0)
         assert verdict.resilient
+
+    def test_use_engine_keyword_is_removed(self):
+        # session= is the one way to pick a backend: every former
+        # use_engine= entry point now rejects the keyword outright
+        entry_points = [
+            resolve_session,
+            check_pattern_resilience,
+            check_perfect_resilience_source_destination,
+            check_perfect_resilience_destination,
+            check_r_tolerance,
+            check_perfect_touring,
+            check_ideal_resilience,
+            check_k_resilient_touring,
+            TouringBroadcast.run,
+            TouringBroadcast.verify,
+        ]
+        for function in entry_points:
+            assert "use_engine" not in inspect.signature(function).parameters, function
+        graph = fan_graph(6)
+        pattern = TourToDestination().build(graph, 0)
+        with pytest.raises(TypeError):
+            resolve_session(None, use_engine=True)
+        with pytest.raises(TypeError):
+            check_pattern_resilience(graph, pattern, 0, use_engine=False)
+        with pytest.raises(TypeError):
+            TouringBroadcast(RightHandTouring()).run(graph, source=1, use_engine=False)
