@@ -29,7 +29,7 @@ from __future__ import annotations
 import pathlib
 import time
 import traceback
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -39,7 +39,7 @@ from repro import obs as _obs
 
 from ..failures import RandomGridModel, parse_failure_model
 from ..failures.models import FailureModel as BaseFailureModel
-from ..runtime.deadline import Deadline
+from ..runtime.deadline import Budget, Deadline
 from ..runtime.faults import GridKill, InjectedFault, active_plan, fire
 from ..runtime.journal import CellJournal
 from .registry import (
@@ -197,16 +197,17 @@ def _plan_grid(
     matrix: str,
     matrix_seed: int,
     journal: CellJournal | None,
-) -> list[_Skip | _Cell]:
+) -> Iterator[_Skip | _Cell]:
     """The grid in order: skip items and cells, journaled cells replayed.
 
     One seeded grid per (topology, failure model) and one demand matrix
     per topology, shared by every scheme — identical scenarios across
     competitors, no per-cell rebuilds.  Sampled models have no grid:
-    their cells stream via the estimator.
+    their cells stream via the estimator.  Items are yielded lazily, so
+    a consumer that stops early never builds the later topologies'
+    grids, and only one topology's grids are alive at a time.
     """
     needs_matrix = "congestion" in metrics or "stretch" in metrics
-    plan: list[_Skip | _Cell] = []
     for topology_name, graph in resolved_topologies:
         grids = {
             model: None if model.sampled else model.grid(graph) for model in failure_models
@@ -219,28 +220,25 @@ def _plan_grid(
             demands, matrix_name = build_named_matrix(graph, matrix, seed=matrix_seed)
         for spec in resolved_schemes:
             if not spec.applicable(graph):
-                plan.append(_Skip(topology_name, spec.name, f"requires {spec.requires}"))
+                yield _Skip(topology_name, spec.name, f"requires {spec.requires}")
                 continue
             for index, model in enumerate(failure_models):
                 key = _cell_key(topology_name, spec.name, model, matrix, matrix_seed, metrics)
                 replay = None
                 if journal is not None and key in journal:
                     replay = [ExperimentRecord.from_dict(entry) for entry in journal.payload(key)]
-                plan.append(
-                    _Cell(
-                        key,
-                        topology_name,
-                        graph,
-                        spec,
-                        model,
-                        grids[model],
-                        demands,
-                        matrix_name,
-                        include_static=index == 0,
-                        replay=replay,
-                    )
+                yield _Cell(
+                    key,
+                    topology_name,
+                    graph,
+                    spec,
+                    model,
+                    grids[model],
+                    demands,
+                    matrix_name,
+                    include_static=index == 0,
+                    replay=replay,
                 )
-    return plan
 
 
 def run_grid(
@@ -300,15 +298,19 @@ def run_grid(
       touches records — purely an observer.
     * ``processes`` (default: the session's) only picks the executor.
       With one process (or an active fault-injection plan, whose
-      per-cell decisions belong to the parent) cells run lazily in
-      process, each as the stitch loop reaches it.  With more, compute
-      cells fan out across forked workers that adopt the parent's warm
-      session state (engine indexes are pre-built per topology, so
-      workers inherit them as copy-on-write pages instead of
-      re-indexing), and a worker does not start a cell after a
-      wall-clock expiry.  Either way the same stitch loop publishes the
-      output, so it is identical to a serial run apart from
-      ``runtime_seconds`` wall-clock noise.
+      per-cell decisions belong to the parent) the plan is consumed
+      lazily and each cell runs in process as the stitch loop reaches
+      it.  With more, compute cells fan out across forked workers that
+      adopt the parent's warm session state (engine indexes are
+      pre-built per topology, so workers inherit them as copy-on-write
+      pages instead of re-indexing).  There the wall clock is checked
+      once before the fork and then by each worker as it starts a cell:
+      the stitch loop stops at the first cell no worker started, and
+      itself checks only the budget units it charges, so every cell a
+      worker finished is published and journaled.  Either way the same
+      stitch loop publishes the output, so it is identical to a serial
+      run apart from ``runtime_seconds`` wall-clock noise (and, under a
+      wall-clock deadline, where the cut falls).
     """
     unknown = set(metrics) - set(METRICS)
     if unknown:
@@ -326,7 +328,7 @@ def run_grid(
     resolved_topologies = _resolve_topologies(topologies)
     if processes is None:
         processes = session.processes
-    plan = _plan_grid(
+    plan: Iterable[_Skip | _Cell] = _plan_grid(
         resolved_topologies,
         resolved_schemes,
         failure_models,
@@ -335,17 +337,8 @@ def run_grid(
         matrix_seed,
         journal,
     )
-    tasks = [item for item in plan if isinstance(item, _Cell) and item.replay is None]
-    #: task index -> the injected error its cell raises (stitch-decided)
-    injected: dict[int, InjectedFault] = {}
 
-    def compute(position: int):
-        # items are plain indices: the cells (graphs, schemes, demand
-        # matrices) ride into forked workers through this closure via
-        # fork inheritance, never through pickling
-        cell = tasks[position]
-        if deadline is not None and deadline.expired():
-            return None  # not started: the stitch loop cuts the grid here
+    def compute(cell: _Cell, injected: InjectedFault | None = None):
         start = time.perf_counter()
         with _obs.span(
             "grid_cell",
@@ -354,8 +347,8 @@ def run_grid(
             failure_model=cell.model.label,
         ):
             try:
-                if position in injected:
-                    raise injected.pop(position)
+                if injected is not None:
+                    raise injected
                 records = _run_cell(
                     session,
                     cell.topology_name,
@@ -392,32 +385,71 @@ def run_grid(
     if processes > 1 and active_plan() is None:
         from ..core.engine.sweep import parallel_map
 
-        if session.use_engine:
-            # pre-warm: build the index maps before the fork so every
-            # worker inherits them instead of rebuilding per cell
-            for _, graph in resolved_topologies:
-                session.state(graph)
+        plan = list(plan)
+        tasks = [item for item in plan if isinstance(item, _Cell) and item.replay is None]
+        outputs: Iterator = iter(())
+        # the wall clock is checked once here, before the fork, and then
+        # by each worker as it starts a cell; after the fork the parent
+        # checks only what the workers cannot see: units it charges
+        expired_at_fork = deadline is not None and deadline.expired()
+        if not expired_at_fork:
+            if session.use_engine:
+                # pre-warm: build the index maps before the fork so every
+                # worker inherits them instead of rebuilding per cell
+                for _, graph in resolved_topologies:
+                    session.state(graph)
 
-        def serial_inner_sweeps():
-            # runs in the worker, post-fork: inner sweeps must stay
-            # serial there (a daemonic pool worker cannot fork again),
-            # and one process per grid cell is the whole parallelism
-            # budget anyway.  The write lands on the worker's fork-local
-            # copy — the parent's session keeps its processes setting.
-            session.processes = 1
-            return session
+            def serial_inner_sweeps():
+                # runs in the worker, post-fork: inner sweeps must stay
+                # serial there (a daemonic pool worker cannot fork again),
+                # and one process per grid cell is the whole parallelism
+                # budget anyway.  The write lands on the worker's fork-local
+                # copy — the parent's session keeps its processes setting.
+                session.processes = 1
+                return session
 
-        outputs = iter(
-            parallel_map(compute, range(len(tasks)), processes, initializer=serial_inner_sweeps)
-        )
+            def start_cell(position: int):
+                # items are plain indices: the cells (graphs, schemes,
+                # demand matrices) ride into forked workers through this
+                # closure via fork inheritance, never through pickling
+                if deadline is not None and deadline.expired():
+                    return None  # not started: the stitch loop stops here
+                return compute(tasks[position])
+
+            outputs = iter(
+                parallel_map(
+                    start_cell, range(len(tasks)), processes, initializer=serial_inner_sweeps
+                )
+            )
+
+        def stopped() -> bool:
+            return expired_at_fork or (
+                isinstance(deadline, Budget) and not deadline.remaining_units()
+            )
+
+        def execute(cell: _Cell, injected: InjectedFault | None):
+            return next(outputs)  # no fault plan here: nothing is injected
+
     else:
-        outputs = map(compute, range(len(tasks)))  # lazy: one cell per pull
+
+        def stopped() -> bool:
+            return deadline is not None and deadline.expired()
+
+        execute = compute
 
     result = GridResult()
     telemetry = _obs.active()
-    total_cells = sum(isinstance(item, _Cell) for item in plan)
+    total_cells = 0
+    if progress is not None:
+        # the heartbeat's denominator: applicability predicates are
+        # cheap and pure, so probing them ahead of the plan is safe
+        total_cells = sum(
+            len(failure_models)
+            for _, graph in resolved_topologies
+            for spec in resolved_schemes
+            if spec.applicable(graph)
+        )
     cell_index = 0  # cells published so far, replayed or computed
-    computed = 0  # task index of the next computed cell
     error_cells = 0
     for item in plan:
         if isinstance(item, _Skip):
@@ -441,7 +473,7 @@ def run_grid(
                 for model in failure_models
             )
             continue
-        if deadline is not None and deadline.expired():
+        if stopped():
             result.exhaustive = False
             break
         if item.replay is not None:
@@ -456,10 +488,10 @@ def run_grid(
                 # BaseException: the per-cell recovery must not be able
                 # to catch a simulated hard crash
                 raise GridKill(f"injected grid kill at cell {cell_index}: {item.key}")
+            injected = None
             if fault is not None and fault.kind == "cell-error":
-                injected[computed] = InjectedFault(f"injected cell error at cell {cell_index}")
-            output = next(outputs)
-            computed += 1
+                injected = InjectedFault(f"injected cell error at cell {cell_index}")
+            output = execute(item, injected)
             if output is None:
                 result.exhaustive = False
                 break

@@ -200,14 +200,6 @@ class TestBackends:
         assert fast.scenarios_checked == slow.scenarios_checked
         assert fast.exhaustive == slow.exhaustive
 
-    def test_pattern_checker_engine_and_naive_agree(self):
-        graph = fan_graph(6)
-        pattern = TourToDestination().build(graph, 0)
-        fast = check_pattern_resilience(graph, pattern, 0)
-        slow = check_pattern_resilience(graph, pattern, 0, session=naive_session())
-        assert fast.resilient == slow.resilient
-        assert fast.scenarios_checked == slow.scenarios_checked
-
     def test_shared_session_reuses_state_across_checkers(self):
         session = ExperimentSession()
         graph = fan_graph(6)

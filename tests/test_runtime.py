@@ -13,6 +13,7 @@ import time
 import networkx as nx
 import pytest
 
+import repro.experiments.runner as runner
 from repro.core.algorithms import ArborescenceRouting
 from repro.core.engine.sweep import ScenarioGrid, parallel_map, sweep_resilience
 from repro.experiments import (
@@ -558,6 +559,42 @@ class TestParallelGrid:
         assert self._outcome(parallel) == self._outcome(serial)
         assert serial.exhaustive
         assert [r.scheme for r in serial.records if r.status == "skipped"] == ["tour"]
+
+    def test_wall_clock_expiry_keeps_the_finished_cells(
+        self, tmp_path, frozen_clock, monkeypatch
+    ):
+        # the wall clock runs out while the workers run: every cell a
+        # worker finished is still published and journaled, so rerunning
+        # with the journal always makes progress
+        full = run_grid(session=ExperimentSession(), **GRID_KWARGS)
+        marker = tmp_path / "expired"
+        run_cell = runner._run_cell
+
+        def run_cell_then_expire(*args, **kwargs):
+            records = run_cell(*args, **kwargs)
+            marker.touch()  # a file: the clock reads the same in every worker
+            return records
+
+        monkeypatch.setattr(runner, "_run_cell", run_cell_then_expire)
+        deadline = Deadline(1.0, clock=lambda: 2.0 if marker.exists() else 0.0)
+        journal_path = tmp_path / "journal.jsonl"
+        cut = run_grid(
+            session=ExperimentSession(processes=2), resume=journal_path, deadline=deadline,
+            **GRID_KWARGS,
+        )
+        published = [record.to_dict() for record in cut.records]
+        # the first cell always finishes; the second only if its worker
+        # started it before the first finished
+        assert "arborescence" in {record.scheme for record in cut.records}
+        assert published == [record.to_dict() for record in full.records][: len(published)]
+        finished = {record["scheme"] for record in published}
+        assert len(CellJournal(journal_path)) == len(finished)
+        assert cut.exhaustive == (finished == {"arborescence", "greedy"})
+        rerun = run_grid(session=ExperimentSession(), resume=journal_path, **GRID_KWARGS)
+        assert rerun.resumed_cells == len(finished)
+        assert [record.to_dict() for record in rerun.records] == [
+            record.to_dict() for record in full.records
+        ]
 
 
 class TestLoadSweepDeadline:
