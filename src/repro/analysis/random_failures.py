@@ -61,14 +61,10 @@ def delivery_curve(
     if sizes is None:
         sizes = list(range(graph.number_of_edges()))
     links = sorted((edge(u, v) for u, v in graph.edges), key=edge_sort_key)
-    if isinstance(algorithm, SourceDestinationAlgorithm):
-        pattern = algorithm.build(graph, source, destination)
-    else:
-        pattern = algorithm.build(graph, destination)
     # session-owned engine state, shared across every size and sample:
     # mask-cached connectivity plus one memoized table for the pattern
     state = session.state(graph)
-    memo = state.memoized(pattern)
+    memo = state.pattern_for(algorithm, source, destination)
     rng = random.Random(seed)
     probabilities = []
     for size in sizes:

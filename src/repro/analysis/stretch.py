@@ -59,12 +59,8 @@ def measure_stretch(
     if not session.use_engine:
         raise ValueError("measure_stretch runs on the engine backend only")
     links = sorted((edge(u, v) for u, v in graph.edges), key=edge_sort_key)
-    if isinstance(algorithm, SourceDestinationAlgorithm):
-        pattern = algorithm.build(graph, source, destination)
-    else:
-        pattern = algorithm.build(graph, destination)
     state = session.state(graph)
-    memo = state.memoized(pattern)
+    memo = state.pattern_for(algorithm, source, destination)
     rng = random.Random(seed)
     stretches: list[float] = []
     delivered = 0

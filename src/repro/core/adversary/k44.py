@@ -25,9 +25,10 @@ import networkx as nx
 
 from ...graphs.construct import bipartition
 from ...graphs.edges import FailureSet, Node, edge
+from ..engine.memo import MemoizedPattern
 from ..engine.sweep import EngineState
 from ..model import ForwardingPattern, SourceDestinationAlgorithm
-from .search import AttackResult, random_attack, verify_attack
+from .search import AttackResult, _verify_fast, random_attack
 
 #: Corollary 4: 11 failures suffice on K4,4.
 K44_FAILURE_BUDGET = 11
@@ -72,7 +73,9 @@ def attack_embedded_k44(
         raise ValueError("need three role candidates on each side")
     real = {source, destination, *t_side, *s_side}
     inner_links = {edge(u, v) for u, v in graph.edges if u in real and v in real}
-    network = EngineState(graph)  # shared across all candidate verifications
+    # one state and decision table across all candidate verifications
+    state = EngineState(graph)
+    memo = MemoizedPattern(state.network, pattern)
     for a, b, d in permutations(t_side):
         for v1, v2, v3 in permutations(s_side):
             alive = {
@@ -86,7 +89,7 @@ def attack_embedded_k44(
                 edge(v3, destination),
             }
             failures = frozenset((inner_links - alive) | base_failures)
-            if verify_attack(graph, pattern, source, destination, failures, network=network):
+            if _verify_fast(state, memo, source, destination, failures, 1):
                 return AttackResult(failures, method="theorem-7 construction")
     if base_failures:
         return None

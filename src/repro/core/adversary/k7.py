@@ -30,9 +30,10 @@ from itertools import permutations
 import networkx as nx
 
 from ...graphs.edges import FailureSet, Node, edge
+from ..engine.memo import MemoizedPattern
 from ..engine.sweep import EngineState
 from ..model import ForwardingPattern, SourceDestinationAlgorithm
-from .search import AttackResult, make_view, random_attack, verify_attack
+from .search import AttackResult, _verify_fast, make_view, random_attack
 
 #: Corollary 3: 15 failures suffice on K7.
 K7_FAILURE_BUDGET = 15
@@ -69,11 +70,13 @@ def attack_embedded_k7(
     if len(middles) != 5:
         raise ValueError("the K7 gadget needs exactly five middle nodes")
     inner_links = _inner_links(graph, source, destination, middles)
-    network = EngineState(graph)  # shared across all candidate verifications
+    # one state and decision table across all candidate verifications
+    state = EngineState(graph)
+    memo = MemoizedPattern(state.network, pattern)
 
     def finish(alive: set) -> AttackResult | None:
         failures = frozenset((inner_links - alive) | base_failures)
-        if verify_attack(graph, pattern, source, destination, failures, network=network):
+        if _verify_fast(state, memo, source, destination, failures, 1):
             return AttackResult(failures, method="theorem-6 construction")
         return None
 

@@ -39,9 +39,10 @@ from __future__ import annotations
 import networkx as nx
 
 from ...graphs.edges import FailureSet, Node, edge
+from ..engine.memo import MemoizedPattern
 from ..engine.sweep import EngineState
 from ..model import ForwardingPattern, SourceDestinationAlgorithm
-from .search import AttackResult, make_view, random_attack, verify_attack
+from .search import AttackResult, _verify_fast, make_view, random_attack
 
 
 def gadget_count(graph: nx.Graph) -> int:
@@ -71,7 +72,9 @@ def attack_r_tolerance(
         raise ValueError(f"need {5 * r + 1} non-terminal nodes, have {len(others)}")
 
     all_links = {edge(u, v) for u, v in graph.edges}
-    network = EngineState(graph)  # shared across all candidate verifications
+    # one state and decision table across all candidate verifications
+    state = EngineState(graph)
+    memo = MemoizedPattern(state.network, pattern)
     for shift in range(len(others)):
         rotated = others[shift:] + others[:shift]
         gadgets = [rotated[5 * i : 5 * i + 5] for i in range(r)]
@@ -86,10 +89,7 @@ def attack_r_tolerance(
         candidates = [alive | spare_links, set(alive)] if any_trap else [set(alive), alive | spare_links]
         for candidate_alive in candidates:
             failures: FailureSet = frozenset(all_links - candidate_alive)
-            if verify_attack(
-                graph, pattern, source, destination, failures,
-                min_connectivity=r, network=network,
-            ):
+            if _verify_fast(state, memo, source, destination, failures, r):
                 return AttackResult(failures, method="theorem-1 construction")
     return random_attack(
         graph, pattern, source, destination, min_connectivity=r, attempts=20_000

@@ -67,19 +67,15 @@ def verify_attack(
     destination: Node,
     failures: FailureSet,
     min_connectivity: int = 1,
-    network: Network | EngineState | None = None,
+    network: Network | None = None,
 ) -> bool:
     """Does the witness hold: promise satisfied but the packet not delivered?
 
-    Pass a prebuilt ``network`` (naive :class:`Network` or engine
-    :class:`EngineState`) when verifying many candidates on the same
-    graph — rebuilding it per call made greedy minimization quadratic
-    in network construction.
+    The naive reference verifier: pass a prebuilt ``network`` when
+    verifying several candidates on the same graph.  The adversaries'
+    own candidate loops use :func:`_verify_fast` instead, with one
+    engine state and one decision table per attack.
     """
-    if isinstance(network, EngineState):
-        return _verify_fast(
-            network, network.memoized(pattern), source, destination, failures, min_connectivity
-        )
     if min_connectivity <= 1:
         if not are_connected(graph, source, destination, failures):
             return False
@@ -101,7 +97,7 @@ def _verify_fast(
     failures: FailureSet,
     min_connectivity: int,
 ) -> bool:
-    """Engine-shared verifier: one decision table across all candidates."""
+    """Engine verifier: one state and decision table across all candidates."""
     if min_connectivity <= 1:
         if not state.connected(source, destination, failures):
             return False
@@ -123,7 +119,7 @@ def exhaustive_attack(
 ) -> AttackResult | None:
     """Smallest breaking failure set by exhaustive enumeration (small graphs)."""
     state = EngineState(graph)
-    memo = state.memoized(pattern)
+    memo = MemoizedPattern(state.network, pattern)
     for failures in all_failure_sets(graph, max_failures):
         if _verify_fast(state, memo, source, destination, failures, min_connectivity):
             return AttackResult(failures, method="exhaustive")
@@ -145,7 +141,7 @@ def random_attack(
     links = sorted((edge(u, v) for u, v in graph.edges), key=edge_sort_key)
     limit = len(links) if max_failures is None else min(max_failures, len(links))
     state = EngineState(graph)
-    memo = state.memoized(pattern)
+    memo = MemoizedPattern(state.network, pattern)
     for _ in range(attempts):
         size = rng.randint(1, limit)
         failures = frozenset(rng.sample(links, size))

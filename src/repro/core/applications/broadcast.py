@@ -13,10 +13,11 @@ out-port it used at start.  On outerplanar graphs (Cor 6) the detection
 is sound and complete: every node of the source's surviving component is
 informed before the source declares the broadcast finished.
 
-Runs on the fast engine by default: one :class:`~repro.core.engine.sweep.
-EngineState` and one memoized decision table are cached per graph, so
-sweeping a broadcast over many failure sets pays for network indexing
-and pattern construction once.  Pass ``session=`` (an
+Runs on the fast engine by default: the session's
+:class:`~repro.core.engine.sweep.EngineState` for the graph and its
+pattern cache hold the index and the memoized tour, so sweeping a
+broadcast over many failure sets pays for network indexing and pattern
+construction once.  Pass ``session=`` (an
 :class:`~repro.experiments.session.ExperimentSession`) to source engine
 state from a shared session; a ``backend="naive"`` session selects the
 hop-by-hop reference walk (identical results, kept for differential
@@ -57,42 +58,6 @@ class TouringBroadcast:
     def __init__(self, algorithm: TouringAlgorithm, session=None):
         self._algorithm = algorithm
         self._session = session
-        self._graph: nx.Graph | None = None
-        self._fingerprint: tuple | None = None
-        self._state: EngineState | None = None
-        self._memo: MemoizedPattern | None = None
-        self._pattern: ForwardingPattern | None = None
-
-    def _prepared(self, graph: nx.Graph, session) -> tuple[EngineState, MemoizedPattern]:
-        """Engine state + decision table, cached per graph.
-
-        Keyed by object identity *and* the exact node/edge sets, so a
-        graph mutated in place between calls — including same-size
-        rewirings — is re-indexed instead of silently served from the
-        stale cache.  The O(n + m) fingerprint check is negligible next
-        to the O(m) broadcast walk it guards.
-        """
-        fingerprint = (
-            frozenset(graph.nodes),
-            frozenset(frozenset(link) for link in graph.edges),
-        )
-        if (
-            self._state is None
-            or self._graph is not graph
-            or self._fingerprint != fingerprint
-        ):
-            # build everything before touching the cache: a failing
-            # pattern build must not leave a half-updated cache behind
-            state = session.state(graph)
-            pattern = self._algorithm.build(graph)
-            memo = MemoizedPattern(state.network, pattern)
-            self._graph = graph
-            self._fingerprint = fingerprint
-            self._state = state
-            self._pattern = pattern
-            self._memo = memo
-        assert self._memo is not None
-        return self._state, self._memo
 
     def run(
         self,
@@ -115,12 +80,14 @@ class TouringBroadcast:
         session = resolve_session(session if session is not None else self._session)
         limit = max_hops if max_hops is not None else 4 * graph.number_of_edges() + 4
         if session.use_engine:
-            state, memo = self._prepared(graph, session)
+            # the session re-indexes a graph mutated in place, and the
+            # state's pattern cache builds the tour once per graph
+            state = session.state(graph)
+            memo = state.pattern(self._algorithm)
             fmask = state.network.mask_of(failures)
             if fmask is not None and source in state.network.index:
                 return self._run_indexed(state, memo, source, fmask, limit)
-            pattern = self._pattern
-            assert pattern is not None
+            pattern = memo.pattern
             network: Network = state.naive_network
         else:
             pattern = self._algorithm.build(graph)

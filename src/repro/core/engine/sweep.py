@@ -3,7 +3,8 @@
 This is the engine's public face.  :func:`sweep_resilience` evaluates a
 whole grid of scenarios for one algorithm with shared state — one
 :class:`IndexedNetwork`, one component cache across all destinations,
-one decision table per pattern — and optionally fans destinations out
+each pattern and its decision table built once per graph
+(:meth:`EngineState.pattern`) — and optionally fans destinations out
 across ``multiprocessing`` workers.  The serial path reproduces the
 naive checkers' verdicts *exactly* (same counterexample, same
 ``scenarios_checked``, same ``exhaustive`` flag); the parallel path
@@ -37,12 +38,7 @@ from ...graphs.edges import FailureSet, Node, sorted_nodes
 from ...runtime.deadline import Deadline
 from ...runtime.faults import fire as _fault_fire
 from ..resilience import DEFAULT_FAILURE_PARAMS, EXHAUSTIVE_LINK_LIMIT, Counterexample
-from ..model import (
-    DestinationAlgorithm,
-    ForwardingPattern,
-    SourceDestinationAlgorithm,
-    TouringAlgorithm,
-)
+from ..model import DestinationAlgorithm, SourceDestinationAlgorithm, TouringAlgorithm
 from ..simulator import Network, RouteResult
 from ..simulator import route as naive_route
 from .components import ComponentTracker
@@ -56,12 +52,17 @@ from .memo import (
 )
 
 
+#: algorithm instances whose patterns one engine state keeps (FIFO)
+ALGORITHM_CACHE_LIMIT = 4
+
+
 class EngineState:
     """Shared engine state for one graph: index maps + caches.
 
     Build once, reuse across patterns, destinations and failure sets —
     the component cache and the per-``(node, local mask)`` view cache
-    amortize across the whole sweep.
+    amortize across the whole sweep, and :meth:`pattern` builds each
+    forwarding pattern once per graph.
     """
 
     def __init__(self, graph: nx.Graph):
@@ -69,7 +70,10 @@ class EngineState:
         self.network = IndexedNetwork(graph)
         self.tracker = ComponentTracker(self.network)
         self._naive: Network | None = None
-        self._memos: dict[int, MemoizedPattern] = {}
+        #: id(algorithm) -> (algorithm, {unit: MemoizedPattern})
+        self._patterns: dict[int, tuple[Any, dict[tuple, MemoizedPattern]]] = {}
+        self.pattern_hits = 0
+        self.pattern_misses = 0
 
     @property
     def naive_network(self) -> Network:
@@ -78,25 +82,43 @@ class EngineState:
             self._naive = Network(self.graph)
         return self._naive
 
-    #: decision tables kept per state — bounds memory (and pattern
-    #: pinning) when one long-lived state sees many patterns
-    MEMO_CACHE_LIMIT = 8
+    def pattern(self, algorithm, *unit) -> MemoizedPattern:
+        """``algorithm.build(graph, *unit)`` with its decision table, built once.
 
-    def memoized(self, pattern: ForwardingPattern) -> MemoizedPattern:
-        """The pattern's decision table, shared across calls.
-
-        Keyed by object identity; the cached entry keeps the pattern
-        alive, so the id cannot be recycled while the key is live.  A
-        small FIFO cap evicts the oldest tables so a state reused for
-        many patterns (e.g. adversarial candidate loops) stays bounded.
+        ``unit`` is a destination (π^t), a ``(source, destination)`` pair
+        (π^{s,t}), or nothing for the touring pattern (π^∀).  Keyed by
+        algorithm *instance*: the entry pins the algorithm, so its id
+        cannot be recycled while the entry lives.  A FIFO over
+        :data:`ALGORITHM_CACHE_LIMIT` instances bounds what a long-lived
+        state retains; a build that raises caches nothing.
         """
-        memo = self._memos.get(id(pattern))
-        if memo is None or memo.pattern is not pattern:
-            memo = MemoizedPattern(self.network, pattern)
-            while len(self._memos) >= self.MEMO_CACHE_LIMIT:
-                self._memos.pop(next(iter(self._memos)))
-            self._memos[id(pattern)] = memo
+        entry = self._patterns.get(id(algorithm))
+        if entry is None:
+            while len(self._patterns) >= ALGORITHM_CACHE_LIMIT:
+                self._patterns.pop(next(iter(self._patterns)))
+            entry = self._patterns[id(algorithm)] = (algorithm, {})
+        memos = entry[1]
+        memo = memos.get(unit)
+        if memo is None:
+            self.pattern_misses += 1
+            memo = memos[unit] = MemoizedPattern(self.network, algorithm.build(self.graph, *unit))
+        else:
+            self.pattern_hits += 1
         return memo
+
+    def pattern_for(self, algorithm, source: Node, destination: Node) -> MemoizedPattern:
+        """:meth:`pattern` for the packet ``source → destination``: the unit
+        its routing model keys on (the pair, the destination, or none)."""
+        if isinstance(algorithm, TouringAlgorithm):
+            return self.pattern(algorithm)
+        if isinstance(algorithm, SourceDestinationAlgorithm):
+            return self.pattern(algorithm, source, destination)
+        return self.pattern(algorithm, destination)
+
+    def patterns_cached(self) -> int:
+        """How many built patterns this state holds.  Reads a snapshot, so
+        a stats reader on another thread never iterates a changing dict."""
+        return sum(len(memos) for _, memos in list(self._patterns.values()))
 
     def route(
         self,
@@ -468,7 +490,7 @@ def parallel_map(
 
 def sweep_pattern_resilience(
     state: EngineState,
-    pattern: ForwardingPattern,
+    memo: MemoizedPattern,
     destination: Node,
     sources: Iterable[Node] | None = None,
     failure_sets: Iterable[FailureSet] | None = None,
@@ -476,7 +498,8 @@ def sweep_pattern_resilience(
     backend: str = "engine",
     default_params: tuple = DEFAULT_FAILURE_PARAMS,
 ) -> Any:
-    """Engine twin of the naive ``check_pattern_resilience``.
+    """Engine twin of the naive ``check_pattern_resilience``, for one
+    memoized pattern (usually :meth:`EngineState.pattern`'s).
 
     Identical verdicts: failure sets are walked in the same order,
     sources in the same (component frozenset) order, and the
@@ -492,11 +515,11 @@ def sweep_pattern_resilience(
     telemetry = _obs.active()
     if telemetry is None:
         return _sweep_pattern_resilience(
-            state, pattern, destination, sources, failure_sets, exhaustive, backend, default_params
+            state, memo, destination, sources, failure_sets, exhaustive, backend, default_params
         )
     with telemetry.span("pattern_sweep", destination=destination, backend=backend):
         verdict = _sweep_pattern_resilience(
-            state, pattern, destination, sources, failure_sets, exhaustive, backend, default_params
+            state, memo, destination, sources, failure_sets, exhaustive, backend, default_params
         )
     telemetry.count(
         "repro_engine_scenarios_total",
@@ -508,7 +531,7 @@ def sweep_pattern_resilience(
 
 def _sweep_pattern_resilience(
     state: EngineState,
-    pattern: ForwardingPattern,
+    memo: MemoizedPattern,
     destination: Node,
     sources: Iterable[Node] | None = None,
     failure_sets: Iterable[FailureSet] | None = None,
@@ -524,7 +547,7 @@ def _sweep_pattern_resilience(
         try:
             return pattern_sweep_numpy(
                 state,
-                pattern,
+                memo,
                 destination,
                 sources=sources,
                 failure_sets=failure_sets,
@@ -555,7 +578,6 @@ def _sweep_pattern_resilience(
         )
         if exhaustive is None:
             exhaustive = default_exhaustive
-    memo = MemoizedPattern(state.network, pattern)
     wanted = None if sources is None else set(sources)
     checked = 0
     # walk accounting is batched over the WHOLE sweep (one registry
@@ -660,11 +682,11 @@ def _sweep_destination(
     grid_params = (grid.max_failures, grid.samples, grid.seed)
 
     def check_one(destination: Node, state: EngineState) -> Any:
-        pattern = algorithm.build(graph, destination)
+        memo = state.pattern(algorithm, destination)
         if materialized is not None:
             return sweep_pattern_resilience(
                 state,
-                pattern,
+                memo,
                 destination,
                 sources=grid.sources,
                 failure_sets=materialized,
@@ -675,7 +697,7 @@ def _sweep_destination(
             # (and caches) the default mask batch from the grid params
             return sweep_pattern_resilience(
                 state,
-                pattern,
+                memo,
                 destination,
                 sources=grid.sources,
                 exhaustive=default_exhaustive,
@@ -684,7 +706,7 @@ def _sweep_destination(
             )
         return sweep_pattern_resilience(
             state,
-            pattern,
+            memo,
             destination,
             sources=grid.sources,
             failure_sets=factory(),
@@ -784,11 +806,11 @@ def _sweep_source_destination(
         for source, destination in chunk:
             if deadline is not None and deadline.expired():
                 break  # partial chunk: the aggregate is flagged non-exhaustive
-            pattern = algorithm.build(graph, source, destination)
+            memo = state.pattern(algorithm, source, destination)
             if materialized is not None:
                 verdict = sweep_pattern_resilience(
                     state,
-                    pattern,
+                    memo,
                     destination,
                     sources=[source],
                     failure_sets=materialized,
@@ -797,7 +819,7 @@ def _sweep_source_destination(
             elif backend == "numpy":
                 verdict = sweep_pattern_resilience(
                     state,
-                    pattern,
+                    memo,
                     destination,
                     sources=[source],
                     exhaustive=default_exhaustive,
@@ -807,7 +829,7 @@ def _sweep_source_destination(
             else:
                 verdict = sweep_pattern_resilience(
                     state,
-                    pattern,
+                    memo,
                     destination,
                     sources=[source],
                     failure_sets=factory(),
@@ -865,7 +887,7 @@ def _sweep_touring(
     network = state.network
     tracker = state.tracker
     use_tracker = network.m <= EXHAUSTIVE_LINK_LIMIT
-    pattern = algorithm.build(graph)
+    memo = state.pattern(algorithm)
     starts = list(grid.sources) if grid.sources is not None else list(graph.nodes)
     explicit_sets = grid.failure_sets
     if backend == "numpy":
@@ -874,7 +896,7 @@ def _sweep_touring(
         try:
             verdict = touring_sweep_numpy(
                 state,
-                pattern,
+                memo,
                 starts,
                 failure_sets=explicit_sets,
                 exhaustive=False if explicit_sets is not None else None,
@@ -894,7 +916,6 @@ def _sweep_touring(
                 # a one-shot generator was consumed before the fallback:
                 # the exception carries the reconstructed family
                 explicit_sets = unsupported.failure_sets
-    memo = MemoizedPattern(network, pattern)
     # single pattern, single pass: stream the failure sets, never
     # materialize (k-resilient touring can pass ~200k-set generators)
     if explicit_sets is not None:
@@ -922,7 +943,7 @@ def _sweep_touring(
                 if fmask is None or start not in index:
                     from ..simulator import tours_component
 
-                    covered = tours_component(state.naive_network, pattern, start, failures)
+                    covered = tours_component(state.naive_network, memo.pattern, start, failures)
                 else:
                     start_idx = index[start]
                     if use_tracker:

@@ -642,7 +642,7 @@ def _ordered_row_failure(network, component_row, eligible_row, delivered_flags_r
 
 def pattern_sweep_numpy(
     state,
-    pattern,
+    memo: MemoizedPattern,
     destination: Node,
     sources=None,
     failure_sets=None,
@@ -696,7 +696,6 @@ def pattern_sweep_numpy(
     # thunk) for the earliest failing failure set found so far
     best = None
 
-    memo = MemoizedPattern(network, pattern)
     telemetry = _obs.active()
     for position, failures in batch.fallbacks:
         # non-maskable: the engine's per-mask check takes its naive branch
@@ -756,7 +755,7 @@ def pattern_sweep_numpy(
 
 def touring_sweep_numpy(
     state,
-    pattern,
+    memo: MemoizedPattern,
     starts: list[Node],
     failure_sets=None,
     exhaustive: bool | None = None,
@@ -799,7 +798,6 @@ def touring_sweep_numpy(
             exhaustive = False
 
     n_starts = len(start_indices)
-    memo = MemoizedPattern(network, pattern)
     best = None  # (position, start offset, failures frozenset)
 
     from ..simulator import tours_component
@@ -808,7 +806,7 @@ def touring_sweep_numpy(
         if best is not None:
             break  # fallback positions ascend: the earliest failure is set
         for offset, start in enumerate(starts):
-            if not tours_component(state.naive_network, pattern, start, failures):
+            if not tours_component(state.naive_network, memo.pattern, start, failures):
                 best = (position, offset, failures)
                 break
 

@@ -151,11 +151,13 @@ def check_pattern_resilience(
 
     session = resolve_session(session)
     if session.use_engine:
+        from .engine.memo import MemoizedPattern
         from .engine.sweep import sweep_pattern_resilience
 
+        state = session.state(graph)
         return sweep_pattern_resilience(
-            session.state(graph),
-            pattern,
+            state,
+            MemoizedPattern(state.network, pattern),
             destination,
             sources=sources,
             failure_sets=failure_sets,
@@ -296,7 +298,6 @@ def check_r_tolerance(
     from ..experiments.session import resolve_session
 
     session = resolve_session(session)
-    pattern = algorithm.build(graph, source, destination)
     failure_iter, exhaustive = (
         (failure_sets, False) if failure_sets is not None else default_failure_sets(graph)
     )
@@ -311,7 +312,7 @@ def check_r_tolerance(
 
         state = session.state(graph)
         if vectorizable(state.network):
-            memo = state.memoized(pattern)
+            memo = state.pattern(algorithm, source, destination)
             checked = 0
 
             def check_buffer(buffer: list) -> Verdict | None:
@@ -365,10 +366,11 @@ def check_r_tolerance(
             return Verdict(True, checked, exhaustive=exhaustive)
     if session.use_engine:
         state = session.state(graph)
-        memo = state.memoized(pattern)
+        memo = state.pattern(algorithm, source, destination)
         simulate = lambda failures: state.route(memo, source, destination, failures)  # noqa: E731
     else:
         network = Network(graph)
+        pattern = algorithm.build(graph, source, destination)
         simulate = lambda failures: route(  # noqa: E731
             network, pattern, source, destination, failures
         )
@@ -461,17 +463,16 @@ def check_ideal_resilience(
         state = session.state(graph)
     total = 0
     for destination in nodes:
-        pattern = algorithm.build(graph, destination)
         if state is not None:
             verdict = sweep_pattern_resilience(
-                state, pattern, destination,
+                state, state.pattern(algorithm, destination), destination,
                 failure_sets=all_failure_sets(graph, max_failures=k - 1),
                 backend=session.backend,
             )
         else:
             verdict = check_pattern_resilience(
                 graph,
-                pattern,
+                algorithm.build(graph, destination),
                 destination,
                 failure_sets=all_failure_sets(graph, max_failures=k - 1),
                 session=session,

@@ -337,6 +337,9 @@ def run_grid(
         matrix_seed,
         journal,
     )
+    # one algorithm instance per scheme: every cell of the scheme shares
+    # the patterns the engine states cache for that instance
+    algorithms: dict[int, Any] = {}
 
     def compute(cell: _Cell, injected: InjectedFault | None = None):
         start = time.perf_counter()
@@ -349,12 +352,15 @@ def run_grid(
             try:
                 if injected is not None:
                     raise injected
+                algorithm = algorithms.get(id(cell.spec))
+                if algorithm is None:
+                    algorithm = algorithms[id(cell.spec)] = cell.spec.instantiate()
                 records = _run_cell(
                     session,
                     cell.topology_name,
                     cell.graph,
                     cell.spec,
-                    cell.spec.instantiate(),
+                    algorithm,
                     cell.model,
                     cell.grid,
                     metrics,

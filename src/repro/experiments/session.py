@@ -1,15 +1,19 @@
 """The :class:`ExperimentSession`: one owner for all engine state.
 
 A session owns a bounded cache of per-graph engine states (index maps,
-component caches, memoized decision tables) plus per-(graph, scheme)
-traffic engines, and it decides the *backend* — ``"engine"`` (the fast
-indexed path), ``"numpy"`` (the vectorized mask-walk backend, batching
-many failure masks per destination through array ops; needs the
-optional numpy dependency and falls back to scalar-engine semantics
-where an instance cannot vectorize), or ``"naive"`` (the hop-by-hop
-reference simulator, kept for differential testing).  Consumers accept
-``session=``; :func:`resolve_session` turns ``None`` into the shared
-default.
+component caches, and the one pattern cache: each forwarding pattern
+with its decision table, built once per graph and algorithm instance)
+plus per-(graph, algorithm) traffic engines on those states, and it
+decides the *backend* — ``"engine"`` (the fast indexed path),
+``"numpy"`` (the vectorized mask-walk backend, batching many failure
+masks per destination through array ops; needs the optional numpy
+dependency and falls back to scalar-engine semantics where an instance
+cannot vectorize), or ``"naive"`` (the hop-by-hop reference simulator,
+kept for differential testing, which caches nothing).  Consumers
+accept ``session=``; :func:`resolve_session` turns ``None`` into the
+shared default.  Pattern caches key on the algorithm *instance*, so
+callers that share one instance across calls (``run_grid`` per scheme,
+the query service per scheme name) build each pattern once.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ def _fingerprint(graph: nx.Graph) -> tuple:
     """Node/edge identity of a graph — catches in-place mutation.
 
     The O(n + m) hash is negligible next to any sweep it guards, and it
-    means a session never serves stale index maps for a graph that was
-    rewired between calls (same discipline as ``TouringBroadcast``).
+    means a session never serves stale index maps or patterns for a
+    graph that was rewired between calls.
     """
     return (
         frozenset(graph.nodes),
@@ -138,8 +142,9 @@ class ExperimentSession:
     def traffic_engine(self, graph: nx.Graph, algorithm) -> object:
         """A :class:`~repro.traffic.load.TrafficEngine` on session state.
 
-        Cached per (graph, algorithm instance): repeated sweeps over the
-        same pair reuse built patterns and decision tables.
+        Cached per (graph, algorithm instance).  Its patterns and decision
+        tables live in the state's pattern cache, shared with every sweep
+        and estimator that passes the same algorithm instance.
         """
         from ..traffic.load import TrafficEngine
 
@@ -168,6 +173,16 @@ class ExperimentSession:
             self._bump("traffic", "evictions")
         self._traffic[key] = engine
         return engine
+
+    def pattern_stats(self) -> dict[str, int]:
+        """Built patterns held, and pattern-cache hits and misses, summed
+        over the cached engine states (:meth:`EngineState.pattern`)."""
+        states = [state for _, state in list(self._states.values())]
+        return {
+            "patterns": sum(state.patterns_cached() for state in states),
+            "hits": sum(state.pattern_hits for state in states),
+            "misses": sum(state.pattern_misses for state in states),
+        }
 
     def clear(self) -> None:
         """Drop every cached state and traffic engine."""

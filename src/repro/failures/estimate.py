@@ -20,9 +20,10 @@ into a ``series`` suitable for ``ExperimentRecord.series``, and every
 drawn scenario counts toward ``repro_failure_samples_total{model=...}``.
 
 The per-mask evaluation reuses the engine's warm seams: destination
-schemes get one forwarding pattern + decision table per destination
-and the engine's per-mask delivery check, other routing models fall
-back to the reference checkers one mask at a time.
+schemes take each destination's pattern and decision table from the
+session state's pattern cache, lazily, and run the engine's per-mask
+delivery check; other routing models fall back to the reference
+checkers one mask at a time.
 """
 
 from __future__ import annotations
@@ -132,14 +133,15 @@ class MaskEvaluator:
     """Per-failure-set delivery evaluation for one algorithm on one graph.
 
     Destination algorithms on an engine-backed session get the warm
-    path: one forwarding pattern and decision table per destination,
-    built once, then each mask is the engine's per-mask delivery check
+    path: each mask is the engine's per-mask delivery check
     (:meth:`~repro.core.engine.sweep.EngineState.mask_outcome`, the one
     the sweeps and the serve mask memo run) over the destinations in
     graph order — the checkers' order, so the note names the checkers'
-    counterexample.  Everything else (source-destination and touring
-    schemes, naive sessions) goes through the reference checkers one
-    mask at a time.
+    counterexample.  Each destination's pattern comes from the state's
+    pattern cache as the walk first reaches it, so nothing is built
+    before the first draw and a deadline cut stops the builds too.
+    Everything else (source-destination and touring schemes, naive
+    sessions) goes through the reference checkers one mask at a time.
     """
 
     def __init__(self, graph: nx.Graph, algorithm, session=None):
@@ -150,16 +152,8 @@ class MaskEvaluator:
         self.algorithm = algorithm
         self.session = resolve_session(session)
         self._state = None
-        self._memos: list | None = None
         if self.session.use_engine and isinstance(algorithm, DestinationAlgorithm):
-            from ..core.engine.memo import MemoizedPattern
-
-            state = self.session.state(graph)
-            self._state = state
-            self._memos = [
-                (destination, MemoizedPattern(state.network, algorithm.build(graph, destination)))
-                for destination in graph.nodes
-            ]
+            self._state = self.session.state(graph)
 
     def delivered(self, failures: FailureSet) -> tuple[bool, str]:
         """Does the scheme deliver every packet under ``failures``?
@@ -167,10 +161,12 @@ class MaskEvaluator:
         Returns ``(delivered, note)`` — the note describes the first
         failing (source, destination) when delivery fails.
         """
-        if self._memos is None:
+        state = self._state
+        if state is None:
             return self._delivered_reference(failures)
-        for destination, memo in self._memos:
-            _, counterexample = self._state.mask_outcome(memo, destination, failures)
+        for destination in self.graph.nodes:
+            memo = state.pattern(self.algorithm, destination)
+            _, counterexample = state.mask_outcome(memo, destination, failures)
             if counterexample is not None:
                 return False, str(counterexample)
         return True, ""

@@ -6,10 +6,13 @@
 
 * **Warm caches.**  Topologies are resolved once per name and kept (a
   stable graph identity is what makes the session's fingerprint-keyed
-  ``EngineState`` / ``TrafficEngine`` caches hit), built forwarding
-  patterns and their decision tables are cached per (topology, scheme,
-  destination), and every evaluated failure mask's outcome is memoized
-  — a mask asked twice is never walked twice.
+  ``EngineState`` / ``TrafficEngine`` caches hit), and each scheme is
+  instantiated once per name, so every request for it shares one
+  algorithm instance — and with it the session state's pattern cache,
+  which builds each forwarding pattern and decision table once per
+  graph.  Every evaluated failure mask's outcome is memoized per
+  (topology, scheme, destination) — a mask asked twice is never walked
+  twice.
 * **Answer cache.**  When constructed with a disk-backed
   :class:`~repro.experiments.results.ResultStore`, every computed
   answer is merged in as a typed
@@ -27,8 +30,8 @@
   matrix) are unioned into a *single* ``load_sweep`` call and sliced
   per request (per-mask reports are batch-composition independent);
   verdict queries for the same (topology, scheme, destination) share
-  one pattern, one decision table and the mask-outcome memo, so each
-  distinct mask across the whole group is walked once.
+  the cached pattern and the mask-outcome memo, so each distinct mask
+  across the whole group is walked once.
 
 Every envelope may carry ``budget_seconds``; it is threaded as a
 :class:`~repro.runtime.deadline.Deadline` into the sweeps, and a cut
@@ -44,7 +47,6 @@ from collections import OrderedDict
 
 from repro import obs as _obs
 
-from ..core.engine.memo import MemoizedPattern
 from ..core.engine.sweep import ScenarioGrid, sweep_resilience
 from ..core.model import DestinationAlgorithm
 from ..core.resilience import Verdict
@@ -69,9 +71,7 @@ from .protocol import (
 
 #: resolved topologies kept warm, per registry name (FIFO)
 GRAPH_CACHE_LIMIT = 32
-#: (topology, scheme, destination) pattern/decision-table entries kept warm
-PATTERN_CACHE_LIMIT = 128
-#: memoized per-mask outcomes kept per pattern entry
+#: memoized per-mask outcomes kept (FIFO over all patterns)
 MASK_MEMO_LIMIT = 65536
 
 
@@ -153,18 +153,6 @@ def serialize_report(report, failures) -> dict:
     }
 
 
-class _PatternEntry:
-    """One warm (pattern, decision table, mask-outcome memo) triple."""
-
-    __slots__ = ("pattern", "memo", "outcomes")
-
-    def __init__(self, pattern, memo):
-        self.pattern = pattern
-        self.memo = memo
-        #: mask -> (scenarios checked in that mask, Counterexample | None)
-        self.outcomes: OrderedDict = OrderedDict()
-
-
 class QueryService:
     """Evaluates protocol requests against one warm session (see module doc)."""
 
@@ -185,7 +173,10 @@ class QueryService:
             "batched_requests": 0,
         }
         self._graphs: OrderedDict[str, object] = OrderedDict()
-        self._patterns: OrderedDict[tuple, _PatternEntry] = OrderedDict()
+        #: scheme name -> its one algorithm instance
+        self._algorithms: dict[str, object] = {}
+        #: (topology, scheme, destination, mask) -> mask outcome
+        self._outcomes: OrderedDict[tuple, tuple] = OrderedDict()
 
     # -- warm resolution ---------------------------------------------------
 
@@ -212,49 +203,40 @@ class QueryService:
         except KeyError as error:
             raise QueryError(str(error).strip('"')) from None
 
-    def _pattern_entry(self, topology: str, spec, graph, destination) -> _PatternEntry:
-        key = (topology, spec.name, destination)
-        entry = self._patterns.get(key)
-        if entry is not None:
-            self._patterns.move_to_end(key)
-            return entry
-        pattern = spec.instantiate().build(graph, destination)
-        state = self.session.state(graph)
-        entry = _PatternEntry(pattern, MemoizedPattern(state.network, pattern))
-        while len(self._patterns) >= PATTERN_CACHE_LIMIT:
-            self._patterns.popitem(last=False)
-        self._patterns[key] = entry
-        return entry
+    def _algorithm(self, spec):
+        """The scheme's one algorithm instance: the session states key
+        their pattern caches on it, so every request shares its builds."""
+        algorithm = self._algorithms.get(spec.name)
+        if algorithm is None:
+            algorithm = self._algorithms[spec.name] = spec.instantiate()
+        return algorithm
 
     # -- the batched mask walk --------------------------------------------
 
-    def _mask_outcome(self, state, entry: _PatternEntry, destination, failures):
-        """(scenarios checked, counterexample | None) for ONE failure mask.
-
-        The engine's :meth:`~repro.core.engine.sweep.EngineState.
-        mask_outcome` — the same per-mask check the sweeps run, so
-        folding per-mask outcomes reproduces the sweep verdict — behind
-        an outcome memo per pattern entry: the coalescing seam that lets
-        concurrent queries share walks.
-        """
-        cached = entry.outcomes.get(failures)
-        if cached is not None:
-            self.stats_counters["mask_memo_hits"] += 1
-            return cached
-        self.stats_counters["mask_memo_misses"] += 1
-        outcome = state.mask_outcome(entry.memo, destination, failures)
-        while len(entry.outcomes) >= MASK_MEMO_LIMIT:
-            entry.outcomes.popitem(last=False)
-        entry.outcomes[failures] = outcome
-        return outcome
-
     def _masked_verdict(self, topology, spec, graph, destination, masks) -> Verdict:
-        """Fold memoized per-mask outcomes into the sweep's exact verdict."""
+        """Fold memoized per-mask outcomes into the sweep's exact verdict.
+
+        Each mask's outcome — ``(scenarios checked, Counterexample |
+        None)`` from the engine's :meth:`~repro.core.engine.sweep.
+        EngineState.mask_outcome`, the same per-mask check the sweeps
+        run — is memoized per (topology, scheme, destination, mask): the
+        coalescing seam that lets concurrent queries share walks.
+        """
         state = self.session.state(graph)
-        entry = self._pattern_entry(topology, spec, graph, destination)
+        memo = state.pattern(self._algorithm(spec), destination)
         checked = 0
         for failures in masks:
-            count, counterexample = self._mask_outcome(state, entry, destination, failures)
+            key = (topology, spec.name, destination, failures)
+            outcome = self._outcomes.get(key)
+            if outcome is None:
+                self.stats_counters["mask_memo_misses"] += 1
+                outcome = state.mask_outcome(memo, destination, failures)
+                while len(self._outcomes) >= MASK_MEMO_LIMIT:
+                    self._outcomes.popitem(last=False)
+                self._outcomes[key] = outcome
+            else:
+                self.stats_counters["mask_memo_hits"] += 1
+            count, counterexample = outcome
             checked += count
             if counterexample is not None:
                 return Verdict(False, checked, counterexample, exhaustive=False)
@@ -279,7 +261,7 @@ class QueryService:
         graph = self.graph(topology)
         if not spec.applicable(graph):
             raise SchemeNotApplicable(f"{spec.name} requires {spec.requires}")
-        algorithm = spec.instantiate()
+        algorithm = self._algorithm(spec)
         explicit = params.get("failure_sets")
         start = time.perf_counter()
         if explicit is not None:
@@ -395,8 +377,7 @@ class QueryService:
             grid_sets = model.grid(graph)
             sets = [failures for size in sorted(grid_sets) for failures in grid_sets[size]]
             label = model.label
-        algorithm = spec.instantiate()
-        engine = self.session.traffic_engine(graph, algorithm)
+        engine = self.session.traffic_engine(graph, self._algorithm(spec))
         return topology, spec, engine, demands, matrix_name, matrix_seed, sets, label
 
     def _load_record(
@@ -731,16 +712,17 @@ class QueryService:
 
     def stats(self) -> dict:
         counters = dict(self.stats_counters)
+        patterns = self.session.pattern_stats()
         counters.update(
             {
                 "uptime_seconds": time.monotonic() - self.started,
                 "backend": self.session.backend,
                 "session": dict(self.session.stats),
                 "graphs_cached": len(self._graphs),
-                "patterns_cached": len(self._patterns),
-                "masks_memoized": sum(
-                    len(entry.outcomes) for entry in self._patterns.values()
-                ),
+                "patterns_cached": patterns["patterns"],
+                "pattern_hits": patterns["hits"],
+                "pattern_misses": patterns["misses"],
+                "masks_memoized": len(self._outcomes),
                 "store_path": str(self.store.path) if self.store is not None else None,
                 "store_records": len(self.store.identities()) if self.store is not None else 0,
             }

@@ -50,7 +50,7 @@ from ..core.model import (
 )
 from ..core.simulator import Network, Outcome, route as naive_route
 from ..graphs.connectivity import are_connected, surviving_graph
-from ..graphs.edges import EMPTY_FAILURES, Edge, FailureSet, Node, edge
+from ..graphs.edges import EMPTY_FAILURES, Edge, FailureSet, edge
 from .matrices import Demand, TrafficMatrix
 
 RoutingAlgorithm = DestinationAlgorithm | SourceDestinationAlgorithm | TouringAlgorithm
@@ -329,11 +329,13 @@ class TrafficEngine:
     """Batched multi-flow router for one (graph, algorithm) pair.
 
     Reuses one :class:`EngineState` (index maps, local-view caches) and
-    one memoized decision table per built pattern across every
-    :meth:`load` call, so sweeping thousands of failure sets pays for
-    pattern construction once.  Falls back to :func:`per_packet_loads`
-    when the failure set names links outside the graph (naive-matching
-    semantics, exactly like the resilience checkers).
+    takes each pattern with its decision table from the state's pattern
+    cache (:meth:`EngineState.pattern`), so sweeping thousands of failure
+    sets pays for pattern construction once, shared with every sweep,
+    checker and estimator on the same state and algorithm instance.
+    Falls back to :func:`per_packet_loads` when the failure set names
+    links outside the graph (naive-matching semantics, exactly like the
+    resilience checkers).
     """
 
     def __init__(
@@ -360,30 +362,6 @@ class TrafficEngine:
         self.link_index: dict[tuple[int, int], int] = {
             (a, b) if a < b else (b, a): i for i, (a, b) in enumerate(network.link_ends)
         }
-        self._memos: dict[object, MemoizedPattern] = {}
-        self._touring_memo: MemoizedPattern | None = None
-
-    def _memo_for(self, source: Node, destination: Node) -> MemoizedPattern:
-        algorithm = self.algorithm
-        if isinstance(algorithm, TouringAlgorithm):
-            if self._touring_memo is None:
-                self._touring_memo = MemoizedPattern(
-                    self.state.network, algorithm.build(self.graph)
-                )
-            return self._touring_memo
-        if isinstance(algorithm, SourceDestinationAlgorithm):
-            key: object = (source, destination)
-            if key not in self._memos:
-                self._memos[key] = MemoizedPattern(
-                    self.state.network, algorithm.build(self.graph, source, destination)
-                )
-        else:
-            key = destination
-            if key not in self._memos:
-                self._memos[key] = MemoizedPattern(
-                    self.state.network, algorithm.build(self.graph, destination)
-                )
-        return self._memos[key]
 
     def load_sweep(
         self,
@@ -477,7 +455,7 @@ class TrafficEngine:
         stride = network.n + 1
         groups: dict[tuple[int, int], tuple[MemoizedPattern, dict[int, int], list[Demand]]] = {}
         for demand in demands:
-            memo = self._memo_for(demand.source, demand.destination)
+            memo = self.state.pattern_for(self.algorithm, demand.source, demand.destination)
             key = (id(memo), index[demand.destination])
             if key not in groups:
                 groups[key] = (memo, {}, [])

@@ -88,14 +88,15 @@ def small_failure_family(graph: nx.Graph) -> list:
     return sets
 
 
-def assert_routes_match(graph, pattern, scenarios):
-    """Every (source, destination, failures) routes identically."""
+def assert_routes_match(graph, algorithm, unit, scenarios):
+    """Every (source, destination, failures) routes identically under the
+    engine state's cached pattern for ``unit``."""
     naive = Network(graph)
     state = EngineState(graph)
-    memo = state.memoized(pattern)
+    memo = state.pattern(algorithm, *unit)
     network = state.network
     for source, destination, failures in scenarios:
-        expected = route(naive, pattern, source, destination, failures)
+        expected = route(naive, memo.pattern, source, destination, failures)
         fmask = network.mask_of(failures)
         assert fmask is not None
         got = route_indexed(
@@ -111,33 +112,35 @@ class TestRouteEquivalenceRandomGraphs:
     def test_destination_model(self, index):
         graph = random_graph(index)
         destination = min(graph.nodes)
-        pattern = RandomCyclicDestinationOnly(seed=index).build(graph, destination)
         scenarios = [
             (s, destination, failures)
             for failures in small_failure_family(graph)
             for s in graph.nodes
             if s != destination
         ]
-        assert_routes_match(graph, pattern, scenarios)
+        assert_routes_match(
+            graph, RandomCyclicDestinationOnly(seed=index), (destination,), scenarios
+        )
 
     @pytest.mark.parametrize("index", range(RANDOM_GRAPHS_PER_MODEL))
     def test_source_destination_model(self, index):
         graph = random_graph(1_000 + index)
         nodes = sorted(graph.nodes)
         source, destination = nodes[0], nodes[-1]
-        pattern = RandomCyclicPermutations(seed=index).build(graph, source, destination)
         scenarios = [
             (source, destination, failures) for failures in small_failure_family(graph)
         ]
-        assert_routes_match(graph, pattern, scenarios)
+        assert_routes_match(
+            graph, RandomCyclicPermutations(seed=index), (source, destination), scenarios
+        )
 
     @pytest.mark.parametrize("index", range(RANDOM_GRAPHS_PER_MODEL))
     def test_port_model_tours(self, index):
         graph = random_graph(2_000 + index)
-        pattern = RandomPortCycles(seed=index).build(graph)
         naive = Network(graph)
         state = EngineState(graph)
-        memo = state.memoized(pattern)
+        memo = state.pattern(RandomPortCycles(seed=index))
+        pattern = memo.pattern
         network = state.network
         for failures in small_failure_family(graph):
             fmask = network.mask_of(failures)
@@ -215,11 +218,12 @@ class TestPaperGadgets:
         graph = maker()
         nodes = sorted(graph.nodes)
         for seed, (source, destination) in enumerate([(nodes[0], nodes[-1]), (nodes[1], nodes[0])]):
-            pattern = RandomCyclicPermutations(seed=seed).build(graph, source, destination)
             scenarios = [
                 (source, destination, failures) for failures in small_failure_family(graph)
             ]
-            assert_routes_match(graph, pattern, scenarios)
+            assert_routes_match(
+                graph, RandomCyclicPermutations(seed=seed), (source, destination), scenarios
+            )
 
     def test_netrail_full_default_enumeration(self, fast_session):
         graph = fig6_netrail()
@@ -284,14 +288,13 @@ class TestPatternLevel:
         slow = check_perfect_resilience_destination(graph, algorithm, session=naive_session())
         assert verdict_tuple(fast) == verdict_tuple(slow)
         destination = 1
-        pattern = RandomCyclicDestinationOnly(seed=3).build(graph, destination)
         scenarios = [
             (s, destination, failures)
             for failures in small_failure_family(graph)
             for s in graph.nodes
             if s != destination
         ]
-        assert_routes_match(graph, pattern, scenarios)
+        assert_routes_match(graph, RandomCyclicDestinationOnly(seed=3), (destination,), scenarios)
 
     def test_non_graph_links_fall_back_to_naive_semantics(self, fast_session):
         graph = complete_graph(4)
@@ -326,11 +329,10 @@ class TestPatternLevel:
         from repro.graphs.construct import cycle_graph
 
         ring = cycle_graph(4)
-        ring_pattern = GreedyLowestNeighbor().build(ring, 0)
         state = EngineState(ring)
-        memo = state.memoized(ring_pattern)
+        memo = state.pattern(GreedyLowestNeighbor(), 0)
         got = state.route(memo, 2, 0, frozenset({(1, 0)}))
-        expected = route(Network(ring), ring_pattern, 2, 0, frozenset({(1, 0)}))
+        expected = route(Network(ring), memo.pattern, 2, 0, frozenset({(1, 0)}))
         assert (got.outcome, got.path, got.steps) == (
             expected.outcome,
             expected.path,
@@ -338,17 +340,18 @@ class TestPatternLevel:
         )
 
 
-def assert_mask_outcomes_match(graph, pattern, destination, failure_sets, wanted=None):
+def assert_mask_outcomes_match(graph, algorithm, destination, failure_sets, wanted=None):
     """The kernel answers each mask exactly like the naive checker run
     on that one failure set: same count, same counterexample trace."""
     state = EngineState(graph)
-    memo = state.memoized(pattern)
+    memo = state.pattern(algorithm, destination)
     naive = naive_session()
     for failures in failure_sets:
         checked, counterexample = state.mask_outcome(memo, destination, failures, wanted)
         got = Verdict(counterexample is None, checked, counterexample)
         expected = check_pattern_resilience(
-            graph, pattern, destination, sources=wanted, failure_sets=[failures], session=naive
+            graph, memo.pattern, destination, sources=wanted, failure_sets=[failures],
+            session=naive,
         )
         assert verdict_tuple(got) == verdict_tuple(expected), failures
 
@@ -362,25 +365,27 @@ class TestMaskOutcomeKernel:
         graph = random_graph(7_000 + index)
         failure_sets = small_failure_family(graph)
         for seed, destination in enumerate(graph.nodes):
-            pattern = RandomCyclicDestinationOnly(seed=seed).build(graph, destination)
-            assert_mask_outcomes_match(graph, pattern, destination, failure_sets)
+            assert_mask_outcomes_match(
+                graph, RandomCyclicDestinationOnly(seed=seed), destination, failure_sets
+            )
 
     def test_large_graph_takes_the_uncached_component_path(self):
         graph = nx.gnp_random_graph(12, 0.5, seed=0)
         assert graph.number_of_edges() > EXHAUSTIVE_LINK_LIMIT
         failure_sets = list(sampled_failure_sets(graph, samples=30, seed=0))
         destination = sorted(graph.nodes)[0]
-        pattern = RandomCyclicDestinationOnly(seed=2).build(graph, destination)
-        assert_mask_outcomes_match(graph, pattern, destination, failure_sets)
+        assert_mask_outcomes_match(
+            graph, RandomCyclicDestinationOnly(seed=2), destination, failure_sets
+        )
 
     def test_wanted_restricts_the_sources(self):
         graph = fig6_netrail()
         nodes = sorted(graph.nodes)
         destination = nodes[0]
-        pattern = RandomCyclicDestinationOnly(seed=1).build(graph, destination)
         wanted = set(nodes[::2])  # holds the destination, which is never a source
         assert_mask_outcomes_match(
-            graph, pattern, destination, small_failure_family(graph), wanted
+            graph, RandomCyclicDestinationOnly(seed=1), destination,
+            small_failure_family(graph), wanted,
         )
 
     def test_masks_outside_the_index_take_the_naive_walk(self):
@@ -389,8 +394,9 @@ class TestMaskOutcomeKernel:
         weird = [frozenset({(0, 99)}), frozenset({(1, 2), ("x", "y")}), frozenset({(1, 0)})]
         assert network.mask_of(weird[0]) is None and network.mask_of(weird[1]) is None
         for seed, destination in enumerate(graph.nodes):
-            pattern = RandomCyclicDestinationOnly(seed=seed).build(graph, destination)
-            assert_mask_outcomes_match(graph, pattern, destination, weird)
+            assert_mask_outcomes_match(
+                graph, RandomCyclicDestinationOnly(seed=seed), destination, weird
+            )
 
     def test_covers_walks_record_no_telemetry(self):
         # sweeps count their walks once per sweep; inside the kernel only
@@ -398,7 +404,7 @@ class TestMaskOutcomeKernel:
         graph = fig6_netrail()
         destination = sorted(graph.nodes)[0]
         state = EngineState(graph)
-        memo = state.memoized(RandomCyclicDestinationOnly(seed=1).build(graph, destination))
+        memo = state.pattern(RandomCyclicDestinationOnly(seed=1), destination)
         failure_sets = small_failure_family(graph) + [frozenset({(0, 99)})]
         failing = [
             failures for failures in failure_sets

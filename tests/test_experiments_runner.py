@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.core.engine.vectorized import numpy_available
 from repro.experiments import (
     ExperimentRecord,
     ExperimentSession,
@@ -16,6 +17,8 @@ from repro.experiments import (
     scheme,
 )
 from repro.traffic import compare_congestion, permutation
+
+FAST_BACKENDS = ["engine"] + (["numpy"] if numpy_available() else [])
 
 
 class TestGridVsCompareCongestion:
@@ -122,20 +125,55 @@ class TestRunGrid:
         assert record.metrics["resilient"] == expected.resilient
         assert record.metrics["scenarios_checked"] == expected.scenarios_checked
 
-    def test_naive_backend_congestion_matches_engine(self):
+    @pytest.mark.parametrize("backend", FAST_BACKENDS)
+    def test_naive_backend_congestion_matches_engine(self, backend):
+        """Grid and sampled cells of one scheme share one instance: its
+        patterns and decision tables serve the resilience sweep, the
+        traffic router, the estimator and both cells, and every record
+        still equals the naive session's."""
         from repro.experiments import naive_session
 
-        model = FailureModel(sizes=(0, 1, 2), samples=2, seed=4)
         kwargs = dict(
-            failure_models=[model], metrics=("congestion",), matrix="all-to-one"
+            failure_models=[
+                FailureModel(sizes=(0, 1, 2), samples=2, seed=4),
+                "iid:p=0.1,samples=20,seed=0",
+            ],
+            metrics=("resilience", "congestion", "stretch"),
+            matrix="all-to-one",
         )
-        fast = run_grid(["ring"], ["greedy", "arborescence"], **kwargs)
+        session = ExperimentSession(backend=backend)
+        fast = run_grid(["ring"], ["greedy", "arborescence"], session=session, **kwargs)
         slow = run_grid(
             ["ring"], ["greedy", "arborescence"], session=naive_session(), **kwargs
         )
-        for a, b in zip(fast.select("congestion"), slow.select("congestion")):
-            assert (a.scheme, a.series) == (b.scheme, b.series)
-            assert a.metrics == b.metrics
+        assert len(fast.records) == len(slow.records) == 12
+        for a, b in zip(fast.records, slow.records):
+            assert a.to_dict() | {"runtime_seconds": 0} == b.to_dict() | {"runtime_seconds": 0}
+        # one build per (scheme, destination), every later use a cache hit
+        nodes = resolve_topology("ring").number_of_nodes()
+        patterns = session.pattern_stats()
+        assert patterns["misses"] == patterns["patterns"] == 2 * nodes
+        assert patterns["hits"] > 0
+
+    def test_each_pattern_is_built_once_per_graph(self, monkeypatch):
+        from repro.core.algorithms import arborescence_routing
+
+        calls = []
+        pack = arborescence_routing.arc_disjoint_in_arborescences
+
+        def counted(graph, root, **kwargs):
+            calls.append(root)
+            return pack(graph, root, **kwargs)
+
+        monkeypatch.setattr(arborescence_routing, "arc_disjoint_in_arborescences", counted)
+        result = run_grid(
+            ["fattree(4)"],
+            ["arborescence"],
+            failure_models=["random:samples=10,seed=0", "iid:p=0.05,samples=200,seed=0"],
+            session=ExperimentSession(),
+        )
+        assert not result.errors
+        assert sorted(calls) == sorted(resolve_topology("fattree(4)").nodes)
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError, match="unknown metrics"):

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.algorithms import GreedyLowestNeighbor, RightHandTouring, TourToDestination
 from repro.core.applications.broadcast import TouringBroadcast
+from repro.core.engine import EngineState
 from repro.core.resilience import (
     check_ideal_resilience,
     check_k_resilient_touring,
@@ -184,6 +185,69 @@ class TestStateOwnership:
             with pytest.raises(RuntimeError, match="requires the optional numpy"):
                 ExperimentSession(backend="numpy")
             assert "numpy" in NUMPY_GATING_ERROR
+
+
+def count_builds(algorithm) -> list:
+    """Wrap the instance's ``build``; the returned list records each call's unit."""
+    calls = []
+    build = algorithm.build
+
+    def counted(graph, *unit):
+        calls.append(unit)
+        return build(graph, *unit)
+
+    algorithm.build = counted
+    return calls
+
+
+class TestPatternCache:
+    """``EngineState.pattern``: each pattern built once per graph."""
+
+    def test_one_build_per_instance_and_unit(self):
+        state = EngineState(cycle_graph(6))
+        algorithm = GreedyLowestNeighbor()
+        calls = count_builds(algorithm)
+        memo = state.pattern(algorithm, 0)
+        assert state.pattern(algorithm, 0) is memo
+        assert state.pattern(algorithm, 1) is not memo
+        assert state.pattern(GreedyLowestNeighbor(), 0) is not memo  # keyed per instance
+        assert calls == [(0,), (1,)]
+        assert (state.pattern_hits, state.pattern_misses, state.patterns_cached()) == (1, 3, 3)
+
+    def test_fifo_over_algorithm_instances(self):
+        from repro.core.engine.sweep import ALGORITHM_CACHE_LIMIT
+
+        state = EngineState(cycle_graph(6))
+        algorithms = [GreedyLowestNeighbor() for _ in range(ALGORITHM_CACHE_LIMIT + 1)]
+        memos = [state.pattern(algorithm, 0) for algorithm in algorithms]
+        assert state.patterns_cached() == ALGORITHM_CACHE_LIMIT
+        assert state.pattern(algorithms[1], 0) is memos[1]
+        assert state.pattern(algorithms[0], 0) is not memos[0]  # the oldest went
+
+    def test_a_failed_build_caches_nothing(self):
+        state = EngineState(cycle_graph(6))
+        algorithm = GreedyLowestNeighbor()
+        build = algorithm.build
+        algorithm.build = lambda graph, destination: 1 / 0
+        with pytest.raises(ZeroDivisionError):
+            state.pattern(algorithm, 0)
+        algorithm.build = build
+        assert state.pattern(algorithm, 0).pattern is not None
+        assert state.patterns_cached() == 1
+
+    def test_checker_calls_share_a_session_pattern_cache(self):
+        graph = cycle_graph(6)
+        algorithm = GreedyLowestNeighbor()
+        calls = count_builds(algorithm)
+        session = ExperimentSession()
+        for _ in range(2):
+            assert check_perfect_resilience_destination(graph, algorithm, session=session)
+        assert len(calls) == 6
+        assert session.pattern_stats() == {"patterns": 6, "hits": 6, "misses": 6}
+        # the naive reference builds per call and caches nothing
+        check_perfect_resilience_destination(graph, algorithm, session=naive_session())
+        assert len(calls) == 12
+        assert naive_session().pattern_stats() == {"patterns": 0, "hits": 0, "misses": 0}
 
 
 class TestBackends:

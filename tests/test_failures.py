@@ -414,6 +414,36 @@ class TestEstimateResilience:
         assert estimate.metrics()["exhaustive"] is False
         assert estimate.metrics()["planned_samples"] == 100
 
+    def test_expired_deadline_builds_no_pattern(self):
+        """Patterns are fetched as the walk reaches each destination, so an
+        estimate cut before its first draw builds nothing."""
+        from repro.core.model import DestinationAlgorithm
+        from repro.experiments import ExperimentSession
+        from repro.runtime import Deadline
+
+        class CountingBuilds(DestinationAlgorithm):
+            def __init__(self):
+                self.inner = scheme("arborescence").instantiate()
+                self.builds = []
+
+            def build(self, graph, destination):
+                self.builds.append(destination)
+                return self.inner.build(graph, destination)
+
+        graph = resolve_topology("ring(6)")
+        model = IIDModel(p=0.2, samples=30, seed=0)
+        for deadline in (Deadline(0.0), Budget(units=0)):
+            algorithm = CountingBuilds()
+            estimate = estimate_resilience(
+                graph, algorithm, model, session=ExperimentSession(), deadline=deadline
+            )
+            assert estimate.samples == 0 and not estimate.exhaustive
+            assert algorithm.builds == []
+        # an uncut estimate builds each destination's pattern once
+        algorithm = CountingBuilds()
+        estimate_resilience(graph, algorithm, model, session=ExperimentSession())
+        assert sorted(algorithm.builds) == sorted(graph.nodes)
+
     def test_series_checkpoints_accumulate(self):
         graph = resolve_topology("ring(6)")
         estimate = estimate_resilience(

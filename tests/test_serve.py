@@ -298,6 +298,42 @@ class TestServiceDifferential:
             assert _no_runtime(again.to_dict()) == _no_runtime(record.to_dict())
             assert service.stats_counters["mask_memo_hits"] > before["mask_memo_hits"]
 
+    def test_requests_build_each_pattern_once(self, monkeypatch):
+        """Repeated verdicts (mask memo and sweep paths) and loads for one
+        topology share one instance per scheme and its cached patterns."""
+        from repro.experiments.registry import SchemeSpec
+
+        builds = []
+        instantiate = SchemeSpec.instantiate
+
+        def counting(spec, **kwargs):
+            algorithm = instantiate(spec, **kwargs)
+            build = algorithm.build
+
+            def counted(graph, *unit):
+                builds.append((spec.name, unit))
+                return build(graph, *unit)
+
+            algorithm.build = counted
+            return algorithm
+
+        monkeypatch.setattr(SchemeSpec, "instantiate", counting)
+        service = QueryService()
+        for masks in ([[[0, 1]]], [[[1, 2]], [[0, 1], [2, 3]]]):
+            for scheme_name in ("greedy", "distance2"):
+                reply = service.execute(Request(id="v", op="verdict", params={
+                    "topology": "grid", "scheme": scheme_name, "destination": 0,
+                    "failure_sets": masks}))
+                assert reply["ok"] is True
+            reply = service.execute(Request(id="l", op="load", params={
+                "topology": "grid", "scheme": "greedy", "matrix": "permutation",
+                "matrix_seed": 0, "failure_sets": masks}))
+            assert reply["ok"] is True
+        assert builds and len(builds) == len(set(builds))
+        stats = service.stats()
+        assert stats["pattern_misses"] == stats["patterns_cached"] == len(builds)
+        assert stats["pattern_hits"] > 0
+
     def test_load_matches_offline_load_sweep(self):
         from repro.traffic.load import TrafficEngine
         from repro.traffic.matrices import build_named_matrix
@@ -487,7 +523,10 @@ def running_server(service=None, port=0, metrics_port=None):
     try:
         yield box["server"]
     finally:
-        box["loop"].call_soon_threadsafe(box["server"].request_stop)
+        try:
+            box["loop"].call_soon_threadsafe(box["server"].request_stop)
+        except RuntimeError:
+            pass  # a shutdown op already stopped the server and closed its loop
         thread.join(20)
 
 
@@ -509,6 +548,15 @@ class TestServerEndToEnd:
                 stats = client.server_stats()
                 assert stats["requests_handled"] >= 2
                 assert stats["graphs_cached"] == 1
+                # one arborescence pattern (destination 4), one mask walked
+                assert (stats["patterns_cached"], stats["pattern_hits"]) == (1, 0)
+                assert (stats["pattern_misses"], stats["masks_memoized"]) == (1, 1)
+                again = client.verdict("k5", "arborescence",
+                                       failure_sets=[[[0, 1]], [[1, 2]]], destination=4)
+                assert again["ok"] is True
+                stats = client.server_stats()
+                assert (stats["patterns_cached"], stats["pattern_hits"]) == (1, 1)
+                assert (stats["pattern_misses"], stats["masks_memoized"]) == (1, 2)
 
     def test_tcp_answer_identical_to_in_process(self):
         params = {"topology": "k5", "scheme": "arborescence",

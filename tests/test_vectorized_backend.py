@@ -438,18 +438,18 @@ class TestFallbackAccounting:
 
         monkeypatch.setattr(MaskBatch, "from_failure_sets", classmethod(spy))
         graph = cycle_graph(5)
-        pattern = GreedyLowestNeighbor().build(graph, 0)
         state = EngineState(graph)
+        memo = state.pattern(GreedyLowestNeighbor(), 0)
         family = list(all_failure_sets(graph, max_failures=2))
         generator = (failures for failures in family)
         with pytest.raises(VectorizedUnsupported) as info:
-            vectorized.pattern_sweep_numpy(state, pattern, 0, failure_sets=generator)
+            vectorized.pattern_sweep_numpy(state, memo, 0, failure_sets=generator)
         assert info.value.reason == "table_budget"
         recovered = info.value.failure_sets
         assert recovered == family
         assert len(calls) == 1
         with pytest.raises(VectorizedUnsupported):
-            vectorized.pattern_sweep_numpy(state, pattern, 0, failure_sets=recovered)
+            vectorized.pattern_sweep_numpy(state, memo, 0, failure_sets=recovered)
         assert len(calls) == 1  # cache hit: no second pack
 
     def test_r_tolerance_fallback_reason(self, monkeypatch):
