@@ -49,7 +49,6 @@ def run_benchmark(quick: bool = False, deadline_seconds: float | None = None) ->
     grid = sample_failure_grid(graph, sizes, samples, seed=0)
     scenario_sets = [failures for size in sorted(grid) for failures in grid[size]]
 
-    from repro.core.engine.vectorized import numpy_available
     from repro.runtime import Deadline
 
     deadline = Deadline(deadline_seconds) if deadline_seconds is not None else None
@@ -59,8 +58,8 @@ def run_benchmark(quick: bool = False, deadline_seconds: float | None = None) ->
     for name, demands in matrices.items():
         engine = TrafficEngine(graph, algorithm)
         start = time.perf_counter()
-        # scalar backend: load_sweep is exactly the per-failure-set
-        # engine.load loop, plus the clean deadline cut between sets
+        # load_sweep is exactly the per-failure-set engine.load loop,
+        # plus the clean deadline cut between sets
         batched = engine.load_sweep(demands, scenario_sets, deadline=deadline)
         batched_seconds = time.perf_counter() - start
         # a deadline cut yields a prefix; compare routers on what ran
@@ -70,14 +69,6 @@ def run_benchmark(quick: bool = False, deadline_seconds: float | None = None) ->
         if not covered:
             workloads[name] = {"partial": True, "scenarios": 0}
             continue
-        numpy_seconds = None
-        if numpy_available():
-            vectorized = TrafficEngine(graph, algorithm, backend="numpy")
-            start = time.perf_counter()
-            numpy_reports = vectorized.load_sweep(demands, covered)
-            numpy_seconds = time.perf_counter() - start
-            for fast, slow in zip(numpy_reports, batched):
-                assert fast.loads == slow.loads, "numpy router diverged from batched loads"
         # telemetry-on rerun of the batched sweep: identical loads, and
         # the overhead ratio is tracked in BENCH_engine.json
         from repro import obs
@@ -112,10 +103,6 @@ def run_benchmark(quick: bool = False, deadline_seconds: float | None = None) ->
         }
         if len(covered) < len(scenario_sets):
             workloads[name]["partial"] = True
-        if numpy_seconds is not None:
-            # never overwrite tracked numbers with nulls on no-numpy hosts
-            workloads[name]["numpy_seconds"] = numpy_seconds
-            workloads[name]["numpy_speedup"] = per_packet_seconds / numpy_seconds
     results = {
         "benchmark": "congestion",
         "graph": "fattree(4)",
@@ -149,11 +136,6 @@ def run_benchmark(quick: bool = False, deadline_seconds: float | None = None) ->
                         "telemetry_overhead": data["telemetry_overhead"],
                         "flows_routed": data["flows_routed"],
                         "worst_max_load": data["worst_max_load"],
-                        **{
-                            key: data[key]
-                            for key in ("numpy_seconds", "numpy_speedup")
-                            if key in data
-                        },
                     },
                     params={"matrix": name},
                     runtime_seconds=data["per_packet_seconds"] + data["batched_seconds"],
@@ -171,7 +153,6 @@ def format_report(results: dict) -> str:
             data.get("flows_routed", "-"),
             f"{data['per_packet_seconds']:.2f}" if "per_packet_seconds" in data else "-",
             f"{data['batched_seconds']:.2f}" if "batched_seconds" in data else "-",
-            f"{data['numpy_seconds']:.2f}" if data.get("numpy_seconds") else "-",
             f"{data['speedup']:.1f}x" if "speedup" in data else "-",
             data.get("worst_max_load", "-"),
         ]
@@ -179,11 +160,9 @@ def format_report(results: dict) -> str:
     ]
     return (
         f"Congestion: batched multi-flow router vs per-packet walks on {results['graph']}\n"
-        f"(algorithm: {results['algorithm']}; loads verified identical per scenario, "
-        f"numpy load_sweep included when installed)\n"
+        f"(algorithm: {results['algorithm']}; loads verified identical per scenario)\n"
         + simple_table(
-            ["matrix", "flows", "per-packet s", "batched s", "numpy s", "speedup",
-             "worst max load"],
+            ["matrix", "flows", "per-packet s", "batched s", "speedup", "worst max load"],
             rows,
         )
     )

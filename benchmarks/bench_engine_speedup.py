@@ -232,8 +232,7 @@ def bench_multiword(samples: int = 400, rounds: int = 3) -> dict | None:
     both backends, so it is built once up front and excluded.
     """
     from repro import obs
-    from repro.core.engine import mask_words
-    from repro.core.engine.vectorized import numpy_available
+    from repro.core.engine.vectorized import mask_words, numpy_available
     from repro.core.resilience import sampled_failure_sets
     from repro.experiments.registry import resolve_topology
 

@@ -37,6 +37,7 @@ from .core import Network, route as simulate_route, tour as simulate_tour
 from .core.adversary import attack_k44, attack_k7, attack_r_tolerance
 from .core.classification import classify
 from .experiments import (
+    default_session,
     known_family,
     resolve_topology,
     scheme,
@@ -211,16 +212,16 @@ def _cmd_traffic(args) -> int:
             return 2
     else:
         model = None
-    session = _build_session(args.backend)
-    if session is None:
-        return 2
+    session = default_session()
     if args.algorithm == "all":
+        competitors = traffic.default_competitors()
         try:
             # a --failure-model pins the grid explicitly; otherwise the
             # historical sizes/samples/seed sampler runs inside
             result = traffic.compare_congestion(
                 graph,
                 demands,
+                algorithms=competitors,
                 sizes=sizes,
                 samples=args.samples,
                 seed=args.seed,
@@ -263,27 +264,18 @@ def _cmd_traffic(args) -> int:
     print(f"congestion sweep: {args.graph}, matrix {matrix_name}, {len(demands)} demands")
     print(traffic.congestion_table(curves))
     if args.attack:
-        if args.algorithm != "all":
-            algorithm = scheme(args.algorithm).instantiate()
-        else:
+        if args.algorithm == "all":
             # attack the first competitor that actually ran on this
             # topology (preference order = the registry's
             # congestion-default line-up)
-            from .experiments import list_schemes
-
             survivors = {curve.algorithm for curve in curves}
-            algorithm = next(
-                (
-                    spec.instantiate()
-                    for spec in list_schemes(tag="congestion-default")
-                    if spec.factory.name in survivors  # name is a class attribute
-                ),
-                None,
-            )
+            algorithm = next((a for a in competitors if a.name in survivors), None)
             if algorithm is None:
                 print("no supported algorithm to attack", file=sys.stderr)
                 return 1
-        attack = traffic.greedy_congestion_attack(graph, algorithm, demands, args.attack)
+        attack = traffic.greedy_congestion_attack(
+            graph, algorithm, demands, args.attack, session=session
+        )
         print(
             f"worst-case load attack on {algorithm.name}: |F| = {attack.size}, "
             f"max load {attack.baseline_max_load} -> {attack.max_load} "
@@ -298,7 +290,7 @@ def _build_session(backend: str | None, processes: int = 1):
     """An :class:`ExperimentSession` for ``--backend`` (and ``--processes``
     where the command has one), or ``None`` after printing the gating
     error (numpy requested but not installed)."""
-    from .experiments import ExperimentSession, default_session
+    from .experiments import ExperimentSession
 
     if (backend is None or backend == "engine") and processes <= 1:
         return default_session()
@@ -762,13 +754,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SPEC",
         help="failure-model spec, e.g. 'iid:p=0.01,samples=500,seed=0' (families: random, exhaustive, iid, srlg, regional); overrides --sizes/--samples/--seed",
-    )
-    p.add_argument(
-        "--backend",
-        choices=["engine", "numpy"],
-        default="engine",
-        help="load router backend: the scalar engine, or the vectorized "
-        "numpy mask walker (identical loads; needs numpy)",
     )
     p.add_argument(
         "--attack", type=int, default=0, metavar="K",

@@ -52,8 +52,11 @@ checkers in :mod:`repro.core.resilience`, with an optional
 top of the same state: when numpy is installed, an
 ``ExperimentSession(backend="numpy")`` batches many failure masks per
 destination through array ops (dense decision tables gathered per hop,
-vectorized component labelling), with the scalar layers as the
-always-available fallback — verdicts are identical either way.
+vectorized component labelling) in its destination-pattern and touring
+resilience sweeps, with the scalar layers as the always-available
+fallback — verdicts are identical either way.  It is not re-exported
+here: only those two sweeps import it, so only numpy sessions load
+numpy.
 """
 
 from .components import ComponentTracker
@@ -68,13 +71,6 @@ from .sweep import (
     sweep_resilience,
     worker_warm,
 )
-from .vectorized import (
-    MaskBatch,
-    VectorizedUnsupported,
-    mask_words,
-    numpy_available,
-    require_numpy,
-)
 
 __all__ = [
     "ComponentTracker",
@@ -82,15 +78,10 @@ __all__ = [
     "ILLEGAL",
     "EngineState",
     "IndexedNetwork",
-    "MaskBatch",
     "MemoizedPattern",
     "ScenarioGrid",
     "SweepResult",
-    "VectorizedUnsupported",
-    "mask_words",
-    "numpy_available",
     "parallel_map",
-    "require_numpy",
     "route_indexed",
     "sweep_pattern_resilience",
     "sweep_resilience",

@@ -3,7 +3,11 @@
 The scalar engine (:mod:`.memo`) walks one ``(source, destination,
 failure mask)`` scenario at a time; exhaustive sweeps spend almost all
 their time re-running that loop 2^|E| times per destination.  This
-module batches **many failure masks at once** through numpy array ops:
+module batches **many failure masks at once** through numpy array ops,
+for exactly two callers: the destination-pattern and touring resilience
+sweeps of a numpy session (:func:`pattern_sweep_numpy`,
+:func:`touring_sweep_numpy`).  Traffic loads and r-tolerance checks run
+on the scalar engine on every backend.
 
 * a family of failure sets becomes one multi-word ``uint64`` bitset
   array of shape ``(k, ceil(m / 64))`` (:class:`MaskBatch`, chunked so
@@ -31,11 +35,12 @@ match the scalar engine and the naive reference.  Failure sets naming
 links outside the graph go through the scalar engine's own per-mask
 check (its naive fallback), in their original positions.
 
-numpy is an *optional* dependency: everything here imports without it,
-:func:`require_numpy` raises the clean gating error, and every entry
-point raises :class:`VectorizedUnsupported` (carrying any materialized
-failure sets) when an instance cannot take the vectorized path — the
-scalar engine then produces the identical verdict.
+numpy is an *optional* dependency, and only a numpy session's paths
+import this module (so only they load numpy).  Everything here imports
+without it, :func:`require_numpy` raises the clean gating error, and
+both sweeps raise :class:`VectorizedUnsupported` (carrying any
+materialized failure sets) when an instance cannot take the vectorized
+path — the scalar engine then produces the identical verdict.
 """
 
 from __future__ import annotations
@@ -59,8 +64,6 @@ CHUNK_MASKS = 1 << 15
 #: cap on dense decision-table entries per chunk (sum over states of
 #: observed local masks); beyond it the scalar engine is the better tool
 TABLE_BUDGET = 1 << 21
-#: cap on the (walks x states) seen-bitmap of the traffic walker
-SEEN_BUDGET = 1 << 26
 #: bounded number of cached mask batches per engine state
 BATCH_CACHE_LIMIT = 8
 
@@ -102,8 +105,8 @@ class VectorizedUnsupported(Exception):
     ``reason`` is a short machine-readable label for *why* the sweep
     dropped off the vectorized path — it feeds the ``reason`` label of
     ``repro_numpy_fallbacks_total`` so ``repro stats`` can say exactly
-    which budget or gate fired (``table_budget``, ``seen_budget``,
-    ``unindexed_node``, ``pattern_error``, ...).
+    which budget or gate fired (``table_budget``, ``unindexed_node``,
+    ``pattern_error``, ...).
 
     Carries an equivalent failure-set list when the attempt already
     consumed a one-shot iterator (reconstructed from the packed batch
@@ -164,8 +167,6 @@ class _MaskChunk:
         self.positions = positions  # int64 (k,), original enumeration order
         self._locals: tuple[list, object] | None = None
         self._labels = None
-        self._alive: list | None = None
-        self._dist: dict[int, object] = {}
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -173,17 +174,6 @@ class _MaskChunk:
     def mask_int(self, row: int) -> int:
         """Mask row ``row`` as the python-int bitmask the scalar engine uses."""
         return _combine_words(self.masks[row])
-
-    def alive_columns(self, network: IndexedNetwork) -> list:
-        """Per link bit: a bool column, True where the link survives
-        (cached — labelling and every per-destination BFS reuse it)."""
-        if self._alive is None:
-            one = np.uint64(1)
-            self._alive = [
-                ((self.masks[:, b >> 6] >> np.uint64(b & 63)) & one) == 0
-                for b in range(network.m)
-            ]
-        return self._alive
 
     def locals_for(self, network: IndexedNetwork):
         """Per node: observed local masks (unique python ints, in the
@@ -221,7 +211,12 @@ class _MaskChunk:
             labels = np.broadcast_to(
                 np.arange(network.n, dtype=np.int64), (k, network.n)
             ).copy()
-            alive = self.alive_columns(network)
+            one = np.uint64(1)
+            # per link bit: True where the link survives
+            alive = [
+                ((self.masks[:, b >> 6] >> np.uint64(b & 63)) & one) == 0
+                for b in range(network.m)
+            ]
             changed = True
             while changed:
                 changed = False
@@ -240,31 +235,6 @@ class _MaskChunk:
                         changed = True
             self._labels = labels
         return self._labels
-
-    def distances_to(self, network: IndexedNetwork, destination: int):
-        """Hops to ``destination`` per (mask row, node); ``-1`` means
-        disconnected.  One level-synchronous BFS for the whole chunk."""
-        dist = self._dist.get(destination)
-        if dist is None:
-            k = len(self.positions)
-            dist = np.full((k, network.n), -1, dtype=np.int64)
-            dist[:, destination] = 0
-            frontier = np.zeros((k, network.n), dtype=bool)
-            frontier[:, destination] = True
-            alive = self.alive_columns(network)
-            level = 0
-            while frontier.any():
-                level += 1
-                nxt = np.zeros((k, network.n), dtype=bool)
-                for b, (u, v) in enumerate(network.link_ends):
-                    a = alive[b]
-                    nxt[:, v] |= frontier[:, u] & a
-                    nxt[:, u] |= frontier[:, v] & a
-                nxt &= dist < 0
-                dist[nxt] = level
-                frontier = nxt
-            self._dist[destination] = dist
-        return dist
 
 
 class MaskBatch:
@@ -417,7 +387,7 @@ def batch_for(state, failure_sets) -> MaskBatch:
 
 
 class _DecisionTable:
-    """Per-(chunk, pattern) dense decision (and link) tables.
+    """Per-(chunk, pattern) dense decision table.
 
     ``D[OFF[state] + compact[row, node]]`` is the scalar engine's
     ``next_hop(node, inport, local_mask)`` for mask row ``row`` — every
@@ -428,31 +398,20 @@ class _DecisionTable:
     pattern.
     """
 
-    def __init__(
-        self,
-        network: IndexedNetwork,
-        memo: MemoizedPattern,
-        chunk: _MaskChunk,
-        with_links: bool = False,
-    ):
+    def __init__(self, network: IndexedNetwork, memo: MemoizedPattern, chunk: _MaskChunk):
         from .memo import ILLEGAL
 
         uniqs, compact = chunk.locals_for(network)
         self.compact = compact
         n = network.n
         stride = n + 1
-        self.state_space = (n + 1) * stride
         size = sum(
             (len(network.neighbor_indices[v]) + 1) * len(uniqs[v]) for v in range(n)
         )
         if size > TABLE_BUDGET:
             raise VectorizedUnsupported(reason="table_budget")
-        offsets = np.zeros(self.state_space, dtype=np.int64)
+        offsets = np.zeros((n + 1) * stride, dtype=np.int64)
         decisions = np.empty(size, dtype=np.int64)
-        links = np.full(size, -1, dtype=np.int64) if with_links else None
-        link_id = (
-            {pair: i for i, pair in enumerate(network.link_ends)} if with_links else None
-        )
         next_hop = memo.next_hop
         pos = 0
         for v in range(n):
@@ -465,15 +424,10 @@ class _DecisionTable:
                     if bit & local:
                         decisions[pos] = ILLEGAL  # unreachable state
                     else:
-                        decision = next_hop(v, inport, local)
-                        decisions[pos] = decision
-                        if with_links and decision >= 0:
-                            pair = (v, decision) if v < decision else (decision, v)
-                            links[pos] = link_id[pair]
+                        decisions[pos] = next_hop(v, inport, local)
                     pos += 1
         self.offsets = offsets
         self.decisions = decisions
-        self.links = links
 
 
 def reconstruct_failure_sets(batch: MaskBatch) -> list[FailureSet]:
@@ -511,9 +465,7 @@ def _recovered_unsupported(recover_batch, reason, state) -> VectorizedUnsupporte
     return VectorizedUnsupported(recovered, reason=reason)
 
 
-def _table_for(
-    network, memo, chunk, recover_batch=None, with_links=False, state=None
-) -> _DecisionTable:
+def _table_for(network, memo, chunk, recover_batch=None, state=None) -> _DecisionTable:
     """Build the chunk's table; pattern misbehavior on never-reached
     states must not change outcomes, so any error falls back scalar.
     ``recover_batch`` marks a batch built from a consumed one-shot
@@ -523,7 +475,7 @@ def _table_for(
     a retry through :func:`batch_for` with that list is a cache hit
     (served the already-packed batch) instead of a second full pack."""
     try:
-        table = _DecisionTable(network, memo, chunk, with_links=with_links)
+        table = _DecisionTable(network, memo, chunk)
     except VectorizedUnsupported as unsupported:
         raise _recovered_unsupported(
             recover_batch, unsupported.reason, state
@@ -613,7 +565,7 @@ def _walk_delivered(network: IndexedNetwork, table: _DecisionTable, destination:
 # ---------------------------------------------------------------------------
 
 
-def _ordered_row_failure(network, component_row, eligible_row, delivered_flags_row):
+def _ordered_row_failure(network, component_row, eligible_row, delivered_row):
     """The first failing source of one mask row, in checker order.
 
     The scalar checkers iterate the *whole component* via
@@ -635,7 +587,7 @@ def _ordered_row_failure(network, component_row, eligible_row, delivered_flags_r
         if position is None:
             continue  # the destination itself, or outside sources=
         checked += 1
-        if not delivered_flags_row[position]:
+        if not delivered_row[position]:
             return network.index[label], checked
     raise AssertionError("no failing source in a failing row")  # pragma: no cover
 
@@ -913,205 +865,3 @@ def touring_sweep_numpy(
         )
         return Verdict(False, checked, counterexample, exhaustive)
     return Verdict(True, batch.total * n_starts, exhaustive=exhaustive)
-
-
-# ---------------------------------------------------------------------------
-# Batched traffic routing (many failure masks per demand matrix).
-# ---------------------------------------------------------------------------
-
-#: per-walk outcome codes of the traffic walker
-_PENDING, _DELIVERED, _DROPPED, _LOOPED = 0, 1, 2, 3
-
-
-def _walk_traffic(network, table, chunk, destination, starts, volumes, loads, out, steps_out):
-    """Walk every ``(start state, mask)`` flow with its exact trajectory.
-
-    Unlike the resilience walker, per-link loads need each walk stopped
-    at its first revisited ``(node, inport)`` state (a loop loads its
-    transient prefix plus each cycle link exactly once), so walks carry
-    a dense seen-bitmap over the packed state space.  ``loads`` is the
-    global ``(sets, links)`` counter; ``out``/``steps_out`` are
-    ``(start, sets)`` outcome/step matrices, scatter-written here.
-    """
-    k = len(chunk)
-    n_starts = len(starts)
-    if n_starts * k * table.state_space > SEEN_BUDGET:
-        raise VectorizedUnsupported(reason="seen_budget")
-    stride = network.n + 1
-    positions = chunk.positions
-    walks = n_starts * k
-    srow = np.repeat(np.arange(n_starts, dtype=np.int64), k)
-    mrow = np.tile(np.arange(k, dtype=np.int64), n_starts)
-    state = np.repeat(np.array(starts, dtype=np.int64), k)
-    node = state // stride
-    volume = np.repeat(np.array(volumes, dtype=np.int64), k)
-    walk = np.arange(walks)
-    seen = np.zeros((walks, table.state_space), dtype=bool)
-    seen[walk, state] = True
-    # no trivial source==destination walks: Demand rejects self-demands,
-    # and starts come from the router's validated demand groups
-    offsets = table.offsets
-    decisions = table.decisions
-    link_ids = table.links
-    compact = table.compact
-    for step in range(1, table.state_space + 2):
-        if not len(walk):
-            return
-        offset = offsets[state] + compact[mrow, node]
-        decision = decisions[offset]
-        dropped = decision < 0
-        crossing = ~dropped
-        if crossing.any():
-            np.add.at(
-                loads,
-                (positions[mrow[crossing]], link_ids[offset][crossing]),
-                volume[crossing],
-            )
-        arrived = decision == destination
-        columns = positions[mrow]
-        if arrived.any():
-            out[srow[arrived], columns[arrived]] = _DELIVERED
-            steps_out[srow[arrived], columns[arrived]] = step
-        if dropped.any():
-            out[srow[dropped], columns[dropped]] = _DROPPED
-        cont = crossing & ~arrived
-        if not cont.any():
-            return
-        previous = node[cont]
-        next_node = decision[cont]
-        next_state = next_node * stride + previous + 1
-        srow, mrow, volume, walk, columns = (
-            a[cont] for a in (srow, mrow, volume, walk, columns)
-        )
-        looped = seen[walk, next_state]
-        if looped.any():
-            # the crossing into the repeated state is already loaded,
-            # exactly like the naive walk's final path entry
-            out[srow[looped], columns[looped]] = _LOOPED
-        go = ~looped
-        walk = walk[go]
-        state = next_state[go]
-        node = next_node[go]
-        seen[walk, state] = True
-        srow, mrow, volume = srow[go], mrow[go], volume[go]
-    raise AssertionError("traffic walk outran the state space")  # pragma: no cover
-
-
-def traffic_load_sweep(engine, demands, failure_sets):
-    """Batched :class:`~repro.traffic.load.LoadReport` list for one
-    demand matrix over many failure sets.
-
-    Same grouping, same per-demand accounting order, and the same
-    integer loads as scalar :meth:`TrafficEngine.load` per set — only
-    the walks run batched across masks.  Sets naming links outside the
-    graph take the scalar per-set path in place.  Raises
-    :class:`VectorizedUnsupported` when the instance cannot vectorize.
-    """
-    from ...traffic.load import LoadReport, _VolumeAccounting
-
-    state = engine.state
-    network = state.network
-    if not vectorizable(network):
-        raise VectorizedUnsupported(reason="numpy_missing")
-    index = network.index
-    engine._validate_demands(demands)
-    failure_list = list(failure_sets)
-    batch = batch_for(state, failure_list)
-    stride = network.n + 1
-
-    # the scalar router's grouping, verbatim (shared code): identical
-    # groups and iteration order keep the reports bit-equal
-    groups = engine.grouped_demands(demands)
-
-    loads = np.zeros((batch.total, network.m), dtype=np.int64)
-    results = {}
-    for key, (memo, injections, members) in groups.items():
-        starts = sorted(injections)
-        volumes = [injections[start] for start in starts]
-        out = np.zeros((len(starts), batch.total), dtype=np.int8)
-        steps = np.zeros((len(starts), batch.total), dtype=np.int64)
-        for chunk in batch.chunks:
-            table = _table_for(network, memo, chunk, with_links=True, state=state)
-            _walk_traffic(network, table, chunk, key[1], starts, volumes, loads, out, steps)
-        results[key] = (out, steps, {start: rank for rank, start in enumerate(starts)})
-
-    row_of = {}
-    for chunk in batch.chunks:
-        for row in range(len(chunk)):
-            row_of[int(chunk.positions[row])] = (chunk, row)
-    fallback_positions = dict(batch.fallbacks)
-    links = network.links
-    total_volume = sum(demand.volume for demand in demands)
-
-    reports: list = []
-    for position in range(batch.total):
-        if position in fallback_positions:
-            reports.append(engine.load(demands, fallback_positions[position]))
-            continue
-        chunk, row = row_of[position]
-        accounting = _VolumeAccounting()
-        for key, (memo, injections, members) in groups.items():
-            out, steps, rank_of = results[key]
-            dist_row = chunk.distances_to(network, key[1])[row]
-            for demand in members:
-                rank = rank_of[index[demand.source] * stride]
-                verdict = int(out[rank, position])
-                accounting.add(
-                    demand.volume,
-                    delivered=verdict == _DELIVERED,
-                    looped=verdict == _LOOPED,
-                    hops=int(steps[rank, position]),
-                    shortest=int(dist_row[index[demand.source]]),
-                )
-        reports.append(
-            LoadReport(
-                loads={links[i]: int(loads[position, i]) for i in range(network.m)},
-                demands=len(demands),
-                total_volume=total_volume,
-                delivered_volume=accounting.delivered_volume,
-                dropped_volume=accounting.dropped_volume,
-                looped_volume=accounting.looped_volume,
-                disconnected_volume=accounting.disconnected_volume,
-                delivered_hops=accounting.delivered_hops,
-                stretch_volume=accounting.stretch_volume,
-            )
-        )
-    return reports
-
-
-# ---------------------------------------------------------------------------
-# Batched single-pair delivery (r-tolerance).
-# ---------------------------------------------------------------------------
-
-
-def delivered_flags(state, memo: MemoizedPattern, source: Node, destination: Node, failure_sets):
-    """Per-set delivery of the ``source -> destination`` walk, batched.
-
-    ``failure_sets`` must be materialized (a list); returns a list of
-    bools in order.  Non-maskable sets take the scalar naive fallback,
-    exactly like :meth:`EngineState.route`.
-    """
-    network = state.network
-    if not vectorizable(network):
-        raise VectorizedUnsupported(reason="numpy_missing")
-    src = network.index.get(source)
-    dst = network.index.get(destination)
-    if src is None or dst is None:
-        raise VectorizedUnsupported(reason="unindexed_node")
-    batch = batch_for(state, failure_sets)
-    flags = [False] * batch.total
-    for position, failures in batch.fallbacks:
-        flags[position] = state.route(memo, source, destination, failures).delivered
-    if source == destination:
-        for chunk in batch.chunks:
-            for position in chunk.positions:
-                flags[int(position)] = True
-        return flags
-    for chunk in batch.chunks:
-        table = _table_for(network, memo, chunk, state=state)
-        eligible = np.zeros((len(chunk), network.n), dtype=bool)
-        eligible[:, src] = True
-        delivered, rows, _ = _walk_delivered(network, table, dst, eligible)
-        for row, ok in zip(rows, delivered):
-            flags[int(chunk.positions[row])] = bool(ok)
-    return flags

@@ -293,7 +293,9 @@ def check_r_tolerance(
     """Is the pattern r-tolerant for (source, destination) on ``graph``?
 
     Only failure sets under which s and t remain r-connected count
-    (Definition 1); everything else is vacuously fine.
+    (Definition 1); everything else is vacuously fine.  Every
+    engine-backed session, numpy included, walks the counted scenarios
+    with :meth:`EngineState.route`.
     """
     from ..experiments.session import resolve_session
 
@@ -301,69 +303,6 @@ def check_r_tolerance(
     failure_iter, exhaustive = (
         (failure_sets, False) if failure_sets is not None else default_failure_sets(graph)
     )
-    if session.backend == "numpy":
-        # batch the r-connected scenarios through the vectorized walker,
-        # one bounded buffer at a time: the (expensive, per-set)
-        # connectivity filter stays lazy, so a pattern that fails early
-        # never pays for filtering the whole enumeration — the scalar
-        # path's short-circuit, kept.  Gate on vectorizability first and
-        # never run the filter twice.
-        from .engine.vectorized import VectorizedUnsupported, delivered_flags, vectorizable
-
-        state = session.state(graph)
-        if vectorizable(state.network):
-            memo = state.pattern(algorithm, source, destination)
-            checked = 0
-
-            def check_buffer(buffer: list) -> Verdict | None:
-                nonlocal checked
-                try:
-                    flags = delivered_flags(state, memo, source, destination, buffer)
-                except VectorizedUnsupported as unsupported:
-                    # rare late fallback (e.g. table budget): walk the
-                    # already-filtered buffer scalar, no second filter
-                    from repro import obs as _obs
-
-                    telemetry = _obs.active()
-                    if telemetry is not None:
-                        telemetry.count(
-                            "repro_numpy_fallbacks_total",
-                            help="vectorized attempts that fell back to the scalar engine",
-                            site="tolerance",
-                            reason=unsupported.reason,
-                        )
-                    flags = None
-                for position, failures in enumerate(buffer):
-                    checked += 1
-                    if flags is not None and flags[position]:
-                        continue
-                    result = state.route(memo, source, destination, failures)
-                    if not result.delivered:
-                        return Verdict(
-                            False,
-                            checked,
-                            Counterexample(
-                                source, destination, failures, result, note=f"r={r}"
-                            ),
-                            exhaustive,
-                        )
-                return None
-
-            buffer: list = []
-            for failures in failure_iter:
-                if st_edge_connectivity(graph, source, destination, failures, stop_at=r) < r:
-                    continue
-                buffer.append(failures)
-                if len(buffer) >= 256:
-                    verdict = check_buffer(buffer)
-                    if verdict is not None:
-                        return verdict
-                    buffer = []
-            if buffer:
-                verdict = check_buffer(buffer)
-                if verdict is not None:
-                    return verdict
-            return Verdict(True, checked, exhaustive=exhaustive)
     if session.use_engine:
         state = session.state(graph)
         memo = state.pattern(algorithm, source, destination)

@@ -806,13 +806,11 @@ def _congestion_curve(
 ):
     """The scheme's congestion curve on the shared grid, or a skip reason.
 
-    On the engine backends this mirrors :func:`repro.traffic.congestion.
-    compare_congestion` exactly — same pre-flight, same per-scenario
-    loads — so grid records are differentially equal to the comparison
-    harness; a ``backend="numpy"`` session routes each grid bucket
-    through the vectorized :meth:`TrafficEngine.load_sweep` (identical
-    loads) via the session-built traffic engine.  On a
-    ``backend="naive"`` session the loads come from
+    On the engine backends (numpy included) this mirrors
+    :func:`repro.traffic.congestion.compare_congestion` exactly — same
+    pre-flight, same scalar :meth:`TrafficEngine.load_sweep` on session
+    state — so grid records are differentially equal to the comparison
+    harness.  On a ``backend="naive"`` session the loads come from
     :func:`repro.traffic.load.per_packet_loads` (one simulated walk per
     demand): the reference surface differential tests compare against.
     """

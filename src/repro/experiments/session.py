@@ -5,15 +5,18 @@ component caches, and the one pattern cache: each forwarding pattern
 with its decision table, built once per graph and algorithm instance)
 plus per-(graph, algorithm) traffic engines on those states, and it
 decides the *backend* — ``"engine"`` (the fast indexed path),
-``"numpy"`` (the vectorized mask-walk backend, batching many failure
-masks per destination through array ops; needs the optional numpy
-dependency and falls back to scalar-engine semantics where an instance
-cannot vectorize), or ``"naive"`` (the hop-by-hop reference simulator,
-kept for differential testing, which caches nothing).  Consumers
-accept ``session=``; :func:`resolve_session` turns ``None`` into the
-shared default.  Pattern caches key on the algorithm *instance*, so
-callers that share one instance across calls (``run_grid`` per scheme,
-the query service per scheme name) build each pattern once.
+``"numpy"`` (the engine path, with the destination-pattern and touring
+resilience sweeps batched through the vectorized mask walker; needs
+the optional numpy dependency, which only this backend imports, and
+falls back to scalar-engine semantics where an instance cannot
+vectorize), or ``"naive"`` (the hop-by-hop reference simulator, kept
+for differential testing, which caches nothing).  Traffic loads and
+r-tolerance checks take the scalar engine on both engine backends.
+Consumers accept ``session=``; :func:`resolve_session` turns ``None``
+into the shared default.  Pattern caches key on the algorithm
+*instance*, so callers that share one instance across calls
+(``run_grid`` per scheme, the query service per scheme name) build
+each pattern once.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import networkx as nx
 from repro import obs as _obs
 
 from ..core.engine.sweep import EngineState
-from ..core.engine.vectorized import numpy_available, require_numpy
 
 #: cached engine states / traffic engines per session (FIFO eviction)
 STATE_CACHE_LIMIT = 16
@@ -51,10 +53,11 @@ class ExperimentSession:
 
     ``backend="engine"`` routes every consumer through the fast indexed
     engine with caches shared across calls; ``backend="numpy"`` layers
-    the vectorized mask-walk sweeps on top of the same engine state
-    (requires the optional numpy dependency; instances the vectorizer
-    cannot handle silently take the scalar engine path with identical
-    verdicts); ``backend="naive"`` selects the reference hop-by-hop
+    the vectorized destination-pattern and touring sweeps on top of the
+    same engine state (requires the optional numpy dependency, which
+    no other backend imports; instances the vectorizer cannot handle
+    silently take the scalar engine path with identical verdicts);
+    ``backend="naive"`` selects the reference hop-by-hop
     paths (identical verdicts, no caching) — the surface the
     differential tests compare against.  ``processes`` is the default
     fan-out for grid sweeps that support it.  ``deadline`` is an
@@ -68,6 +71,9 @@ class ExperimentSession:
         if backend not in _BACKENDS:
             raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
         if backend == "numpy":
+            # imports numpy: only numpy sessions load it
+            from ..core.engine.vectorized import require_numpy
+
             require_numpy()
         self.backend = backend
         self.processes = processes
@@ -160,7 +166,7 @@ class ExperimentSession:
             self._traffic.move_to_end(key)
             self._bump("traffic", "hits")
             return cached
-        engine = TrafficEngine(state, algorithm, backend=self.backend)
+        engine = TrafficEngine(state, algorithm)
         self._bump("traffic", "misses")
         if key in self._traffic:
             # stale entry under the same key (mutated graph, or a

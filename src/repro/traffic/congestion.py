@@ -105,8 +105,6 @@ def congestion_vs_failures(
         samples_per_size=samples,
     )
     for size in sorted(failure_grid):
-        # one batched call per size: a numpy-backend engine walks the
-        # whole bucket as one mask batch, everything else loops scalar
         reports = engine.load_sweep(demands, failure_grid[size])
         if reports:  # an explicitly passed grid may carry empty buckets
             curve.points.append(_aggregate(size, reports))
@@ -319,11 +317,10 @@ def compare_congestion(
         grid = sample_failure_grid(graph, sizes, samples, seed)
     resolved = resolve_session(session)
     state = resolved.state(graph)
-    backend = "numpy" if resolved.backend == "numpy" else "engine"
     result = ComparisonResult(curves=[])
     for algorithm in algorithms:
         curve, reason = preflight_congestion_curve(
-            TrafficEngine(state, algorithm, backend=backend),
+            TrafficEngine(state, algorithm),
             algorithm,
             demands,
             grid,

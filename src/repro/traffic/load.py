@@ -28,7 +28,8 @@ resulting loads equal a per-packet simulation link for link:
 
 :func:`per_packet_loads` is the naive reference implementation (one
 :func:`repro.core.simulator.route` call per demand) used for differential
-testing; :class:`TrafficEngine` is the batched router, and
+testing; :class:`TrafficEngine` is the batched router — the one load
+router of every engine-backed session, numpy sessions included — and
 :func:`route_matrix` the one-shot convenience wrapper.
 """
 
@@ -114,12 +115,11 @@ class LoadReport:
 
 @dataclass
 class _VolumeAccounting:
-    """Per-outcome volume counters shared by every router flavour.
+    """Per-outcome volume counters of one :meth:`TrafficEngine.load` call.
 
-    Both the scalar router and the vectorized ``load_sweep`` funnel each
-    demand through :meth:`add` in the same (group, member) order, so the
-    volume totals — including the float ``stretch_volume`` summation
-    order — are equal by construction, not by parallel maintenance.
+    Each demand goes through :meth:`add` in (group, member) order; the
+    float ``stretch_volume`` therefore sums in a fixed order, and a
+    report is reproducible bit for bit.
     """
 
     delivered_volume: int = 0
@@ -343,20 +343,15 @@ class TrafficEngine:
         graph: nx.Graph | EngineState,
         algorithm: RoutingAlgorithm,
         session=None,
-        backend: str = "engine",
     ):
         if isinstance(graph, EngineState):
             self.state = graph
         elif session is not None:  # session-owned (and cached) engine state
             self.state = session.state(graph)
-            backend = "numpy" if session.backend == "numpy" else backend
         else:
             self.state = EngineState(graph)
         self.graph = self.state.graph
         self.algorithm = algorithm
-        #: "numpy" batches multi-set sweeps through the vectorized
-        #: walker (same loads); anything else keeps the scalar router
-        self.backend = backend
         network = self.state.network
         #: (low index, high index) -> link bit position
         self.link_index: dict[tuple[int, int], int] = {
@@ -369,53 +364,19 @@ class TrafficEngine:
         failure_sets: list[FailureSet],
         deadline=None,
     ) -> list[LoadReport]:
-        """One :class:`LoadReport` per failure set, in order.
-
-        On ``backend="numpy"`` the whole sweep walks as one mask batch
-        through :func:`repro.core.engine.vectorized.traffic_load_sweep`
-        (identical reports — integer loads and volume accounting match
-        the scalar router bit for bit); otherwise, and whenever the
-        vectorizer cannot take the instance, this is exactly the
-        ``[self.load(demands, f) for f in failure_sets]`` loop.
+        """One :class:`LoadReport` per failure set, in order: exactly the
+        ``[self.load(demands, f) for f in failure_sets]`` loop, on every
+        session backend.
 
         ``deadline`` (a :class:`~repro.runtime.deadline.Deadline` /
         :class:`~repro.runtime.deadline.Budget`) makes the sweep stop
         cleanly between failure sets once expired, returning the
         reports completed so far — a prefix of the full sweep, each
-        report identical to what the uncut sweep would produce.  The
-        numpy batch is one unit of work: it is checked only at entry
-        (an expired deadline yields the empty prefix) and charged as a
-        whole.
+        report identical to what the uncut sweep would produce.
         """
         sets = list(failure_sets)
         telemetry = _obs.active()
-        with _obs.span(
-            "load_sweep", demands=len(demands), failure_sets=len(sets), backend=self.backend
-        ):
-            if self.backend == "numpy":
-                from ..core.engine.vectorized import VectorizedUnsupported, traffic_load_sweep
-
-                try:
-                    if deadline is not None and deadline.expired():
-                        return []
-                    reports = traffic_load_sweep(self, demands, sets)
-                    if deadline is not None:
-                        deadline.charge(len(sets))
-                    if telemetry is not None:
-                        telemetry.count(
-                            "repro_traffic_load_reports_total",
-                            len(reports),
-                            help="per-failure-set load reports produced",
-                        )
-                    return reports
-                except VectorizedUnsupported as unsupported:
-                    if telemetry is not None:
-                        telemetry.count(
-                            "repro_numpy_fallbacks_total",
-                            help="vectorized attempts that fell back to the scalar engine",
-                            site="traffic",
-                            reason=unsupported.reason,
-                        )
+        with _obs.span("load_sweep", demands=len(demands), failure_sets=len(sets)):
             reports = []
             for failures in sets:
                 if deadline is not None and deadline.expired():
@@ -445,10 +406,8 @@ class TrafficEngine:
         """Demands grouped per (memoized pattern, destination index).
 
         Each value is ``(memo, injections, members)`` with injections
-        keyed by packed ``(source, ⊥)`` start state.  Shared by the
-        scalar router and the vectorized ``load_sweep`` so grouping —
-        and therefore the accounting iteration order — cannot drift
-        between the two.
+        keyed by packed ``(source, ⊥)`` start state.  The group order is
+        the order :meth:`load` accounts demands in.
         """
         network = self.state.network
         index = network.index

@@ -99,6 +99,38 @@ class TestTraffic:
         out = capsys.readouterr().out
         assert "worst-case load attack" in out
 
+    def test_attack_reuses_the_swept_patterns(self, monkeypatch, capsys):
+        from repro.core.algorithms import arborescence_routing
+        from repro.experiments import resolve_topology
+
+        calls = []
+        pack = arborescence_routing.arc_disjoint_in_arborescences
+
+        def counted(graph, root, **kwargs):
+            calls.append(root)
+            return pack(graph, root, **kwargs)
+
+        monkeypatch.setattr(arborescence_routing, "arc_disjoint_in_arborescences", counted)
+        code = run_cli(
+            "traffic", "grid(3,3)", "--algorithm", "arborescence", "--samples", "2",
+            "--attack", "1",
+        )
+        assert code == 0
+        assert "worst-case load attack" in capsys.readouterr().out
+        # one packing per destination, shared by the sweep and the attack
+        assert sorted(calls) == sorted(resolve_topology("grid(3,3)").nodes)
+
+    def test_has_no_backend_option(self, capsys):
+        # loads run on the default engine session; the option is gone
+        with pytest.raises(SystemExit) as info:
+            run_cli("traffic", "ring(6)", "--samples", "1", "--backend", "numpy")
+        assert info.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as info:
+            run_cli("traffic", "--help")
+        assert info.value.code == 0
+        assert "--backend" not in capsys.readouterr().out
+
     def test_unsupported_algorithm_reports(self, capsys):
         # fat-tree is not outerplanar, so the Cor-5 tour cannot build
         assert run_cli("traffic", "fattree", "--algorithm", "tour", "--samples", "2") == 2

@@ -1,6 +1,8 @@
 """The ExperimentSession: state ownership, backends, session resolution."""
 
 import inspect
+import subprocess
+import sys
 import warnings
 
 import networkx as nx
@@ -185,6 +187,22 @@ class TestStateOwnership:
             with pytest.raises(RuntimeError, match="requires the optional numpy"):
                 ExperimentSession(backend="numpy")
             assert "numpy" in NUMPY_GATING_ERROR
+
+    def test_only_numpy_sessions_import_numpy(self):
+        pytest.importorskip("numpy")
+        code = (
+            "import sys, repro.cli\n"
+            "assert 'numpy' not in sys.modules, 'import repro.cli loaded numpy'\n"
+            "repro.cli.main(['traffic', 'ring(6)', '--sizes', '0,1', '--samples', '1'])\n"
+            "assert 'numpy' not in sys.modules, 'an engine session loaded numpy'\n"
+            "from repro.experiments import ExperimentSession\n"
+            "ExperimentSession(backend='numpy')\n"
+            "assert 'numpy' in sys.modules\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert completed.returncode == 0, completed.stderr
 
 
 def count_builds(algorithm) -> list:

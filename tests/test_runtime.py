@@ -598,16 +598,19 @@ class TestParallelGrid:
 
 
 class TestLoadSweepDeadline:
-    def test_partial_prefix_matches_full_run(self):
+    @pytest.mark.parametrize("backend", ["engine", "numpy"])
+    def test_partial_prefix_matches_full_run(self, backend):
         from repro.experiments import resolve_topology, scheme
-        from repro.traffic import TrafficEngine, permutation, sample_failure_grid
+        from repro.traffic import permutation, sample_failure_grid
 
+        if backend == "numpy":
+            pytest.importorskip("numpy")
         graph = resolve_topology("grid(3, 3)")
         algorithm = scheme("arborescence").instantiate()
         demands = permutation(graph, seed=1)
         grid = sample_failure_grid(graph, [0, 1, 2], 2, seed=0)
         failure_sets = [failures for size in sorted(grid) for failures in grid[size]]
-        engine = TrafficEngine(graph, algorithm)
+        engine = ExperimentSession(backend=backend).traffic_engine(graph, algorithm)
         full = engine.load_sweep(demands, failure_sets)
         partial = engine.load_sweep(demands, failure_sets, deadline=Budget(3))
         assert len(partial) == 3

@@ -207,6 +207,21 @@ class TestBatchedNaiveParity:
             route_matrix(graph, GreedyLowestNeighbor(), demands, failures),
             per_packet_loads(graph, GreedyLowestNeighbor(), demands, failures),
         )
+        # a sweep mixing canonical sets with ones the router cannot mask
+        graph = construct.cycle_graph(8)
+        demands = permutation(graph, seed=2)
+        sets = [
+            frozenset(),
+            frozenset({(1, 0)}),  # non-canonical: effectively alive
+            frozenset({(0, 99)}),  # outside the graph
+            frozenset({(2, 3), (4, 5)}),
+        ]
+        reports = TrafficEngine(graph, GreedyLowestNeighbor()).load_sweep(demands, sets)
+        assert len(reports) == len(sets)
+        for failures, report in zip(sets, reports):
+            assert_reports_equal(
+                report, per_packet_loads(graph, GreedyLowestNeighbor(), demands, failures)
+            )
 
     def test_rejects_unknown_endpoints(self):
         graph = construct.cycle_graph(4)

@@ -3,8 +3,10 @@
 The broad differential matrix lives in ``test_engine_equivalence.py``
 (every fast backend × every checker × random graphs and gadgets); this
 file covers what is specific to ``backend="numpy"``: the optional-
-dependency gate, chunked batches, the scalar fallbacks, the traffic
-``load_sweep``, and the grid/CLI plumbing.
+dependency gate, chunked batches, the scalar fallbacks, and the
+grid/CLI plumbing.  Loads and r-tolerance take the scalar engine on
+every backend; the tests here pin that a numpy session hands them to
+it, and the scalar router and checker are tested with their modules.
 """
 
 from __future__ import annotations
@@ -261,6 +263,8 @@ class TestDisconnectedAndExotic:
 
 
 class TestTrafficLoadSweep:
+    """A numpy session routes loads through the scalar TrafficEngine."""
+
     def test_load_sweep_equals_scalar_and_per_packet(self):
         from repro.traffic import sample_failure_grid
 
@@ -270,8 +274,8 @@ class TestTrafficLoadSweep:
         sets = [failures for size in sorted(grid) for failures in grid[size]]
         demands = all_to_one(graph, ("core", 0))
         scalar = TrafficEngine(graph, algorithm)
-        vec = TrafficEngine(graph, algorithm, backend="numpy")
-        batched = vec.load_sweep(demands, sets)
+        engine = numpy_session().traffic_engine(graph, algorithm)
+        batched = engine.load_sweep(demands, sets)
         assert len(batched) == len(sets)
         for failures, report in zip(sets, batched):
             assert report_tuple(report) == report_tuple(scalar.load(demands, failures))
@@ -279,35 +283,22 @@ class TestTrafficLoadSweep:
                 per_packet_loads(graph, algorithm, demands, failures)
             )
 
-    def test_load_sweep_weird_sets_take_the_naive_fallback(self):
-        graph = topology("ring").build(8)
-        algorithm = scheme("greedy").instantiate()
-        demands = permutation(graph, seed=2)
-        sets = [
-            frozenset(),
-            frozenset({(1, 0)}),  # non-canonical: effectively alive
-            frozenset({(0, 99)}),  # outside the graph
-            frozenset({(2, 3), (4, 5)}),
-        ]
-        vec = TrafficEngine(graph, algorithm, backend="numpy")
-        for failures, report in zip(sets, vec.load_sweep(demands, sets)):
-            assert report_tuple(report) == report_tuple(
-                per_packet_loads(graph, algorithm, demands, failures)
-            )
-
-    def test_session_traffic_engine_carries_the_backend(self):
-        session = numpy_session()
+    def test_session_traffic_engine_is_the_scalar_router(self):
         graph = topology("ring").build(6)
-        engine = session.traffic_engine(graph, scheme("greedy").instantiate())
-        assert engine.backend == "numpy"
+        algorithm = scheme("greedy").instantiate()
+        engine = numpy_session().traffic_engine(graph, algorithm)
+        assert type(engine) is TrafficEngine
+        assert not hasattr(engine, "backend")
+        with pytest.raises(TypeError, match="backend"):
+            TrafficEngine(graph, algorithm, backend="numpy")
 
     def test_bad_demand_endpoints_raise_like_the_scalar_router(self):
         from repro.traffic.matrices import Demand
 
         graph = cycle_graph(5)
-        vec = TrafficEngine(graph, scheme("greedy").instantiate(), backend="numpy")
+        engine = numpy_session().traffic_engine(graph, scheme("greedy").instantiate())
         with pytest.raises(ValueError, match="demand endpoint"):
-            vec.load_sweep([Demand("ghost", 0, 1)], [frozenset()])
+            engine.load_sweep([Demand("ghost", 0, 1)], [frozenset()])
 
 
 class TestMaskWidthBoundaries:
@@ -395,11 +386,14 @@ class TestFatTreeMultiWord:
         sets = [failures for size in sorted(grid) for failures in grid[size]]
         demands = permutation(graph, seed=3)
         scalar = TrafficEngine(graph, algorithm)
-        vec = TrafficEngine(graph, algorithm, backend="numpy")
+        engine = numpy_session().traffic_engine(graph, algorithm)
         telemetry = obs.Telemetry()
         with obs.installed(telemetry):
-            batched = vec.load_sweep(demands, sets)
-        assert "repro_numpy_fallbacks_total" not in telemetry.registry.families()
+            batched = engine.load_sweep(demands, sets)
+        # loads never enter the numpy backend: no chunk walked, none refused
+        families = telemetry.registry.families()
+        assert "repro_numpy_fallbacks_total" not in families
+        assert "repro_numpy_chunks_total" not in families
         for failures, report in zip(sets, batched):
             assert report_tuple(report) == report_tuple(scalar.load(demands, failures))
 
@@ -452,24 +446,30 @@ class TestFallbackAccounting:
             vectorized.pattern_sweep_numpy(state, memo, 0, failure_sets=recovered)
         assert len(calls) == 1  # cache hit: no second pack
 
-    def test_r_tolerance_fallback_reason(self, monkeypatch):
+    def test_r_tolerance_takes_no_numpy_path(self, monkeypatch):
         from repro import obs
-        from repro.core.algorithms.naive import RandomCyclicPermutations
         from repro.core.resilience import check_r_tolerance
 
+        # a zero table budget would refuse any numpy walk with a fallback
         monkeypatch.setattr(vectorized, "TABLE_BUDGET", 0)
         graph = cycle_graph(5)
         telemetry = obs.Telemetry()
         with obs.installed(telemetry):
-            check_r_tolerance(
+            fast = check_r_tolerance(
                 graph, RandomCyclicPermutations(seed=1), 0, 2, r=1, session=numpy_session()
             )
-        assert (
-            telemetry.registry.value(
-                "repro_numpy_fallbacks_total", site="tolerance", reason="table_budget"
-            )
-            > 0
+        families = telemetry.registry.families()
+        assert "repro_numpy_fallbacks_total" not in families
+        assert "repro_numpy_chunks_total" not in families
+        slow = check_r_tolerance(
+            graph,
+            RandomCyclicPermutations(seed=1),
+            0,
+            2,
+            r=1,
+            session=ExperimentSession(backend="naive"),
         )
+        assert verdict_tuple(fast) == verdict_tuple(slow)
 
 
 class TestGridParity:
@@ -502,15 +502,6 @@ class TestCliBackend:
         assert main(["experiments", "--quick", "--backend", "numpy"]) == 0
         out = capsys.readouterr().out
         assert "records (JSON round-trip ok)" in out
-
-    def test_traffic_backend_flag(self, capsys):
-        from repro.cli import main
-
-        assert (
-            main(["traffic", "ring(6)", "--algorithm", "greedy", "--sizes", "0,1",
-                  "--samples", "2", "--backend", "numpy"])
-            == 0
-        )
 
     def test_missing_numpy_is_a_clean_cli_error(self, monkeypatch, capsys):
         from repro.cli import main
