@@ -75,9 +75,22 @@ def _maybe_int(token: str):
 def _parse_failures(tokens: list[str]):
     pairs = []
     for token in tokens:
-        u, v = token.split("-")
+        u, dash, v = token.partition("-")
+        if not (u and dash and v) or "-" in v:
+            raise ValueError(f"link {token!r} is not of the form u-v")
         pairs.append((_maybe_int(u), _maybe_int(v)))
     return edges(pairs)
+
+
+def _fail_option(tokens: list[str]):
+    """The ``--fail`` links, or ``None`` after printing why they are
+    malformed.  Links outside the graph are fine: they keep the naive
+    semantics of a failure that touches nothing."""
+    try:
+        return _parse_failures(tokens)
+    except ValueError as error:
+        print(f"invalid --fail: {error}", file=sys.stderr)
+        return None
 
 
 def _cmd_classify(args) -> int:
@@ -95,7 +108,13 @@ def _cmd_route(args) -> int:
     graph = _load_graph(args.graph)
     source = _maybe_int(args.source)
     destination = _maybe_int(args.destination)
-    failures = _parse_failures(args.fail)
+    for role, node in (("source", source), ("destination", destination)):
+        if node not in graph:
+            print(f"{role} {node!r} is not a node of {args.graph}", file=sys.stderr)
+            return 2
+    failures = _fail_option(args.fail)
+    if failures is None:
+        return 2
     # preference order: exact small-graph tables, then tours, then the
     # distance-2 fallback — all resolved from the scheme registry
     for name in ("k5-source", "k33-source", None):
@@ -153,7 +172,9 @@ def _cmd_attack(args) -> int:
 
 def _cmd_tour(args) -> int:
     graph = _load_graph(args.graph)
-    failures = _parse_failures(args.fail)
+    failures = _fail_option(args.fail)
+    if failures is None:
+        return 2
     try:
         router = scheme("right-hand").instantiate()
         pattern = router.build(graph)
@@ -812,8 +833,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="fan grid cells out across N forked workers sharing the "
         "parent's warm engine state (records are stitched in grid "
-        "order, identical to a serial run); fault injection forces "
-        "serial execution",
+        "order, identical to a serial run); injected worker faults "
+        "fire in this fan-out",
     )
     p.add_argument("--out", default=None, help="merge records into this JSON result store")
     p.add_argument("--csv", default=None, help="also write the records as CSV")
@@ -908,8 +929,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="default fan-out for grid sweeps the service runs (grid "
-        "requests inherit the session's processes)",
+        help="fan the cells of grid requests out across N forked "
+        "workers (verdict and load requests always run in process)",
     )
     p.add_argument(
         "--trace",

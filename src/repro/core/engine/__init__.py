@@ -45,8 +45,8 @@ with three layers that share work across scenarios:
 
 :mod:`~repro.core.engine.sweep` stitches the layers into the batched
 scenario-sweep API (:func:`sweep_resilience`) used by the public
-checkers in :mod:`repro.core.resilience`, with an optional
-``multiprocessing`` fan-out across destinations.
+checkers in :mod:`repro.core.resilience`, plus :func:`parallel_map`,
+the crash-recovering fork fan-out behind ``run_grid(processes=N)``.
 
 :mod:`~repro.core.engine.vectorized` adds a fourth, optional layer on
 top of the same state: when numpy is installed, an
@@ -69,7 +69,6 @@ from .sweep import (
     parallel_map,
     sweep_pattern_resilience,
     sweep_resilience,
-    worker_warm,
 )
 
 __all__ = [
@@ -86,5 +85,4 @@ __all__ = [
     "sweep_pattern_resilience",
     "sweep_resilience",
     "tour_indexed",
-    "worker_warm",
 ]

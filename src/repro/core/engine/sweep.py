@@ -4,13 +4,11 @@ This is the engine's public face.  :func:`sweep_resilience` evaluates a
 whole grid of scenarios for one algorithm with shared state — one
 :class:`IndexedNetwork`, one component cache across all destinations,
 each pattern and its decision table built once per graph
-(:meth:`EngineState.pattern`) — and optionally fans destinations out
-across ``multiprocessing`` workers.  The serial path reproduces the
+(:meth:`EngineState.pattern`).  Sweeps run in process and reproduce the
 naive checkers' verdicts *exactly* (same counterexample, same
-``scenarios_checked``, same ``exhaustive`` flag); the parallel path
-evaluates eagerly but aggregates in deterministic grid order, so the
-final verdict is identical too (it merely wastes work past the first
-failing destination).
+``scenarios_checked``, same ``exhaustive`` flag).  :func:`parallel_map`
+is the crash-recovering fork fan-out that ``run_grid`` spreads its grid
+cells with.
 
 Verdict semantics note: sub-checks driven by an explicitly supplied
 failure-set list report ``exhaustive=False`` exactly like the naive
@@ -235,27 +233,6 @@ class ScenarioGrid:
     samples: int = 400
     seed: int = 0
 
-    def resolved_failures(
-        self, graph: nx.Graph
-    ) -> tuple[list[FailureSet] | None, Callable[[], Iterable[FailureSet]], bool]:
-        """(materialized list or None, per-unit iterator factory, exhaustive)."""
-        from ..resilience import default_failure_sets
-
-        if self.failure_sets is not None:
-            materialized = list(self.failure_sets)
-            return materialized, lambda: materialized, False
-
-        def factory() -> Iterable[FailureSet]:
-            iterator, _ = default_failure_sets(
-                graph, max_failures=self.max_failures, samples=self.samples, seed=self.seed
-            )
-            return iterator
-
-        _, exhaustive = default_failure_sets(
-            graph, max_failures=self.max_failures, samples=self.samples, seed=self.seed
-        )
-        return None, factory, exhaustive
-
 
 @dataclass
 class SweepResult:
@@ -263,10 +240,9 @@ class SweepResult:
 
     ``units`` holds ``(unit, Verdict)`` in grid order, where a unit is a
     destination (π^t), an (s, t) pair (π^{s,t}), or ``None`` for the
-    single touring pattern.  Both the serial and the parallel path stop
-    recording at the first failing unit (each parallel worker likewise
-    stops within its own chunk at that chunk's first failure), so after
-    a failure ``units`` is a prefix of the grid, not the full breakdown.
+    single touring pattern.  The sweep stops at the first failing unit
+    (or a deadline cut), so ``units`` is then a prefix of the grid, not
+    the full breakdown.
     """
 
     verdict: Any
@@ -282,33 +258,8 @@ class SweepResult:
 
 _FORK_PAYLOAD: Callable[[Any], Any] | None = None
 
-#: builds the per-worker warm value (run once per worker, post-fork)
-_FORK_INITIALIZER: Callable[[], Any] | None = None
-
-#: the warm value `_fork_init` built in THIS process (None in the parent)
-_WORKER_WARM: Any = None
-
 #: how often the receive loop wakes up to check worker health / timeout
 _POLL_SECONDS = 0.02
-
-
-def _fork_init() -> None:
-    """Per-worker warm-up, run once right after the fork.
-
-    Builds (or, with fork inheritance, simply adopts) the warm value the
-    caller's ``initializer`` returns — shared engine state, decision
-    tables — so every chunk the worker processes reuses it instead of
-    rebuilding per chunk."""
-    global _WORKER_WARM
-    builder = _FORK_INITIALIZER
-    _WORKER_WARM = builder() if builder is not None else None
-
-
-def worker_warm() -> Any:
-    """The warm value built by this worker's initializer (None when not
-    inside an initialized ``parallel_map`` worker — e.g. the serial
-    path or the final serial fallback pass, which run in the parent)."""
-    return _WORKER_WARM
 
 
 def _fork_call(task: tuple[int, Any, Any]) -> tuple[int, Any, Any]:
@@ -340,7 +291,6 @@ def parallel_map(
     timeout: float | None = None,
     retries: int = 2,
     backoff: float = 0.05,
-    initializer: Callable[[], Any] | None = None,
 ) -> list[Any]:
     """``[function(x) for x in items]`` with a crash-recovering fan-out.
 
@@ -353,18 +303,9 @@ def parallel_map(
     ``timeout`` seconds, only the *missing* items are retried — up to
     ``retries`` fresh pools with linear ``backoff``, then a final serial
     pass completes whatever is still missing, so a poisoned item can
-    never lose its siblings' work.
-
-    ``initializer`` is the warm-worker seam: it runs once per worker
-    (right after the fork, never in the parent) and its return value is
-    available to ``function`` via :func:`worker_warm` — e.g. one shared
-    :class:`EngineState` per worker instead of one per chunk.  With the
-    fork start method the initializer typically just returns a value the
-    parent already built (closure capture), so workers adopt the
-    parent's warm caches as copy-on-write pages and pay zero rebuild
-    cost.  The serial path and the final serial fallback pass run in the
-    parent, where :func:`worker_warm` returns None — callers fall back
-    to their own (parent-side) warm state there.
+    never lose its siblings' work.  Workers inherit whatever warm state
+    ``function`` closes over (engine indexes, decision tables) as
+    copy-on-write pages.
 
     Pools are entered as context managers, so workers are terminated on
     every path — including KeyboardInterrupt and exceptions raised by
@@ -376,16 +317,14 @@ def parallel_map(
     items = list(items)
     if processes <= 1 or len(items) <= 1:
         return [function(item) for item in items]
-    global _FORK_PAYLOAD, _FORK_INITIALIZER
+    global _FORK_PAYLOAD
     try:
         context = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
         return [function(item) for item in items]
     telemetry = _obs.active()
     previous = _FORK_PAYLOAD
-    previous_initializer = _FORK_INITIALIZER
     _FORK_PAYLOAD = function
-    _FORK_INITIALIZER = initializer
     results: dict[int, Any] = {}
     with _obs.span("parallel_map", items=len(items), processes=processes):
         try:
@@ -403,14 +342,9 @@ def parallel_map(
                         telemetry.point("parallel_retry", attempt=attempt, pending=len(pending))
                 tasks = [(i, items[i], _fault_fire("worker", i, attempt)) for i in pending]
                 try:
-                    pool = context.Pool(min(processes, len(pending)), initializer=_fork_init)
+                    pool = context.Pool(min(processes, len(pending)))
                 except OSError:  # pragma: no cover - fork failed (resource limits)
                     break
-                if initializer is not None and telemetry is not None:
-                    telemetry.count(
-                        "repro_parallel_warm_pools_total",
-                        help="parallel_map pools started with a warm-worker initializer",
-                    )
                 broken = False
                 try:
                     with pool:
@@ -469,7 +403,6 @@ def parallel_map(
                     break
         finally:
             _FORK_PAYLOAD = previous
-            _FORK_INITIALIZER = previous_initializer
         missing = [index for index in range(len(items)) if index not in results]
         if missing and telemetry is not None:
             telemetry.count(
@@ -494,7 +427,6 @@ def sweep_pattern_resilience(
     destination: Node,
     sources: Iterable[Node] | None = None,
     failure_sets: Iterable[FailureSet] | None = None,
-    exhaustive: bool | None = None,
     backend: str = "engine",
     default_params: tuple = DEFAULT_FAILURE_PARAMS,
 ) -> Any:
@@ -503,23 +435,21 @@ def sweep_pattern_resilience(
 
     Identical verdicts: failure sets are walked in the same order,
     sources in the same (component frozenset) order, and the
-    counterexample carries the same route trace.  ``exhaustive``
-    overrides the reported flag (used by grid sweeps that generate the
-    default enumeration themselves).  ``backend="numpy"`` batches the
-    failure masks through the vectorized walker where the instance
-    supports it (and falls back to this scalar path, same verdicts,
-    where it does not); ``default_params`` are the ``(max_failures,
-    samples, seed)`` of the default failure enumeration, so both
-    backends resolve the identical scenario family.
+    counterexample carries the same route trace.  ``backend="numpy"``
+    batches the failure masks through the vectorized walker where the
+    instance supports it (and falls back to this scalar path, same
+    verdicts, where it does not); ``default_params`` are the
+    ``(max_failures, samples, seed)`` of the default failure
+    enumeration, so both backends resolve the identical scenario family.
     """
     telemetry = _obs.active()
     if telemetry is None:
         return _sweep_pattern_resilience(
-            state, memo, destination, sources, failure_sets, exhaustive, backend, default_params
+            state, memo, destination, sources, failure_sets, backend, default_params
         )
     with telemetry.span("pattern_sweep", destination=destination, backend=backend):
         verdict = _sweep_pattern_resilience(
-            state, memo, destination, sources, failure_sets, exhaustive, backend, default_params
+            state, memo, destination, sources, failure_sets, backend, default_params
         )
     telemetry.count(
         "repro_engine_scenarios_total",
@@ -535,7 +465,6 @@ def _sweep_pattern_resilience(
     destination: Node,
     sources: Iterable[Node] | None = None,
     failure_sets: Iterable[FailureSet] | None = None,
-    exhaustive: bool | None = None,
     backend: str = "engine",
     default_params: tuple = DEFAULT_FAILURE_PARAMS,
 ) -> Any:
@@ -551,7 +480,6 @@ def _sweep_pattern_resilience(
                 destination,
                 sources=sources,
                 failure_sets=failure_sets,
-                exhaustive=exhaustive,
                 default_params=default_params,
             )
         except VectorizedUnsupported as unsupported:
@@ -569,15 +497,12 @@ def _sweep_pattern_resilience(
 
     if failure_sets is not None:
         failure_iter: Iterable[FailureSet] = failure_sets
-        if exhaustive is None:
-            exhaustive = False
+        exhaustive = False
     else:
         max_failures, samples, seed = default_params
-        failure_iter, default_exhaustive = default_failure_sets(
+        failure_iter, exhaustive = default_failure_sets(
             state.graph, max_failures=max_failures, samples=samples, seed=seed
         )
-        if exhaustive is None:
-            exhaustive = default_exhaustive
     wanted = None if sources is None else set(sources)
     checked = 0
     # walk accounting is batched over the WHOLE sweep (one registry
@@ -606,25 +531,17 @@ def sweep_resilience(
     graph: nx.Graph,
     algorithm: DestinationAlgorithm | SourceDestinationAlgorithm | TouringAlgorithm,
     scenarios: ScenarioGrid | None = None,
-    processes: int = 1,
     state: EngineState | None = None,
     backend: str = "engine",
     deadline: Deadline | None = None,
 ) -> SweepResult:
     """Evaluate a whole scenario grid for one algorithm, batched.
 
-    Dispatches on the algorithm's routing model.  ``processes > 1``
-    fans independent grid units (destinations / pair chunks) out across
-    forked workers; the touring model has a single network-wide pattern
-    and always runs serially.  ``state`` injects a prebuilt (usually
-    session-owned) :class:`EngineState` so sweeps reuse its caches —
-    including forked workers, which adopt the parent-built warm state
-    (index maps, component caches, packed mask batches) across the fork
-    as copy-on-write pages via :func:`parallel_map`'s initializer seam
-    instead of re-indexing the graph per chunk.
-    ``backend="numpy"`` routes every per-unit check through the
-    vectorized mask walker (same verdicts; instances it cannot handle
-    fall back to the scalar engine).
+    Dispatches on the algorithm's routing model.  ``state`` injects a
+    prebuilt (usually session-owned) :class:`EngineState` so sweeps
+    reuse its caches.  ``backend="numpy"`` routes every per-unit check
+    through the vectorized mask walker (same verdicts; instances it
+    cannot handle fall back to the scalar engine).
 
     ``deadline`` makes the sweep cooperative: it is checked between
     grid units (destinations / pairs / failure buckets) and on expiry
@@ -632,9 +549,7 @@ def sweep_resilience(
     actually evaluated with ``exhaustive=False``.  Completed units are
     always whole, so their verdicts match an uncut run; the numpy
     batched paths check only at unit entry (a vectorized batch is one
-    unit of work).  Forked workers inherit the deadline; wall-clock
-    expiry is consistent across the fork because ``time.monotonic`` is
-    system-wide.
+    unit of work).
     """
     grid = scenarios if scenarios is not None else ScenarioGrid()
     if state is not None and state.graph is not graph:
@@ -656,220 +571,74 @@ def sweep_resilience(
         telemetry.count(
             "repro_engine_sweeps_total", help="sweep_resilience calls, by model", model=model
         )
-    with _obs.span("sweep_resilience", model=model, backend=backend, processes=processes):
+    with _obs.span("sweep_resilience", model=model, backend=backend):
+        if state is None:
+            state = EngineState(graph)
         if model == "touring":
             return _sweep_touring(graph, algorithm, grid, state, backend, deadline)
-        if model == "source-destination":
-            return _sweep_source_destination(
-                graph, algorithm, grid, processes, state, backend, deadline
-            )
-        return _sweep_destination(graph, algorithm, grid, processes, state, backend, deadline)
+        return _sweep_units(graph, algorithm, grid, state, backend, deadline)
 
 
-def _sweep_destination(
+def _sweep_units(
     graph: nx.Graph,
-    algorithm: DestinationAlgorithm,
+    algorithm: DestinationAlgorithm | SourceDestinationAlgorithm,
     grid: ScenarioGrid,
-    processes: int,
-    shared_state: EngineState | None = None,
-    backend: str = "engine",
-    deadline: Deadline | None = None,
+    state: EngineState,
+    backend: str,
+    deadline: Deadline | None,
 ) -> SweepResult:
+    """One pattern sweep per grid unit, in grid order, up to the first
+    failing unit.  A unit is a destination (π^t), whose pattern serves
+    every source of ``grid.sources``, or an (s, t) pair (π^{s,t}), whose
+    pattern serves only s."""
     from ..resilience import Verdict
 
     destinations = list(grid.destinations) if grid.destinations is not None else list(graph.nodes)
-    materialized, factory, default_exhaustive = grid.resolved_failures(graph)
-    grid_params = (grid.max_failures, grid.samples, grid.seed)
-
-    def check_one(destination: Node, state: EngineState) -> Any:
-        memo = state.pattern(algorithm, destination)
-        if materialized is not None:
-            return sweep_pattern_resilience(
-                state,
-                memo,
-                destination,
-                sources=grid.sources,
-                failure_sets=materialized,
-                backend=backend,
-            )
-        if backend == "numpy":
-            # no per-destination iterator: the vectorized path resolves
-            # (and caches) the default mask batch from the grid params
-            return sweep_pattern_resilience(
-                state,
-                memo,
-                destination,
-                sources=grid.sources,
-                exhaustive=default_exhaustive,
-                backend=backend,
-                default_params=grid_params,
-            )
-        return sweep_pattern_resilience(
+    pair_model = isinstance(algorithm, SourceDestinationAlgorithm)
+    if not pair_model:
+        units: list[Any] = destinations
+    elif grid.pairs is not None:
+        units = list(grid.pairs)
+    else:
+        sources = list(grid.sources) if grid.sources is not None else list(graph.nodes)
+        units = [(s, t) for t in destinations for s in sources if s != t]
+    # one list for every unit: an explicit family may be a one-shot iterator
+    materialized = list(grid.failure_sets) if grid.failure_sets is not None else None
+    done: list[tuple[Any, Any]] = []
+    total = 0
+    exhaustive = True
+    for unit in units:
+        if deadline is not None and deadline.expired():
+            break  # partial sweep: the aggregate is flagged non-exhaustive
+        if pair_model:
+            source, destination = unit
+            memo = state.pattern(algorithm, source, destination)
+            served = [source]
+        else:
+            destination = unit
+            memo = state.pattern(algorithm, destination)
+            served = grid.sources
+        verdict = sweep_pattern_resilience(
             state,
             memo,
             destination,
-            sources=grid.sources,
-            failure_sets=factory(),
-            exhaustive=default_exhaustive,
+            sources=served,
+            failure_sets=materialized,
+            backend=backend,
+            default_params=(grid.max_failures, grid.samples, grid.seed),
         )
-
-    def check_chunk(chunk: Sequence[Node]) -> list[Any]:
-        # warm shared state: forked workers adopt the parent-built state
-        # (copy-on-write pages via the initializer seam) instead of
-        # re-indexing the graph per chunk; the parent-side serial
-        # fallback pass uses the same state directly
-        state = worker_warm() or warm_state
-        verdicts = []
-        for destination in chunk:
-            if deadline is not None and deadline.expired():
-                break  # partial chunk: the aggregate is flagged non-exhaustive
-            verdict = check_one(destination, state)
-            verdicts.append(verdict)
-            if deadline is not None:
-                deadline.charge()
-            if not verdict.resilient:
-                break  # later destinations cannot affect the aggregate
-        return verdicts
-
-    units: list[tuple[Any, Any]] = []
-    total = 0
-    exhaustive = True
-    if processes > 1 and len(destinations) > 1:
-        warm_state = shared_state if shared_state is not None else EngineState(graph)
-        workers = min(processes, len(destinations))
-        size = (len(destinations) + workers - 1) // workers
-        chunks = [destinations[i : i + size] for i in range(0, len(destinations), size)]
-        verdict_lists = parallel_map(
-            check_chunk, chunks, processes, initializer=lambda: warm_state
-        )
-        ordered: Iterable[tuple[Node, Any]] = (
-            pair
-            for chunk, verdicts in zip(chunks, verdict_lists)
-            for pair in zip(chunk, verdicts)
-        )
-    else:
-        state = shared_state if shared_state is not None else EngineState(graph)
-
-        def serial_units() -> Iterable[tuple[Node, Any]]:
-            for d in destinations:
-                if deadline is not None and deadline.expired():
-                    return
-                yield d, check_one(d, state)
-                if deadline is not None:
-                    deadline.charge()
-
-        ordered = serial_units()
-    for destination, verdict in ordered:
-        units.append((destination, verdict))
+        done.append((unit, verdict))
         total += verdict.scenarios_checked
+        if not verdict.resilient:
+            verdict.scenarios_checked = total
+            return SweepResult(verdict, done)
         exhaustive = exhaustive and verdict.exhaustive
-        if not verdict.resilient:
-            verdict.scenarios_checked = total
-            return SweepResult(verdict, units)
-    # a deadline cut (serial break or a worker's short chunk) leaves
-    # fewer units than destinations — the verdict is then non-exhaustive
-    complete = len(units) == len(destinations)
+        if deadline is not None:
+            deadline.charge()
+    complete = len(done) == len(units)
     return SweepResult(
         Verdict(True, total, exhaustive=exhaustive and materialized is None and complete),
-        units,
-    )
-
-
-def _sweep_source_destination(
-    graph: nx.Graph,
-    algorithm: SourceDestinationAlgorithm,
-    grid: ScenarioGrid,
-    processes: int,
-    shared_state: EngineState | None = None,
-    backend: str = "engine",
-    deadline: Deadline | None = None,
-) -> SweepResult:
-    from ..resilience import Verdict
-
-    if grid.pairs is not None:
-        pairs = list(grid.pairs)
-    else:
-        destinations = (
-            list(grid.destinations) if grid.destinations is not None else list(graph.nodes)
-        )
-        sources = list(grid.sources) if grid.sources is not None else list(graph.nodes)
-        pairs = [(s, t) for t in destinations for s in sources if s != t]
-    materialized, factory, default_exhaustive = grid.resolved_failures(graph)
-    grid_params = (grid.max_failures, grid.samples, grid.seed)
-
-    def check_chunk(
-        chunk: Sequence[tuple[Node, Node]], state: EngineState | None = None
-    ) -> list[Any]:
-        if state is None:  # parallel workers adopt the fork-inherited warm state
-            state = worker_warm() or warm_state
-        verdicts = []
-        for source, destination in chunk:
-            if deadline is not None and deadline.expired():
-                break  # partial chunk: the aggregate is flagged non-exhaustive
-            memo = state.pattern(algorithm, source, destination)
-            if materialized is not None:
-                verdict = sweep_pattern_resilience(
-                    state,
-                    memo,
-                    destination,
-                    sources=[source],
-                    failure_sets=materialized,
-                    backend=backend,
-                )
-            elif backend == "numpy":
-                verdict = sweep_pattern_resilience(
-                    state,
-                    memo,
-                    destination,
-                    sources=[source],
-                    exhaustive=default_exhaustive,
-                    backend=backend,
-                    default_params=grid_params,
-                )
-            else:
-                verdict = sweep_pattern_resilience(
-                    state,
-                    memo,
-                    destination,
-                    sources=[source],
-                    failure_sets=factory(),
-                    exhaustive=default_exhaustive,
-                )
-            verdicts.append(verdict)
-            if deadline is not None:
-                deadline.charge()
-            if not verdict.resilient:
-                break  # later pairs cannot affect the aggregate
-        return verdicts
-
-    if processes > 1 and len(pairs) > 1:
-        warm_state = shared_state if shared_state is not None else EngineState(graph)
-        workers = min(processes, len(pairs))
-        size = (len(pairs) + workers - 1) // workers
-        chunks = [pairs[i : i + size] for i in range(0, len(pairs), size)]
-        verdict_lists = parallel_map(
-            check_chunk, chunks, processes, initializer=lambda: warm_state
-        )
-        flattened = []
-        for chunk, verdicts in zip(chunks, verdict_lists):
-            flattened.extend(zip(chunk, verdicts))
-    else:
-        flattened = list(zip(pairs, check_chunk(pairs, shared_state)))
-    units: list[tuple[Any, Any]] = []
-    total = 0
-    exhaustive = True
-    for pair, verdict in flattened:
-        units.append((pair, verdict))
-        total += verdict.scenarios_checked
-        exhaustive = exhaustive and (verdict.exhaustive or materialized is not None)
-        if not verdict.resilient:
-            verdict.scenarios_checked = total
-            return SweepResult(verdict, units)
-    # deadline cuts leave fewer evaluated pairs — then non-exhaustive
-    complete = len(units) == len(pairs)
-    return SweepResult(
-        Verdict(True, total, exhaustive=exhaustive and materialized is None and complete),
-        units,
+        done,
     )
 
 
@@ -877,13 +646,12 @@ def _sweep_touring(
     graph: nx.Graph,
     algorithm: TouringAlgorithm,
     grid: ScenarioGrid,
-    shared_state: EngineState | None = None,
-    backend: str = "engine",
-    deadline: Deadline | None = None,
+    state: EngineState,
+    backend: str,
+    deadline: Deadline | None,
 ) -> SweepResult:
-    from ..resilience import Verdict
+    from ..resilience import Verdict, default_failure_sets
 
-    state = shared_state if shared_state is not None else EngineState(graph)
     network = state.network
     tracker = state.tracker
     use_tracker = network.m <= EXHAUSTIVE_LINK_LIMIT
@@ -922,8 +690,9 @@ def _sweep_touring(
         failure_iter: Iterable[FailureSet] = explicit_sets
         exhaustive = False
     else:
-        _, factory, exhaustive = grid.resolved_failures(graph)
-        failure_iter = factory()
+        failure_iter, exhaustive = default_failure_sets(
+            graph, max_failures=grid.max_failures, samples=grid.samples, seed=grid.seed
+        )
     index = network.index
     checked = 0
     # same sweep-level walk batching as the pattern sweep above: one

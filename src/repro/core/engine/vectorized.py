@@ -598,7 +598,6 @@ def pattern_sweep_numpy(
     destination: Node,
     sources=None,
     failure_sets=None,
-    exhaustive: bool | None = None,
     default_params=DEFAULT_FAILURE_PARAMS,
 ):
     """Vectorized twin of :func:`~.sweep.sweep_pattern_resilience`.
@@ -620,17 +619,14 @@ def pattern_sweep_numpy(
 
     one_shot_batch = None
     if failure_sets is None:
-        batch, default_exhaustive = default_batch(state, default_params)
-        if exhaustive is None:
-            exhaustive = default_exhaustive
+        batch, exhaustive = default_batch(state, default_params)
     else:
         batch = batch_for(state, failure_sets)
+        exhaustive = False
         if not isinstance(failure_sets, (list, tuple)):
             # the caller's one-shot iterator is consumed: a later
             # fallback reconstructs the family from this batch
             one_shot_batch = batch
-        if exhaustive is None:
-            exhaustive = False
 
     wanted = None if sources is None else set(sources)
     src_ok = np.ones(network.n, dtype=bool)

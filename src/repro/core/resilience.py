@@ -19,8 +19,8 @@ to share index maps and caches across calls; the default is the shared
 :func:`~repro.experiments.session.default_session`.  A session with
 ``backend="naive"`` selects the hop-by-hop reference path (same
 verdicts) — kept for differential testing and the speedup benchmarks.
-``processes`` fans independent destinations/pairs out across forked
-workers.
+Checkers run in process; ``run_grid(processes=N)`` spreads grid cells,
+each a set of checks, across forked workers.
 """
 
 from __future__ import annotations
@@ -192,7 +192,6 @@ def check_perfect_resilience_source_destination(
     algorithm: SourceDestinationAlgorithm,
     pairs: Iterable[tuple[Node, Node]] | None = None,
     failure_sets: Iterable[FailureSet] | None = None,
-    processes: int | None = None,
     session=None,
 ) -> Verdict:
     """Is the algorithm perfectly resilient on ``graph`` in the π^{s,t} model?"""
@@ -204,12 +203,7 @@ def check_perfect_resilience_source_destination(
 
         grid = ScenarioGrid(pairs=pairs, failure_sets=failure_sets)
         return sweep_resilience(
-            graph,
-            algorithm,
-            grid,
-            processes=_effective_processes(processes, session),
-            state=session.state(graph),
-            backend=session.backend,
+            graph, algorithm, grid, state=session.state(graph), backend=session.backend
         ).verdict
     nodes = list(graph.nodes)
     if pairs is None:
@@ -236,7 +230,6 @@ def check_perfect_resilience_destination(
     algorithm: DestinationAlgorithm,
     destinations: Iterable[Node] | None = None,
     failure_sets: Iterable[FailureSet] | None = None,
-    processes: int | None = None,
     session=None,
 ) -> Verdict:
     """Is the algorithm perfectly resilient on ``graph`` in the π^t model?
@@ -252,12 +245,7 @@ def check_perfect_resilience_destination(
 
         grid = ScenarioGrid(destinations=destinations, failure_sets=failure_sets)
         return sweep_resilience(
-            graph,
-            algorithm,
-            grid,
-            processes=_effective_processes(processes, session),
-            state=session.state(graph),
-            backend=session.backend,
+            graph, algorithm, grid, state=session.state(graph), backend=session.backend
         ).verdict
     nodes = list(destinations) if destinations is not None else list(graph.nodes)
     total = 0
@@ -452,8 +440,3 @@ def _binomial_prefix(n: int, k: int) -> int:
     from math import comb
 
     return sum(comb(n, size) for size in range(min(k, n) + 1))
-
-
-def _effective_processes(processes: int | None, session) -> int:
-    """Explicit ``processes`` wins; the ``None`` default defers to the session."""
-    return session.processes if processes is None else processes

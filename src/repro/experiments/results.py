@@ -74,20 +74,17 @@ class ExperimentRecord:
                     f"metric {name!r} must be a JSON scalar, got {type(value).__name__}"
                 )
 
-    def key(self) -> tuple[str, str, str, str, str]:
+    def key(self) -> tuple[str, str, str, str, str, str]:
         """The merge identity: same key means 'same measurement, newer run'.
 
-        The workload matrix (``params["matrix"]``, when present) is part
-        of the identity — the same scheme on the same grid under incast
-        and under permutation traffic are different measurements.
+        The workload matrix (``params["matrix"]``, when present) and its
+        seed (``params["matrix_seed"]``, when present) are part of the
+        identity — the same scheme on the same grid under incast and
+        under permutation traffic, or under two permutations, are
+        different measurements.
         """
-        return (
-            self.experiment,
-            self.topology,
-            self.scheme,
-            self.failure_model,
-            str(self.params.get("matrix", "")),
-        )
+        # the fields are the raw dict's keys: one identity, no copy
+        return ResultStore._entry_key(vars(self))
 
     def to_dict(self) -> dict:
         data = asdict(self)
@@ -159,7 +156,7 @@ class ResultStore:
         return (info.st_mtime_ns, info.st_size)
 
     @staticmethod
-    def _entry_key(entry: dict) -> tuple[str, str, str, str, str]:
+    def _entry_key(entry: dict) -> tuple[str, str, str, str, str, str]:
         """A raw record dict's merge identity, without a full parse."""
         params = entry.get("params") or {}
         return (
@@ -168,6 +165,7 @@ class ResultStore:
             entry.get("scheme", ""),
             entry.get("failure_model", ""),
             str(params.get("matrix", "")),
+            str(params.get("matrix_seed", "")),
         )
 
     def _load_state(self) -> dict:
@@ -217,7 +215,7 @@ class ResultStore:
         document = self._load_state()
         return [self._record_at(position) for position in range(len(document.get("records", [])))]
 
-    def identities(self) -> list[tuple[str, str, str, str, str]]:
+    def identities(self) -> list[tuple[str, str, str, str, str, str]]:
         """Every stored record identity, in record order (O(1) per call)."""
         self._load_state()
         return list(self._cache_index)

@@ -40,7 +40,7 @@ from repro import obs as _obs
 from ..failures import RandomGridModel, parse_failure_model
 from ..failures.models import FailureModel as BaseFailureModel
 from ..runtime.deadline import Budget, Deadline
-from ..runtime.faults import GridKill, InjectedFault, active_plan, fire
+from ..runtime.faults import GridKill, InjectedFault, fire
 from ..runtime.journal import CellJournal
 from .registry import (
     SchemeSpec,
@@ -297,20 +297,26 @@ def run_grid(
       ``eta`` estimate (``None`` until the first cell lands).  It never
       touches records — purely an observer.
     * ``processes`` (default: the session's) only picks the executor.
-      With one process (or an active fault-injection plan, whose
-      per-cell decisions belong to the parent) the plan is consumed
-      lazily and each cell runs in process as the stitch loop reaches
-      it.  With more, compute cells fan out across forked workers that
-      adopt the parent's warm session state (engine indexes are
-      pre-built per topology, so workers inherit them as copy-on-write
-      pages instead of re-indexing).  There the wall clock is checked
-      once before the fork and then by each worker as it starts a cell:
-      the stitch loop stops at the first cell no worker started, and
-      itself checks only the budget units it charges, so every cell a
-      worker finished is published and journaled.  Either way the same
-      stitch loop publishes the output, so it is identical to a serial
-      run apart from ``runtime_seconds`` wall-clock noise (and, under a
+      With one process the plan is consumed lazily and each cell runs
+      in process as the stitch loop reaches it.  With more, compute
+      cells fan out across forked workers that adopt the parent's warm
+      session state (engine indexes are pre-built per topology, so
+      workers inherit them as copy-on-write pages instead of
+      re-indexing); the checkers inside a cell run in process, so this
+      is the grid's only fan-out.  There the wall clock is checked once
+      before the fork and then by each worker as it starts a cell: the
+      stitch loop stops at the first cell no worker started, and itself
+      checks only the budget units it charges, so every cell a worker
+      finished is published and journaled.  Either way the same stitch
+      loop publishes the output, so it is identical to a serial run
+      apart from ``runtime_seconds`` wall-clock noise (and, under a
       wall-clock deadline, where the cut falls).
+    * An installed fault plan decides in the parent under either
+      executor: ``grid-kill`` and ``cell-error`` fire as the stitch
+      loop reaches a cell (in a parallel run the parent builds the
+      ``cell-error`` record in place of what the worker computed), and
+      ``worker-crash`` / ``slow-chunk`` fire per computed cell in the
+      fan-out, whose recovery leaves the records unchanged.
     """
     unknown = set(metrics) - set(METRICS)
     if unknown:
@@ -388,7 +394,7 @@ def run_grid(
         return records, time.perf_counter() - start
 
     grid_start = time.perf_counter()
-    if processes > 1 and active_plan() is None:
+    if processes > 1:
         from ..core.engine.sweep import parallel_map
 
         plan = list(plan)
@@ -405,15 +411,6 @@ def run_grid(
                 for _, graph in resolved_topologies:
                     session.state(graph)
 
-            def serial_inner_sweeps():
-                # runs in the worker, post-fork: inner sweeps must stay
-                # serial there (a daemonic pool worker cannot fork again),
-                # and one process per grid cell is the whole parallelism
-                # budget anyway.  The write lands on the worker's fork-local
-                # copy — the parent's session keeps its processes setting.
-                session.processes = 1
-                return session
-
             def start_cell(position: int):
                 # items are plain indices: the cells (graphs, schemes,
                 # demand matrices) ride into forked workers through this
@@ -422,11 +419,7 @@ def run_grid(
                     return None  # not started: the stitch loop stops here
                 return compute(tasks[position])
 
-            outputs = iter(
-                parallel_map(
-                    start_cell, range(len(tasks)), processes, initializer=serial_inner_sweeps
-                )
-            )
+            outputs = iter(parallel_map(start_cell, range(len(tasks)), processes))
 
         def stopped() -> bool:
             return expired_at_fork or (
@@ -434,7 +427,12 @@ def run_grid(
             )
 
         def execute(cell: _Cell, injected: InjectedFault | None):
-            return next(outputs)  # no fault plan here: nothing is injected
+            output = next(outputs)
+            if output is None or injected is None:
+                return output
+            # the parent decided this cell's fault: its error record
+            # replaces what the worker computed, as in a serial run
+            return compute(cell, injected)
 
     else:
 

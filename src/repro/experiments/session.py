@@ -60,8 +60,9 @@ class ExperimentSession:
     ``backend="naive"`` selects the reference hop-by-hop
     paths (identical verdicts, no caching) — the surface the
     differential tests compare against.  ``processes`` is the default
-    fan-out for grid sweeps that support it.  ``deadline`` is an
-    optional default :class:`~repro.runtime.deadline.Deadline` /
+    of ``run_grid``'s cell fan-out; checkers, sweeps and estimators
+    always run in process.  ``deadline`` is an optional default
+    :class:`~repro.runtime.deadline.Deadline` /
     :class:`~repro.runtime.deadline.Budget` for consumers that accept
     one (``run_grid`` uses it when no per-call deadline is given), so a
     whole session of sweeps can share a single time box.

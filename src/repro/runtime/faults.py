@@ -16,11 +16,13 @@ fault kind       where it fires                    what it simulates
                                                    driver (kill -9, power
                                                    loss) — the journal keeps
                                                    every completed cell
-``worker-crash`` ``parallel_map``, per item        a forked worker dying
-                 (decided in the parent, executed  mid-chunk (segfault, OOM
-                 in the worker via ``os._exit``)   kill)
-``slow-chunk``   ``parallel_map``, per item        a wedged chunk (sleeps,
-                                                   triggering the timeout
+``worker-crash`` ``parallel_map``, per item: each  a forked worker dying
+                 computed cell of a ``run_grid``   mid-cell (segfault, OOM
+                 cell fan-out (decided in the      kill)
+                 parent, executed in the worker
+                 via ``os._exit``)
+``slow-chunk``   ``parallel_map``, per item, as    a wedged cell (sleeps,
+                 above                             triggering the timeout
                                                    path)
 ``torn-write``   ``atomic_write_text``             a crash mid-write — bytes
                                                    hit the temp file, never
@@ -40,7 +42,8 @@ Install a plan with :meth:`FaultPlan.installed`; the instrumented sites
 call the module-level :func:`fire`, which is a no-op (``None``) when no
 plan is active — production runs pay one global read per site visit.
 The CLI exposes plans as ``repro experiments --inject-faults
-"worker-crash:at=0;cell-error:rate=0.2"``.
+"worker-crash:at=0;cell-error:rate=0.2"``; the worker faults fire only
+with ``--processes`` above 1, in the grid's cell fan-out.
 """
 
 from __future__ import annotations

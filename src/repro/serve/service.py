@@ -474,7 +474,7 @@ class QueryService:
                     )
                 else:
                     label = _failure_model(params).label
-                return ("resilience", topology, scheme_name, label, "")
+                return ("resilience", topology, scheme_name, label, "", "")
             if request.op == "load":
                 topology = str(_require(params, "topology"))
                 scheme_name = str(_require(params, "scheme"))
@@ -495,7 +495,8 @@ class QueryService:
                         else sorted_nodes(graph.nodes)[-1]
                     )
                     matrix = f"all-to-one({sink})"
-                return ("load", topology, scheme_name, label, matrix)
+                seed = str(params.get("matrix_seed", 0))
+                return ("load", topology, scheme_name, label, matrix, seed)
         except (QueryError, ValueError):
             return None  # malformed params fail properly at compute time
         return None

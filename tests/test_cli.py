@@ -39,6 +39,29 @@ class TestRoute:
         assert run_cli("route", "wheel", "1", "0") == 0
         assert "delivered" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "graph, source, destination, role",
+        [
+            ("ring(6)", "0", "99", "destination"),
+            ("grid(3,3)", "0", "99", "destination"),
+            ("ring(6)", "99", "3", "source"),
+        ],
+    )
+    def test_node_outside_the_graph_exits_2(self, capsys, graph, source, destination, role):
+        assert run_cli("route", graph, source, destination) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{role} 99 is not a node of {graph}\n"
+
+    @pytest.mark.parametrize("link", ["01", "0-1-2", "-1"])
+    def test_malformed_fail_link_exits_2(self, capsys, link):
+        assert run_cli("route", "ring(6)", "0", "3", "--fail", link) == 2
+        assert capsys.readouterr().err == f"invalid --fail: link {link!r} is not of the form u-v\n"
+
+    def test_link_outside_the_graph_keeps_naive_semantics(self, capsys):
+        assert run_cli("route", "ring(6)", "0", "3", "--fail", "0-9") == 0
+        assert "delivered" in capsys.readouterr().out
+
 
 class TestAttack:
     def test_k7(self, capsys):
@@ -63,6 +86,17 @@ class TestTour:
     def test_k5_hamiltonian(self, capsys):
         assert run_cli("tour", "k5") == 0
         assert "Hamiltonian" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("link", ["01", "0-1-2"])
+    def test_malformed_fail_link_exits_2(self, capsys, link):
+        assert run_cli("tour", "ring(6)", "--fail", link) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invalid --fail: link {link!r} is not of the form u-v\n"
+
+    def test_link_outside_the_graph_keeps_naive_semantics(self, capsys):
+        assert run_cli("tour", "ring(6)", "--fail", "0-9") == 0
+        assert "toured forever: [0, 1, 2, 3, 4, 5]" in capsys.readouterr().out
 
 
 class TestZoo:

@@ -232,13 +232,6 @@ class TestPaperGadgets:
         slow = check_perfect_resilience_destination(graph, algorithm, session=naive_session())
         assert verdict_tuple(fast) == verdict_tuple(slow)
 
-    def test_parallel_fanout_matches_serial(self):
-        graph = fig6_netrail()
-        algorithm = GreedyLowestNeighbor()
-        serial = check_perfect_resilience_destination(graph, algorithm)
-        fanned = check_perfect_resilience_destination(graph, algorithm, processes=2)
-        assert verdict_tuple(serial) == verdict_tuple(fanned)
-
 
 class TestSampledLargeGraphs:
     """Graphs above EXHAUSTIVE_LINK_LIMIT take the uncached component

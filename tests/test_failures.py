@@ -764,7 +764,7 @@ class TestServeFailureModels:
         assert response["partial"]
         assert response["result"]["verdict"]["exhaustive"] is False
         assert store.lookup(
-            ("resilience", "ring(8)", "greedy", "iid(p=0.05,samples=100000,seed=0)", "")
+            ("resilience", "ring(8)", "greedy", "iid(p=0.05,samples=100000,seed=0)", "", "")
         ) is None
 
     def test_error_messages_surface_verbatim(self):

@@ -13,14 +13,22 @@ import time
 import networkx as nx
 import pytest
 
+import repro.core.engine as engine
+import repro.core.engine.sweep as sweep
 import repro.experiments.runner as runner
+from repro import obs
 from repro.core.algorithms import ArborescenceRouting
 from repro.core.engine.sweep import ScenarioGrid, parallel_map, sweep_resilience
+from repro.core.resilience import (
+    check_perfect_resilience_destination,
+    check_perfect_resilience_source_destination,
+)
 from repro.experiments import (
     ExperimentSession,
     FailureModel,
     ResultStore,
     run_grid,
+    scheme,
 )
 from repro.runtime import (
     Budget,
@@ -290,40 +298,64 @@ class TestParallelMap:
         with pytest.raises(ValueError, match="boom"):
             parallel_map(boom, list(range(5)), 3)
 
-    def test_initializer_warms_every_worker(self):
-        from repro.core.engine.sweep import worker_warm
 
-        marker = {"tag": "warm"}
+class TestOneFanOut:
+    """Grid cells are the only parallel unit: sweeps and checkers run in
+    process whatever the session's ``processes``."""
 
-        def use_warm(x):
-            warm = worker_warm()
-            return (x, None if warm is None else warm["tag"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda graph: sweep_resilience(graph, ArborescenceRouting(), processes=2),
+            lambda graph: check_perfect_resilience_destination(
+                graph, ArborescenceRouting(), processes=2
+            ),
+            lambda graph: check_perfect_resilience_source_destination(
+                graph, scheme("distance2").instantiate(), processes=2
+            ),
+            lambda graph: parallel_map(len, [graph, graph], 2, initializer=None),
+        ],
+        ids=["sweep_resilience", "destination", "source_destination", "parallel_map"],
+    )
+    def test_removed_fanout_keywords_raise(self, call):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            call(nx.cycle_graph(4))
 
-        out = parallel_map(use_warm, list(range(6)), 2, initializer=lambda: marker)
-        assert out == [(x, "warm") for x in range(6)]
+    def test_worker_warm_is_not_exported(self):
+        assert not hasattr(sweep, "worker_warm")
+        assert not hasattr(engine, "worker_warm")
+        assert "worker_warm" not in engine.__all__
 
-    def test_worker_warm_stays_none_in_the_parent(self):
-        from repro.core.engine.sweep import worker_warm
+    def test_processes_session_verdict_forks_nothing(self, monkeypatch):
+        from repro.serve import QueryService, Request
 
-        assert worker_warm() is None
-        parallel_map(lambda x: x, [1, 2, 3], 2, initializer=lambda: "warm")
-        assert worker_warm() is None  # the initializer only ran post-fork
+        calls = []
+        fan_out = sweep.parallel_map
 
-    def test_serial_path_skips_the_initializer(self):
-        from repro.core.engine.sweep import worker_warm
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fan_out(*args, **kwargs)
 
-        ran = []
-
-        def warm():
-            ran.append(1)
-            return "warm"
-
-        out = parallel_map(lambda x: worker_warm(), [7], 4, initializer=warm)
-        assert out == [None] and not ran  # single item: inline, no fork
+        monkeypatch.setattr(sweep, "parallel_map", counted)
+        params = {
+            "topology": "ring(8)",
+            "scheme": "distance2",
+            "model": "iid:p=0.2,samples=40,seed=0",
+        }
+        replies = [
+            QueryService(session=session).execute(Request(id="v", op="verdict", params=params))
+            for session in (ExperimentSession(processes=2), ExperimentSession())
+        ]
+        assert calls == []
+        forked, serial = (reply["result"]["record"] for reply in replies)
+        assert forked["metrics"] == serial["metrics"]
+        assert forked["metrics"]["samples"] == 40
+        assert forked["series"] == serial["series"]
 
 
 class TestSweepRecovery:
-    """A worker crash mid-sweep never changes the verdict."""
+    """A worker crash in the cell fan-out never changes a verdict, and a
+    deadline cuts a sweep between whole units."""
 
     @pytest.fixture(scope="class")
     def case(self):
@@ -332,27 +364,33 @@ class TestSweepRecovery:
         clean = sweep_resilience(graph, ArborescenceRouting(), grid)
         return graph, grid, clean
 
-    def test_clean_parallel_matches_serial(self, case):
-        graph, grid, clean = case
-        parallel = sweep_resilience(graph, ArborescenceRouting(), grid, processes=2)
-        assert self._verdict_tuple(parallel.verdict) == self._verdict_tuple(clean.verdict)
-
-    def test_crashed_worker_verdict_is_bit_identical(self, case):
-        graph, grid, clean = case
-        plan = FaultPlan.parse("worker-crash:at=0")
-        with plan.installed():
-            crashed = sweep_resilience(graph, ArborescenceRouting(), grid, processes=2)
-        assert self._verdict_tuple(crashed.verdict) == self._verdict_tuple(clean.verdict)
-        assert len(crashed.units) == len(clean.units)
-
     @staticmethod
-    def _verdict_tuple(verdict):
-        return (
-            verdict.resilient,
-            verdict.scenarios_checked,
-            verdict.exhaustive,
-            str(verdict.counterexample),
+    def _cells(graph, **kwargs):
+        result = run_grid(
+            [("circulant(8;1,2)", graph)],
+            ["arborescence", "distance2"],
+            failure_models=["exhaustive:k=1"],
+            metrics=("resilience",),
+            **kwargs,
         )
+        return [record.to_dict() for record in result.records]
+
+    def test_clean_cell_fanout_matches_serial(self, case, frozen_clock):
+        graph, _, clean = case
+        serial = self._cells(graph)
+        assert self._cells(graph, processes=2) == serial
+        arborescence = serial[0]["metrics"]
+        assert arborescence["resilient"] == clean.verdict.resilient
+        assert arborescence["scenarios_checked"] == clean.verdict.scenarios_checked
+
+    def test_crashed_cell_worker_leaves_records_identical(self, case, frozen_clock):
+        graph, _, _ = case
+        serial = self._cells(graph)
+        telemetry = obs.Telemetry()
+        with obs.installed(telemetry), FaultPlan.parse("worker-crash:at=0").installed():
+            crashed = self._cells(graph, processes=2)
+        assert crashed == serial
+        assert telemetry.registry.value("repro_faults_fired_total", kind="worker-crash") == 1
 
     def test_deadline_cuts_cleanly(self, case):
         graph, grid, clean = case
@@ -371,6 +409,21 @@ class TestSweepRecovery:
         assert result.verdict.scenarios_checked == 0
         assert not result.verdict.exhaustive
         assert result.units == []
+
+    def test_pair_sweep_deadline_cuts_cleanly(self, case):
+        graph, grid, _ = case
+        algorithm = scheme("distance2").instantiate()
+        uncut = sweep_resilience(graph, algorithm, grid)
+        assert uncut.verdict.resilient and uncut.verdict.exhaustive
+        cut = sweep_resilience(graph, algorithm, grid, deadline=Budget(3))
+        assert cut.verdict.resilient
+        assert not cut.verdict.exhaustive
+        assert [(unit, verdict.scenarios_checked) for unit, verdict in cut.units] == [
+            (unit, verdict.scenarios_checked) for unit, verdict in uncut.units[:3]
+        ]
+        assert cut.verdict.scenarios_checked == sum(
+            verdict.scenarios_checked for _, verdict in uncut.units[:3]
+        )
 
 
 GRID_KWARGS = dict(
@@ -483,13 +536,29 @@ class TestParallelGrid:
         run_grid(session=ExperimentSession(processes=2), store=parallel_store, **GRID_KWARGS)
         assert serial_store.path.read_bytes() == parallel_store.path.read_bytes()
 
-    def test_fault_plan_forces_serial_execution(self):
-        # per-cell fault decisions are driver-side state; an installed
-        # plan must run the grid serially (and still fire)
+    def test_parent_decided_cell_error_fires_in_parallel_grid(self):
+        # per-cell fault decisions belong to the parent process: it
+        # decides them and builds the error record in place of the
+        # worker's output
         plan = FaultPlan.parse("cell-error:at=0")
         with plan.installed():
             result = run_grid(session=ExperimentSession(processes=2), **GRID_KWARGS)
         assert len(result.errors) == 1
+        assert result.errors[0].scheme == "arborescence"
+        assert any(r.status == "ok" and r.scheme == "greedy" for r in result.records)
+
+    def test_worker_crash_fires_in_the_cell_fanout(self, frozen_clock):
+        kwargs = dict(GRID_KWARGS, metrics=("table_space",))
+        spec = "worker-crash:at=0;cell-error:at=1"
+        with FaultPlan.parse(spec).installed():
+            serial = run_grid(session=ExperimentSession(), **kwargs)
+        telemetry = obs.Telemetry()
+        with obs.installed(telemetry), FaultPlan.parse(spec).installed():
+            parallel = run_grid(session=ExperimentSession(processes=2), **kwargs)
+        assert telemetry.registry.value("repro_faults_fired_total", kind="worker-crash") == 1
+        assert telemetry.registry.value("repro_faults_fired_total", kind="cell-error") == 1
+        assert [r.to_dict() for r in parallel.records] == [r.to_dict() for r in serial.records]
+        assert [r.scheme for r in serial.errors] == ["greedy"]
 
     def test_parallel_replays_a_serial_journal(self, tmp_path, frozen_clock):
         journal_path = tmp_path / "journal.jsonl"

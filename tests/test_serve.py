@@ -152,7 +152,7 @@ class TestResultStoreIndex:
         record = _record(value=3)
         store.merge([record])
         assert store.lookup(record.key()) == record
-        assert store.lookup(("resilience", "other", "arborescence", "model", "")) is None
+        assert store.lookup(("resilience", "other", "arborescence", "model", "", "")) is None
 
     def test_lookup_sees_external_writes(self, tmp_path):
         path = tmp_path / "s.json"
@@ -425,6 +425,27 @@ class TestServiceDifferential:
             "sizes": [1], "samples": 2, "seed": 0}))
         assert reply["cached"] is True
         assert reply["result"]["verdict"]["resilient"] is True
+
+    def test_answer_cache_tells_matrix_seeds_apart(self, tmp_path):
+        service = QueryService(store=ResultStore(tmp_path / "answers.json"))
+        base = {"topology": "ring(8)", "scheme": "greedy", "matrix": "permutation",
+                "sizes": [1], "samples": 2, "seed": 0}
+
+        def load(svc, matrix_seed):
+            params = dict(base, matrix_seed=matrix_seed)
+            return svc.execute(Request(id=f"s{matrix_seed}", op="load", params=params))
+
+        first = load(service, 0)
+        second = load(service, 1)
+        assert first["cached"] is False
+        assert second["cached"] is False
+        fresh = load(QueryService(), 1)
+        assert _no_runtime(second["result"]["record"]) == _no_runtime(fresh["result"]["record"])
+        assert second["result"]["record"]["series"] != first["result"]["record"]["series"]
+        # each seed's answer is cached under its own identity
+        again = load(service, 0)
+        assert again["cached"] is True
+        assert again["result"] == first["result"]
 
     def test_inapplicable_scheme_is_an_error_envelope(self):
         reply = QueryService().execute(Request(id="q", op="verdict", params={
