@@ -4,94 +4,22 @@ Regenerates the scatter behind Fig. 8: sparse tree-like topologies are
 all possible; as density grows, first "sometimes", then impossibility
 dominates; for source-destination routing the impossibility frontier sits
 at much higher density than for destination-based routing.
-
-Frontier statistics merge into ``BENCH_engine.json`` as typed
-:class:`~repro.experiments.ExperimentRecord` rows (one per routing
-model and possibility class) plus a ``fig8`` summary section, so the
-tracked artifact carries the density frontier alongside the speedup and
-congestion numbers.
 """
-
-import time
-
-from bench_engine_speedup import bench_store
 
 from repro.analysis import fig8_table
 from repro.core.classification import Possibility
-from repro.experiments import ExperimentRecord
-
-#: the two routing models Fig. 8 compares, as record scheme names
-MODELS = {"destination": "destination", "source_destination": "source_destination"}
-
-
-def frontier_records(zoo_study, elapsed_seconds: float = 0.0) -> list[ExperimentRecord]:
-    """One typed record per (routing model, possibility class).
-
-    Metrics are the per-class density statistics behind the Fig. 8
-    scatter: how many topologies land in the class and where its
-    density band sits.  The record identity uses the possibility class
-    as the failure-model axis so all six cells merge independently.
-    """
-    records = []
-    for model, scheme_name in MODELS.items():
-        by_class: dict[Possibility, list[float]] = {}
-        for c in zoo_study.classifications:
-            by_class.setdefault(getattr(c, model), []).append(c.density)
-        for possibility in Possibility:
-            densities = by_class.get(possibility, [])
-            if not densities:
-                continue
-            records.append(
-                ExperimentRecord(
-                    experiment="bench_fig8_density",
-                    topology="zoo",
-                    scheme=scheme_name,
-                    failure_model=possibility.value,
-                    metrics={
-                        "topologies": len(densities),
-                        "mean_density": sum(densities) / len(densities),
-                        "min_density": min(densities),
-                        "max_density": max(densities),
-                    },
-                    runtime_seconds=elapsed_seconds / (2 * len(Possibility)),
-                )
-            )
-    return records
-
-
-def frontier_summary(zoo_study) -> dict:
-    """The ``fig8`` BENCH section: the frontier minima Fig. 8 highlights."""
-    dest_imp = [
-        c.density for c in zoo_study.classifications if c.destination is Possibility.IMPOSSIBLE
-    ]
-    sd_imp = [
-        c.density
-        for c in zoo_study.classifications
-        if c.source_destination is Possibility.IMPOSSIBLE
-    ]
-    return {
-        "benchmark": "fig8_density",
-        "topologies": zoo_study.total,
-        "dest_impossible_min_density": min(dest_imp) if dest_imp else None,
-        "sd_impossible_min_density": min(sd_imp) if sd_imp else None,
-    }
 
 
 def test_fig8_density(benchmark, zoo_study, report):
     def render():
         return fig8_table(zoo_study)
 
-    start = time.perf_counter()
     table = benchmark.pedantic(render, rounds=1, iterations=1)
-    elapsed = time.perf_counter() - start
     rows = [
         f"{name:<28} n={n:<4} |E|/n={density:4.2f}  dest={dest:<10} sd={sd}"
         for name, n, density, dest, sd in zoo_study.scatter_rows()
     ]
     report("fig8_density", table + "\n\nper-topology rows:\n" + "\n".join(rows))
-    store = bench_store()
-    store.merge_raw({"fig8": frontier_summary(zoo_study)})
-    store.merge(frontier_records(zoo_study, elapsed_seconds=elapsed))
 
 
 def test_fig8_density_frontier(benchmark, zoo_study):
@@ -115,18 +43,3 @@ def test_fig8_sd_frontier_higher_than_dest(benchmark, zoo_study):
     assert sd_imp, "some dense cores must be source-destination impossible"
     assert min(sd_imp) > min(dest_imp)
 
-
-def test_fig8_records_round_trip(zoo_study):
-    """The frontier records are valid, mergeable typed records."""
-    from repro.experiments import records_round_trip
-
-    records = frontier_records(zoo_study)
-    assert records, "the zoo study must populate at least one frontier cell"
-    assert records_round_trip(records)
-    # both routing models contribute, and every record carries the
-    # density band metrics
-    schemes = {record.scheme for record in records}
-    assert schemes == set(MODELS.values())
-    for record in records:
-        assert record.metrics["min_density"] <= record.metrics["mean_density"]
-        assert record.metrics["mean_density"] <= record.metrics["max_density"]

@@ -1,8 +1,6 @@
 """Table I — the feasibility landscape of local fast rerouting.
 
-Regenerates every cell of Table I empirically and emits the result as
-typed :class:`~repro.experiments.results.ExperimentRecord` streams
-(the same shape the engine/congestion benches and ``run_grid`` use):
+Regenerates every cell of Table I empirically:
 
 * r-tolerance (r > 1): preserved under subgraphs (checked), not under
   minors (Thm 2's construction), possible on ``K_{2r+1}`` /
@@ -12,9 +10,6 @@ typed :class:`~repro.experiments.results.ExperimentRecord` streams
   ``run_grid`` sweep of the ``distance2`` scheme on ``complete(6)``),
   impossible for ``f`` at the Theorem 14/15 budgets.
 
-Every cell becomes one record (``experiment="table1"``; the
-``run_grid`` cross-check keeps its native ``"resilience"`` records),
-merged into ``BENCH_engine.json`` alongside the perf trajectory.
 Runnable standalone::
 
     PYTHONPATH=src python benchmarks/bench_table1_landscape.py
@@ -26,31 +21,29 @@ import time
 
 import networkx as nx
 
-from bench_engine_speedup import BENCH_JSON, bench_store
 from repro.analysis import simple_table
 from repro.core.adversary import attack_complete_graph, attack_r_tolerance
 from repro.core.algorithms import Distance2Algorithm, Distance3BipartiteAlgorithm
 from repro.core.resilience import all_failure_sets, check_pattern_resilience, check_r_tolerance
-from repro.experiments import ExperimentRecord, FailureModel, run_grid
+from repro.experiments import FailureModel, run_grid
 from repro.graphs import construct
-from repro.runtime import Deadline
 
 
-def _cell(row: str, cell: str, instance: str, scheme: str, holds: bool, scenarios: int, elapsed: float) -> ExperimentRecord:
-    """One Table I cell as a typed record."""
-    return ExperimentRecord(
-        experiment="table1",
-        topology=instance,
-        scheme=scheme,
-        failure_model=cell,
-        metrics={"holds": holds, "scenarios_checked": scenarios},
-        params={"row": row, "cell": cell},
-        runtime_seconds=elapsed,
-    )
+def _cell(row: str, cell: str, instance: str, scheme: str, holds: bool, scenarios: int, elapsed: float) -> dict:
+    """One Table I cell as a report row."""
+    return {
+        "row": row,
+        "cell": cell,
+        "instance": instance,
+        "scheme": scheme,
+        "holds": holds,
+        "scenarios_checked": scenarios,
+        "runtime_seconds": elapsed,
+    }
 
 
-def _table1_cells(quick: bool) -> list[ExperimentRecord]:
-    records: list[ExperimentRecord] = []
+def _table1_cells(quick: bool) -> list[dict]:
+    records: list[dict] = []
     r = 2
 
     # --- r-tolerance row: possible on K_{2r+1} and K_{2r-1,2r-1} ---
@@ -131,60 +124,29 @@ def _table1_cells(quick: bool) -> list[ExperimentRecord]:
     return records
 
 
-def run_benchmark(quick: bool = False, deadline_seconds: float | None = None) -> dict:
-    deadline = Deadline(deadline_seconds) if deadline_seconds is not None else None
+def run_benchmark(quick: bool = False) -> dict:
     cells = _table1_cells(quick)
-    partial = False
-    if deadline is not None and deadline.expired():
-        # cells are the unit of progress: the grid cross-check is
-        # skipped whole rather than truncated
-        grid = None
-        partial = True
-    else:
-        # the same "possible f<n-1" claim once more, this time through
-        # the public registry pipeline: a seeded random sweep of the
-        # distance2 scheme over complete(6) via run_grid, so Table I is
-        # wired into the exact record stream `repro experiments` emits
-        grid_topology = "complete(5)" if quick else "complete(6)"
-        grid = run_grid(
-            [grid_topology],
-            ["distance2"],
-            failure_models=[FailureModel(sizes=(1, 2, 3), samples=20 if quick else 100, seed=0)],
-            metrics=["resilience"],
-            deadline=deadline,
-        )
-    results = {
+    # the same "possible f<n-1" claim once more, this time through the
+    # public registry pipeline: a seeded random sweep of the distance2
+    # scheme over complete(6) via run_grid, so Table I is wired into
+    # the exact record stream `repro experiments` emits
+    grid_topology = "complete(5)" if quick else "complete(6)"
+    grid = run_grid(
+        [grid_topology],
+        ["distance2"],
+        failure_models=[FailureModel(sizes=(1, 2, 3), samples=20 if quick else 100, seed=0)],
+        metrics=["resilience"],
+    )
+    return {
         "benchmark": "table1_landscape",
-        "cells": [
-            {
-                "row": record.params["row"],
-                "cell": record.params["cell"],
-                "instance": record.topology,
-                "holds": record.metrics["holds"],
-                "scenarios_checked": record.metrics["scenarios_checked"],
-                "runtime_seconds": record.runtime_seconds,
-            }
-            for record in cells
-        ],
-        "grid_cross_check": None
-        if grid is None
-        else {
+        "cells": cells,
+        "grid_cross_check": {
             "topology": grid_topology,
             "records": len(grid.records),
             "exhaustive": grid.exhaustive,
             "resilient": all(record.metrics.get("resilient") for record in grid.records),
         },
     }
-    if partial or (grid is not None and not grid.exhaustive):
-        results["partial"] = True
-        print("deadline cut the landscape: partial results, skipping BENCH merge")
-        return results
-    if not quick:
-        store = bench_store()
-        store.merge_raw({"table1": results})
-        store.merge(cells + grid.records)
-    results["records"] = cells + grid.records
-    return results
 
 
 def format_report(results: dict) -> str:
@@ -193,11 +155,10 @@ def format_report(results: dict) -> str:
         for cell in results["cells"]
     ]
     grid = results["grid_cross_check"]
-    if grid is not None:
-        rows.append(
-            ["bounded failures", "run_grid cross-check", f"{grid['topology']} x distance2",
-             str(grid["resilient"]), f"{grid['records']} records"]
-        )
+    rows.append(
+        ["bounded failures", "run_grid cross-check", f"{grid['topology']} x distance2",
+         str(grid["resilient"]), f"{grid['records']} records"]
+    )
     return (
         "Table I — feasibility landscape (empirical regeneration)\n"
         + simple_table(["model row", "cell", "instance", "holds", "scenarios / |F|"], rows)
@@ -209,7 +170,7 @@ def test_table1_landscape(report):
     report("table1_landscape", format_report(results))
     assert all(cell["holds"] for cell in results["cells"])
     grid = results["grid_cross_check"]
-    assert grid is not None and grid["resilient"] and grid["exhaustive"]
+    assert grid["resilient"] and grid["exhaustive"]
 
 
 if __name__ == "__main__":
@@ -219,18 +180,8 @@ if __name__ == "__main__":
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="CI smoke: smaller instances, no BENCH_engine.json write",
-    )
-    parser.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="skip remaining phases once this many seconds have elapsed; "
-        "partial results are reported but never merged",
+        help="CI smoke: smaller instances",
     )
     cli_args = parser.parse_args()
-    results = run_benchmark(quick=cli_args.quick, deadline_seconds=cli_args.deadline)
+    results = run_benchmark(quick=cli_args.quick)
     print(format_report(results))
-    if not cli_args.quick and not results.get("partial"):
-        print(f"machine-readable results: {BENCH_JSON}")

@@ -14,7 +14,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from ..core.classification import Classification, Possibility, classify
-from ..core.engine.sweep import parallel_map
 from ..graphs.zoo import ZooTopology, generate_zoo
 
 MODELS = ("touring", "destination", "source_destination")
@@ -80,26 +79,19 @@ def run_case_study(
     minor_budget: int = 20_000,
     destination_cap: int = 400,
     seed: int = 2022,
-    processes: int = 1,
 ) -> CaseStudyResult:
-    """Classify the (synthetic) Topology Zoo suite.
-
-    ``processes > 1`` fans topologies out across forked workers via the
-    engine's sweep core; classifications are deterministic per topology,
-    so the result is identical to the serial run.
-    """
+    """Classify the (synthetic) Topology Zoo suite."""
     if suite is None:
         suite = generate_zoo(seed=seed)
     start = time.perf_counter()
-    classifications = parallel_map(
-        lambda topology: classify(
+    classifications = [
+        classify(
             topology.graph,
             name=topology.name,
             minor_budget=minor_budget,
             destination_cap=destination_cap,
-        ),
-        suite,
-        processes,
-    )
+        )
+        for topology in suite
+    ]
     elapsed = time.perf_counter() - start
     return CaseStudyResult(classifications=classifications, elapsed_seconds=elapsed)

@@ -448,21 +448,35 @@ def _cmd_experiments(args) -> int:
     session = _build_session(args.backend, args.processes)
     if session is None:
         return 2
-    store = ResultStore(args.out) if args.out else None
+    from pathlib import Path
+
     from .runtime import CellJournal, Deadline, FaultPlan, GridKill
 
+    # both files are read before any cell runs: a store that is not a
+    # JSON object, or a journal with a bad line before its last, stops
+    # the run here and stays untouched
+    if args.out and args.resume and Path(args.out).resolve() == Path(args.resume).resolve():
+        print(f"--out and --resume name the same file: {args.out}", file=sys.stderr)
+        return 2
+    store = ResultStore(args.out) if args.out else None
+    resume = None
+    try:
+        if store is not None:
+            store.identities()
+        if args.resume:
+            resume = CellJournal(args.resume)
+    except ValueError as error:
+        print(f"cannot run grid: {error}", file=sys.stderr)
+        return 2
     deadline = Deadline(args.deadline) if args.deadline is not None else None
-    resume = args.resume
-    if resume:
-        journal = CellJournal(resume)
-        staleness = journal.staleness_seconds()
-        if len(journal) and staleness is not None:
+    if resume is not None:
+        staleness = resume.staleness_seconds()
+        if len(resume) and staleness is not None:
             print(
-                f"resuming from {resume}: {len(journal)} journaled cells, "
+                f"resuming from {args.resume}: {len(resume)} journaled cells, "
                 f"newest {staleness:.0f}s old",
                 file=sys.stderr,
             )
-        resume = journal
     if args.inject_faults:
         try:
             plan_context = FaultPlan.parse(args.inject_faults, seed=args.fault_seed).installed()
@@ -556,6 +570,12 @@ def _cmd_serve(args) -> int:
     from .serve.server import serve
 
     store = ResultStore(args.store) if args.store else None
+    if store is not None:
+        try:
+            store.identities()  # a file that is not a store stops here, untouched
+        except ValueError as error:
+            print(f"invalid --store: {error}", file=sys.stderr)
+            return 2
     service = QueryService(session=session, store=store)
 
     def ready(server) -> None:

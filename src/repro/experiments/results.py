@@ -1,20 +1,17 @@
 """Typed experiment records and a merge-don't-overwrite result store.
 
-Every experiment surface — the grid runner, the congestion benches, the
-engine-speedup bench — emits the same record type so that artifacts like
-``BENCH_engine.json`` fall out of one machinery instead of bespoke
-merge code per script.
+Both experiment surfaces — the grid runner and the query service's
+answer cache — emit the same record type.
 
 * :class:`ExperimentRecord` — one (experiment, topology, scheme,
   failure model) measurement: scalar ``metrics``, an optional per-point
   ``series`` (e.g. a congestion curve), free-form ``params`` and the
   wall-clock ``runtime_seconds``.  JSON round-trips losslessly.
 * :class:`ResultStore` — a JSON file holding a ``records`` list plus
-  arbitrary top-level sections.  :meth:`ResultStore.merge` replaces
-  records with the same identity key and keeps everything else;
-  :meth:`ResultStore.merge_raw` does the same for top-level sections
-  (the engine/congestion benches' legacy keys).  :meth:`ResultStore.
-  write_csv` flattens records for spreadsheet use.
+  any other top-level keys its writers put there.
+  :meth:`ResultStore.merge` replaces records with the same identity key
+  and keeps everything else; :meth:`ResultStore.write_csv` flattens
+  records for spreadsheet use.
 """
 
 from __future__ import annotations
@@ -38,8 +35,8 @@ class ExperimentRecord:
     """One measurement of one scheme on one topology under one failure model.
 
     ``experiment`` names the metric family (``"resilience"``,
-    ``"congestion"``, ``"stretch"``, ``"table_space"``, ``"bench"``,
-    ...); ``status`` is ``"ok"``, ``"skipped"`` (with the reason in
+    ``"congestion"``, ``"stretch"``, ``"table_space"``, ...);
+    ``status`` is ``"ok"``, ``"skipped"`` (with the reason in
     ``note`` — e.g. an inapplicable scheme), or ``"error"`` (a cell
     that raised: the exception summary goes in ``note`` and the full
     traceback in ``params["traceback"]``, so a failing cell is a typed
@@ -118,10 +115,11 @@ class ResultStore:
 
     The document is a JSON object.  Records live under the ``"records"``
     key (a list of :class:`ExperimentRecord` dicts); any other top-level
-    key is a free-form section owned by whoever wrote it (the benches'
-    ``"gadget"`` / ``"zoo"`` / ``"congestion"`` entries).  Both merge
-    operations preserve everything they do not explicitly replace, so
-    independent writers can share one artifact.
+    key is a free-form section owned by whoever wrote it, and
+    :meth:`merge` preserves it.  A non-blank file that is not such an
+    object (a cell journal, even a one-line one; a truncated document)
+    raises :class:`ValueError` on first read instead of being
+    overwritten.
     """
 
     def __init__(self, path: str | pathlib.Path):
@@ -140,13 +138,26 @@ class ResultStore:
     # -- raw document ------------------------------------------------------
 
     def load_document(self) -> dict:
+        """The stored JSON object; ``{}`` for a missing or blank file.
+
+        Anything other than one JSON object with a ``"records"`` list
+        raises :class:`ValueError` naming the path, so a later merge
+        cannot overwrite it.
+        """
         if not self.path.exists():
             return {}
         try:
-            document = json.loads(self.path.read_text())
-        except json.JSONDecodeError:
-            return {}
-        return document if isinstance(document, dict) else {}
+            text = self.path.read_text()
+            if not text or text.isspace():
+                return {}
+            document = json.loads(text)
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            document = None
+        if not isinstance(document, dict) or not isinstance(document.get("records"), list):
+            raise ValueError(
+                f"{self.path} is not a JSON result store (one JSON object with a records list)"
+            )
+        return document
 
     def _stamp(self) -> tuple[int, int] | None:
         try:
@@ -199,15 +210,14 @@ class ResultStore:
 
     def _write_document(self, document: dict) -> None:
         # atomic replace: a crash mid-write can never tear the store
-        atomic_write_text(self.path, json.dumps(document, indent=2, sort_keys=False) + "\n")
-        self._adopt(document, self._stamp())
-
-    def merge_raw(self, sections: dict) -> dict:
-        """Merge top-level sections, keeping every other key intact."""
-        document = self._load_state()
-        document.update(sections)
-        self._write_document(document)
-        return document
+        try:
+            atomic_write_text(self.path, json.dumps(document, indent=2, sort_keys=False) + "\n")
+        except BaseException:
+            # the caches already hold the unwritten records: drop them,
+            # so the next read sees what the file holds
+            self._cache_document = None
+            raise
+        self._cache_stamp = self._stamp()
 
     # -- records -----------------------------------------------------------
 
@@ -251,6 +261,7 @@ class ResultStore:
             ordered = list(merged.values())
             document["records"] = [record.to_dict() for record in ordered]
             self._write_document(document)
+            self._adopt(document, self._cache_stamp)
             return ordered
         raw = document.setdefault("records", [])
         index = self._cache_index
@@ -268,8 +279,7 @@ class ResultStore:
         ordered = [self._record_at(position) for position in range(len(raw))]
         # skip _adopt's rebuild: the index/parsed caches were maintained
         # incrementally above and match what we are writing
-        atomic_write_text(self.path, json.dumps(document, indent=2, sort_keys=False) + "\n")
-        self._cache_stamp = self._stamp()
+        self._write_document(document)
         return ordered
 
     # -- CSV export --------------------------------------------------------

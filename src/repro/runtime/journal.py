@@ -12,7 +12,8 @@ what it already finished:
   line per finished cell (flush + fsync, so a kill loses at most the
   in-flight cell) and ``run_grid(..., resume=path)`` replays it to skip
   cells already done.  A torn final line (the appending process died
-  mid-line) is detected on load and truncated away.
+  mid-line) is detected on load and truncated away; a bad line before
+  the last means the file is not a journal, and loading raises.
 
 Payloads are plain JSON values; the journal knows nothing about
 ``ExperimentRecord`` — the experiment layer serializes before
@@ -72,7 +73,9 @@ class CellJournal:
     Each line is ``{"key": <str>, "payload": <json>, "ts": <unix>}``.
     Appends are flushed and fsynced so a kill loses at most the line
     being written; loading tolerates exactly that torn tail by
-    truncating the file at the last complete, parseable line.
+    truncating the file at the last complete, parseable line.  Damage
+    anywhere else (say, a JSON result store passed as the journal)
+    raises :class:`ValueError` and leaves the file untouched.
 
     ``ts`` is the wall-clock time the line was appended.  It lives
     beside the payload, never inside it, so replayed payloads stay
@@ -92,8 +95,9 @@ class CellJournal:
         if not self.path.exists():
             return
         raw = self.path.read_text(encoding="utf-8")
+        lines = raw.splitlines(keepends=True)
         valid_bytes = 0
-        for line in raw.splitlines(keepends=True):
+        for number, line in enumerate(lines, start=1):
             if not line.endswith("\n"):
                 break  # torn tail: the writer died mid-line
             try:
@@ -101,6 +105,10 @@ class CellJournal:
                 key = entry["key"]
                 payload = entry["payload"]
             except (json.JSONDecodeError, KeyError, TypeError):
+                if number < len(lines):
+                    raise ValueError(
+                        f"{self.path} is not a cell journal (line {number} is not an entry)"
+                    ) from None
                 break
             self._entries[key] = payload
             ts = entry.get("ts") if isinstance(entry, dict) else None

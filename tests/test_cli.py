@@ -191,7 +191,7 @@ class TestTelemetryCli:
         assert code == 0
         captured = capsys.readouterr()
         assert "repro_grid_cells_total" in captured.out
-        assert "repro_engine_walks_total" in captured.out
+        assert 'repro_engine_walks_total{kind="covers"}' in captured.out
         assert "[grid] 1/1 cells, 0 errors" in captured.err
         from repro.obs import validate_trace
 

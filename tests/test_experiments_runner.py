@@ -16,6 +16,7 @@ from repro.experiments import (
     run_grid,
     scheme,
 )
+from repro.runtime import CellJournal
 from repro.traffic import compare_congestion, permutation
 
 FAST_BACKENDS = ["engine"] + (["numpy"] if numpy_available() else [])
@@ -239,15 +240,50 @@ class TestResultStore:
         assert len(store.load_records()) == 2
 
     def test_raw_sections_survive_record_merges(self, tmp_path):
-        path = tmp_path / "bench.json"
+        path = tmp_path / "results.json"
+        path.write_text(json.dumps({"records": [], "gadget": {"speedup": 10.0}}))
         store = ResultStore(path)
-        store.merge_raw({"gadget": {"speedup": 10.0}})
         store.merge([self._record("greedy", 4)])
-        store.merge_raw({"congestion": {"workloads": {}}})
+        # another writer adds its own top-level section by hand
+        document = json.loads(path.read_text())
+        document["congestion"] = {"workloads": {}}
+        path.write_text(json.dumps(document))
+        store.merge([self._record("tour", 3)])
         document = json.loads(path.read_text())
         assert document["gadget"] == {"speedup": 10.0}
         assert document["congestion"] == {"workloads": {}}
-        assert len(document["records"]) == 1
+        assert len(document["records"]) == 2
+
+    @pytest.mark.parametrize("lines", [1, 2])
+    def test_journal_is_not_a_store(self, tmp_path, lines):
+        """A cell journal passed as the store used to be overwritten
+        whole; a one-line journal is one JSON object, but no store."""
+        path = tmp_path / "journal.jsonl"
+        journal = CellJournal(path)
+        for key in "ab"[:lines]:
+            journal.append(key, 1)
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="journal.jsonl"):
+            ResultStore(path).merge([self._record("greedy", 4)])
+        assert path.read_bytes() == before
+
+    def test_truncated_store_is_refused(self, tmp_path):
+        """A truncated store used to lose every record on the next merge."""
+        path = tmp_path / "results.json"
+        ResultStore(path).merge([self._record(name, 1) for name in ("greedy", "tour", "arb")])
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        before = path.read_bytes()
+        store = ResultStore(path)
+        with pytest.raises(ValueError, match="results.json"):
+            store.merge([self._record("greedy", 4)])
+        with pytest.raises(ValueError, match="results.json"):
+            store.lookup(self._record("greedy", 4).key())
+        assert path.read_bytes() == before
+
+    def test_blank_file_is_an_empty_store(self, tmp_path):
+        path = tmp_path / "results.json"
+        path.write_text("")
+        assert ResultStore(path).merge([self._record("greedy", 4)]) == [self._record("greedy", 4)]
 
     def test_csv_export(self, tmp_path):
         store = ResultStore(tmp_path / "results.json")
@@ -258,6 +294,13 @@ class TestResultStore:
         assert len(lines) == 3
         assert "metric:worst_max_load" in lines[0]
         assert "param:matrix" in lines[0]
+
+
+#: a two-cell grid: its journal has two lines, its store many
+SMALL_GRID = [
+    "experiments", "--topologies", "ring", "--schemes", "greedy,distance2",
+    "--sizes", "0", "--samples", "1", "--metrics", "resilience",
+]
 
 
 class TestExperimentsCli:
@@ -276,6 +319,63 @@ class TestExperimentsCli:
         out = capsys.readouterr().out
         assert "registered schemes" in out
         assert "arborescence" in out and "fattree" in out
+
+    def test_resume_on_a_store_exits_2_untouched(self, tmp_path, capsys):
+        from repro.cli import main
+
+        store = tmp_path / "r.json"
+        assert main(SMALL_GRID + ["--out", str(store)]) == 0
+        before = store.read_bytes()
+        capsys.readouterr()
+        assert main(SMALL_GRID + ["--resume", str(store)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(store) in err
+        assert store.read_bytes() == before
+
+    @pytest.mark.parametrize("schemes", ["greedy", "greedy,distance2"])
+    def test_out_on_a_journal_exits_2_untouched(self, tmp_path, capsys, schemes):
+        from repro.cli import main
+
+        journal = tmp_path / "j.jsonl"
+        grid = SMALL_GRID[:4] + [schemes] + SMALL_GRID[5:]
+        assert main(grid + ["--resume", str(journal)]) == 0
+        before = journal.read_bytes()
+        assert before.count(b"\n") == len(schemes.split(","))  # one line per cell
+        capsys.readouterr()
+        assert main(grid + ["--out", str(journal)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(journal) in err
+        assert journal.read_bytes() == before
+
+    def test_mix_ups_exit_2_as_processes(self, tmp_path):
+        """The exit status a shell sees for each mix-up."""
+        import os
+        import subprocess
+        import sys
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH="src")
+
+        def repro(*args):
+            return subprocess.run(
+                [sys.executable, "-m", "repro", *SMALL_GRID, *args],
+                capture_output=True, text=True, env=env, cwd=root, timeout=120,
+            ).returncode
+
+        store, journal = tmp_path / "r.json", tmp_path / "j.jsonl"
+        assert repro("--out", str(store), "--resume", str(journal)) == 0
+        before = store.read_bytes(), journal.read_bytes()
+        assert repro("--resume", str(store)) == 2
+        assert repro("--out", str(journal)) == 2
+        assert (store.read_bytes(), journal.read_bytes()) == before
+
+    def test_same_file_for_out_and_resume_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "both.json"
+        assert main(SMALL_GRID + ["--out", str(path), "--resume", str(path)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not path.exists()
 
     def test_store_and_csv(self, tmp_path, capsys):
         from repro.cli import main

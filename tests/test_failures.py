@@ -47,7 +47,6 @@ from repro.failures.models import canonical_links
 from repro.graphs.edges import edge
 from repro.runtime import Budget
 
-REPO = pathlib.Path(__file__).resolve().parent.parent
 FIXTURE = pathlib.Path(__file__).resolve().parent / "fixtures" / "run_grid_random_model.json"
 
 
@@ -588,19 +587,18 @@ class TestDifferentialCompat:
             record.runtime_seconds = 0.0
         assert [r.to_dict() for r in result.records] == [r.to_dict() for r in twin.records]
 
-    def test_bench_store_records_re_merge_unchanged(self, tmp_path):
-        """Merging a committed BENCH record back in is a no-op.
+    def test_committed_store_records_re_merge_unchanged(self, tmp_path):
+        """Merging a committed store's records back in is a no-op.
 
         The store's identity index keys on the record's failure-model
         label; if the refactor had changed any label, the re-merge
         would append instead of collapse.
         """
-        source = REPO / "BENCH_engine.json"
-        document = json.loads(source.read_text())
+        document = json.loads(FIXTURE.read_text())
         records = [ExperimentRecord.from_dict(entry) for entry in document["records"]]
-        assert records
-        path = tmp_path / "bench.json"
-        path.write_text(source.read_text())
+        assert len(records) == 24
+        path = tmp_path / "store.json"
+        path.write_text(FIXTURE.read_text())
         store = ResultStore(path)
         before = path.read_bytes()
         store.merge(records)

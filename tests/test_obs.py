@@ -6,12 +6,14 @@ import json
 import pytest
 
 from repro import obs
+from repro.core.algorithms import ArborescenceRouting
 from repro.core.engine.sweep import parallel_map
 from repro.experiments import (
     ExperimentSession,
     FailureModel,
     run_grid,
 )
+from repro.graphs.construct import fat_tree
 from repro.obs import (
     MetricsRegistry,
     Telemetry,
@@ -22,6 +24,7 @@ from repro.obs import (
     validate_trace,
 )
 from repro.obs.stats import render_metrics_report, render_trace_report, sniff_kind
+from repro.traffic import TrafficEngine, permutation, sample_failure_grid
 
 
 class TestMetricsRegistry:
@@ -281,6 +284,18 @@ class TestTelemetryNeverChangesResults:
         assert "sweep_resilience" in names
         # records never carry telemetry (the field is for sidecar writers)
         assert all(record.telemetry == {} for record in traced.records)
+
+    def test_load_sweep_reports_identical_with_telemetry_on(self):
+        graph = fat_tree(4)
+        demands = permutation(graph, seed=1)
+        grid = sample_failure_grid(graph, [0, 2], 3, seed=0)
+        sets = [failures for size in sorted(grid) for failures in grid[size]]
+        plain = TrafficEngine(graph, ArborescenceRouting()).load_sweep(demands, sets)
+        telemetry = Telemetry()
+        with obs.installed(telemetry):
+            traced = TrafficEngine(graph, ArborescenceRouting()).load_sweep(demands, sets)
+        assert traced == plain
+        assert telemetry.registry.value("repro_traffic_load_reports_total") == len(sets)
 
     def test_worker_merged_counters_equal_serial(self):
         """parallel_map workers ship registry deltas that merge to the

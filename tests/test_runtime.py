@@ -24,6 +24,7 @@ from repro.core.resilience import (
     check_perfect_resilience_source_destination,
 )
 from repro.experiments import (
+    ExperimentRecord,
     ExperimentSession,
     FailureModel,
     ResultStore,
@@ -175,6 +176,28 @@ class TestCellJournal:
         replay = CellJournal(path)
         assert len(replay) == 1
 
+    def test_bad_line_before_the_last_raises_untouched(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        CellJournal(path).append("a", 1)
+        with open(path, "a") as handle:
+            handle.write("not json at all\n")
+            handle.write('{"key": "b", "payload": 2}\n')
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="line 2"):
+            CellJournal(path)
+        assert path.read_bytes() == before
+
+    def test_result_store_is_not_a_journal(self, tmp_path):
+        """A store passed as the journal used to be truncated to nothing."""
+        path = tmp_path / "results.json"
+        ResultStore(path).merge(
+            [ExperimentRecord(experiment="resilience", topology="ring", scheme="greedy")]
+        )
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="results.json"):
+            CellJournal(path)
+        assert path.read_bytes() == before
+
     def test_missing_file_is_empty(self, tmp_path):
         journal = CellJournal(tmp_path / "missing.jsonl")
         assert len(journal) == 0
@@ -198,14 +221,23 @@ class TestAtomicWrite:
         assert path.read_text() == "intact"
 
     def test_result_store_survives_torn_write(self, tmp_path):
-        store = ResultStore(tmp_path / "BENCH_engine.json")
-        store.merge_raw({"gadget": {"speedup": 4.0}})
+        path = tmp_path / "results.json"
+        store = ResultStore(path)
+        a, b = (
+            ExperimentRecord(experiment="resilience", topology=name, scheme="greedy")
+            for name in ("a", "b")
+        )
+        store.merge([a])
         plan = FaultPlan([FaultSpec("torn-write")])
         with plan.installed():
             with pytest.raises(TornWrite):
-                store.merge_raw({"zoo": {"speedup": 5.0}})
-        # the store is never corrupt: old document intact and parseable
-        assert store.load_document() == {"gadget": {"speedup": 4.0}}
+                store.merge([b])
+        # the file keeps the old document, and the instance that failed
+        # to write sees exactly the file: b was never stored
+        for view in (store, ResultStore(path)):
+            assert [record.topology for record in view.load_records()] == ["a"]
+            assert view.lookup(b.key()) is None
+            assert view.lookup(a.key()) == a
 
 
 class TestFaultPlan:

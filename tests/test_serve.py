@@ -170,8 +170,9 @@ class TestResultStoreIndex:
         new keys appended, foreign sections preserved — exactly the
         pre-index behaviour."""
         path = tmp_path / "s.json"
+        # a foreign section beside the (empty) records list
+        path.write_text(json.dumps({"records": [], "thresholds": {"min": 2.0}}))
         store = ResultStore(path)
-        store.merge_raw({"thresholds": {"min": 2.0}})
         a, b = _record("k5", value=1), _record("ring", value=1)
         store.merge([a, b])
         replacement = _record("k5", value=99)
@@ -732,6 +733,23 @@ class TestServeCLI:
                      "--timeout", "0.2", "--retries", "0"])
         assert code == 3
         assert "cannot reach" in capsys.readouterr().err
+
+    def test_serve_refuses_a_journal_as_store(self, tmp_path, capsys, monkeypatch):
+        """``--store`` is checked before listening; the file stays intact."""
+        import repro.serve.server as server_module
+        from repro.cli import main
+        from repro.runtime import CellJournal
+
+        path = tmp_path / "journal.jsonl"
+        journal = CellJournal(path)
+        journal.append("a", 1)
+        journal.append("b", 2)
+        before = path.read_bytes()
+        monkeypatch.setattr(server_module, "serve", lambda **kwargs: 0)  # never listen
+        assert main(["serve", "--port", "0", "--store", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(path) in err
+        assert path.read_bytes() == before
 
     def test_serve_subprocess_sigterm_graceful(self, tmp_path):
         """SIGTERM: exit 0 and the answer store is intact (CI smoke's

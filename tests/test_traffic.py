@@ -199,6 +199,22 @@ class TestBatchedNaiveParity:
                 per_packet_loads(graph, GreedyLowestNeighbor(), demands, failures),
             )
 
+    @pytest.mark.parametrize("matrix", ["all-to-one", "permutation"])
+    def test_fat_tree_failure_grid(self, matrix):
+        """fat-tree(4) incast and permutation traffic over a sampled grid."""
+        graph = construct.fat_tree(4)
+        if matrix == "all-to-one":
+            demands = all_to_one(graph, ("core", 0))
+        else:
+            demands = permutation(graph, seed=1)
+        grid = sample_failure_grid(graph, [0, 2], 3, seed=0)
+        sets = [failures for size in sorted(grid) for failures in grid[size]]
+        algorithm = ArborescenceRouting()
+        reports = TrafficEngine(graph, algorithm).load_sweep(demands, sets)
+        assert len(reports) == len(sets) > 1
+        for failures, report in zip(sets, reports):
+            assert_reports_equal(report, per_packet_loads(graph, algorithm, demands, failures))
+
     def test_fallback_for_failures_outside_the_graph(self):
         graph = construct.cycle_graph(5)
         failures = frozenset({("v1", "nowhere")})
