@@ -940,9 +940,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--backend",
-        choices=["engine", "naive", "numpy"],
+        choices=["engine", "numpy"],
         default="engine",
-        help="session backend for the warm engine caches",
+        help="session backend for the warm engine caches (the naive "
+        "reference keeps none, so the service refuses it)",
     )
     p.add_argument(
         "--processes",

@@ -260,6 +260,10 @@ _FORK_PAYLOAD: Callable[[Any], Any] | None = None
 
 #: how often the receive loop wakes up to check worker health / timeout
 _POLL_SECONDS = 0.02
+#: fresh pools tried for the items a broken pool lost, before the
+#: serial pass, sleeping ``_BACKOFF_SECONDS * attempt`` before each
+_RETRIES = 2
+_BACKOFF_SECONDS = 0.05
 
 
 def _fork_call(task: tuple[int, Any, Any]) -> tuple[int, Any, Any]:
@@ -289,8 +293,6 @@ def parallel_map(
     items: Sequence[Any],
     processes: int,
     timeout: float | None = None,
-    retries: int = 2,
-    backoff: float = 0.05,
 ) -> list[Any]:
     """``[function(x) for x in items]`` with a crash-recovering fan-out.
 
@@ -301,7 +303,7 @@ def parallel_map(
     moment it arrives; when a fork dies (detected by the worker pid set
     changing or a nonzero exit code) or no result lands within
     ``timeout`` seconds, only the *missing* items are retried — up to
-    ``retries`` fresh pools with linear ``backoff``, then a final serial
+    ``_RETRIES`` fresh pools with linear backoff, then a final serial
     pass completes whatever is still missing, so a poisoned item can
     never lose its siblings' work.  Workers inherit whatever warm state
     ``function`` closes over (engine indexes, decision tables) as
@@ -328,12 +330,12 @@ def parallel_map(
     results: dict[int, Any] = {}
     with _obs.span("parallel_map", items=len(items), processes=processes):
         try:
-            for attempt in range(retries + 1):
+            for attempt in range(_RETRIES + 1):
                 pending = [i for i in range(len(items)) if i not in results]
                 if not pending:
                     break
                 if attempt:
-                    time.sleep(backoff * attempt)
+                    time.sleep(_BACKOFF_SECONDS * attempt)
                     if telemetry is not None:
                         telemetry.count(
                             "repro_parallel_retries_total",

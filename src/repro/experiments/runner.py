@@ -65,10 +65,11 @@ class GridResult:
     """Everything one ``run_grid`` call produced.
 
     ``exhaustive`` is ``False`` when a deadline cut the grid before
-    every cell ran; ``resumed_cells`` counts cells replayed from a
-    journal instead of recomputed; :attr:`errors` views the cells that
-    raised (typed ``status="error"`` records — the grid itself never
-    aborts on a cell exception).
+    every cell ran or cut a cell's sampled estimate short;
+    ``resumed_cells`` counts cells replayed from a journal instead of
+    recomputed; :attr:`errors` views the cells that raised (typed
+    ``status="error"`` records — the grid itself never aborts on a cell
+    exception).
     """
 
     records: list[ExperimentRecord] = field(default_factory=list)
@@ -253,7 +254,6 @@ def run_grid(
     deadline: Deadline | None = None,
     resume: str | pathlib.Path | CellJournal | None = None,
     progress=None,
-    processes: int | None = None,
 ) -> GridResult:
     """Evaluate every (topology × scheme × failure model) cell.
 
@@ -286,17 +286,19 @@ def run_grid(
       it completes, and cells already in the journal are replayed
       instead of recomputed, so a killed grid restarts where it left
       off and produces the identical record list.
-    * ``deadline`` (defaulting to the session's) is checked before
-      every cell, replayed or computed, and charged one unit after
-      every computed cell; skip records are not cells.  On expiry the
-      grid stops cleanly with ``exhaustive=False``.  Completed cells
-      are always whole.
+    * ``deadline`` is checked before every cell, replayed or computed,
+      and charged one unit after every computed cell; skip records are
+      not cells.  On expiry the grid stops cleanly with
+      ``exhaustive=False``.  Grid-model cells are always whole; a
+      sampled cell whose estimate the deadline cut short is published
+      (its records flagged ``exhaustive: false``) but never journaled
+      or merged into ``store``, so a rerun recomputes it.
     * ``progress`` is an opt-in heartbeat: a callable invoked after
       every cell (computed or replayed) with a dict of ``done``,
       ``total``, ``errors``, ``replayed``, ``elapsed`` seconds and an
       ``eta`` estimate (``None`` until the first cell lands).  It never
       touches records — purely an observer.
-    * ``processes`` (default: the session's) only picks the executor.
+    * The session's ``processes`` only picks the executor.
       With one process the plan is consumed lazily and each cell runs
       in process as the stitch loop reaches it.  With more, compute
       cells fan out across forked workers that adopt the parent's warm
@@ -322,8 +324,6 @@ def run_grid(
     if unknown:
         raise ValueError(f"unknown metrics {sorted(unknown)}; known: {METRICS}")
     session = resolve_session(session)
-    if deadline is None:
-        deadline = session.deadline
     journal: CellJournal | None
     if resume is None or isinstance(resume, CellJournal):
         journal = resume
@@ -332,8 +332,6 @@ def run_grid(
     failure_models = _resolve_failure_models(failure_models)
     resolved_schemes = _resolve_schemes(schemes)
     resolved_topologies = _resolve_topologies(topologies)
-    if processes is None:
-        processes = session.processes
     plan: Iterable[_Skip | _Cell] = _plan_grid(
         resolved_topologies,
         resolved_schemes,
@@ -394,7 +392,7 @@ def run_grid(
         return records, time.perf_counter() - start
 
     grid_start = time.perf_counter()
-    if processes > 1:
+    if session.processes > 1:
         from ..core.engine.sweep import parallel_map
 
         plan = list(plan)
@@ -419,7 +417,7 @@ def run_grid(
                     return None  # not started: the stitch loop stops here
                 return compute(tasks[position])
 
-            outputs = iter(parallel_map(start_cell, range(len(tasks)), processes))
+            outputs = iter(parallel_map(start_cell, range(len(tasks)), session.processes))
 
         def stopped() -> bool:
             return expired_at_fork or (
@@ -455,6 +453,8 @@ def run_grid(
         )
     cell_index = 0  # cells published so far, replayed or computed
     error_cells = 0
+    # ids of the records of cells whose sampled estimate was cut short
+    unsaved: set[int] = set()
     for item in plan:
         if isinstance(item, _Skip):
             result.skipped.append((item.topology_name, item.scheme_name, item.reason))
@@ -509,7 +509,14 @@ def run_grid(
                     elapsed,
                     help="wall-clock seconds per computed grid cell",
                 )
-            if journal is not None:
+            # decided from the records: a forked worker's budget charges
+            # never reach this process's deadline
+            if any(_cut_estimate(record) for record in records):
+                # reported, never saved: a rerun must recompute the cell
+                # rather than replay or serve a partial estimate
+                result.exhaustive = False
+                unsaved.update(map(id, records))
+            elif journal is not None:
                 # journal before publishing: the invariant is that
                 # every cell whose records are visible is journaled,
                 # so a kill between the two costs one recomputation,
@@ -534,8 +541,13 @@ def run_grid(
         if item.replay is None and deadline is not None:
             deadline.charge()
     if store is not None:
-        store.merge(result.records)
+        store.merge([record for record in result.records if id(record) not in unsaved])
     return result
+
+
+def _cut_estimate(record: ExperimentRecord) -> bool:
+    """Is ``record`` a sampled estimate that stopped short of its plan?"""
+    return bool(record.metrics.get("sampled")) and not record.metrics.get("exhaustive")
 
 
 def _run_cell(
@@ -804,33 +816,14 @@ def _congestion_curve(
 ):
     """The scheme's congestion curve on the shared grid, or a skip reason.
 
-    On the engine backends (numpy included) this mirrors
-    :func:`repro.traffic.congestion.compare_congestion` exactly — same
-    pre-flight, same scalar :meth:`TrafficEngine.load_sweep` on session
-    state — so grid records are differentially equal to the comparison
-    harness.  On a ``backend="naive"`` session the loads come from
-    :func:`repro.traffic.load.per_packet_loads` (one simulated walk per
+    This mirrors :func:`repro.traffic.congestion.compare_congestion`
+    exactly — same pre-flight, same ``load_sweep`` on the session's load
+    router — so grid records are differentially equal to the comparison
+    harness.  On a ``backend="naive"`` session that router is
+    :class:`repro.traffic.load.PerPacketRouter` (one simulated walk per
     demand): the reference surface differential tests compare against.
     """
-    from ..traffic.congestion import CongestionCurve, _aggregate, preflight_congestion_curve
-    from ..traffic.load import per_packet_loads
-
-    if not session.use_engine:
-        try:
-            per_packet_loads(graph, algorithm, demands)  # pre-flight
-        except Exception as error:  # noqa: BLE001 - precondition failures vary by algorithm
-            return None, str(error) or type(error).__name__
-        curve = CongestionCurve(
-            algorithm=algorithm.name,
-            graph=topology_name,
-            matrix=matrix_name,
-            samples_per_size=getattr(model, "samples", 0),
-        )
-        for size in sorted(grid):
-            reports = [per_packet_loads(graph, algorithm, demands, f) for f in grid[size]]
-            if reports:
-                curve.points.append(_aggregate(size, reports))
-        return curve, None
+    from ..traffic.congestion import preflight_congestion_curve
 
     return preflight_congestion_curve(
         session.traffic_engine(graph, algorithm),

@@ -59,16 +59,12 @@ class ExperimentSession:
     silently take the scalar engine path with identical verdicts);
     ``backend="naive"`` selects the reference hop-by-hop
     paths (identical verdicts, no caching) — the surface the
-    differential tests compare against.  ``processes`` is the default
-    of ``run_grid``'s cell fan-out; checkers, sweeps and estimators
-    always run in process.  ``deadline`` is an optional default
-    :class:`~repro.runtime.deadline.Deadline` /
-    :class:`~repro.runtime.deadline.Budget` for consumers that accept
-    one (``run_grid`` uses it when no per-call deadline is given), so a
-    whole session of sweeps can share a single time box.
+    differential tests compare against.  ``processes`` is the width of
+    ``run_grid``'s cell fan-out; checkers, sweeps and estimators always
+    run in process.
     """
 
-    def __init__(self, backend: str = "engine", processes: int = 1, deadline=None):
+    def __init__(self, backend: str = "engine", processes: int = 1):
         if backend not in _BACKENDS:
             raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
         if backend == "numpy":
@@ -78,7 +74,6 @@ class ExperimentSession:
             require_numpy()
         self.backend = backend
         self.processes = processes
-        self.deadline = deadline
         self._states: OrderedDict[int, tuple[tuple, EngineState]] = OrderedDict()
         self._traffic: OrderedDict[tuple, object] = OrderedDict()
         #: live cache statistics — plain ints so ``repr(session)`` works
@@ -151,13 +146,16 @@ class ExperimentSession:
 
         Cached per (graph, algorithm instance).  Its patterns and decision
         tables live in the state's pattern cache, shared with every sweep
-        and estimator that passes the same algorithm instance.
+        and estimator that passes the same algorithm instance.  The
+        ``"naive"`` backend gets the reference
+        :class:`~repro.traffic.load.PerPacketRouter` (same API, every load
+        a :func:`~repro.traffic.load.per_packet_loads` call), built per
+        call and retained nowhere.
         """
-        from ..traffic.load import TrafficEngine
+        from ..traffic.load import PerPacketRouter, TrafficEngine
 
         if self.backend == "naive":
-            # cache-free reference backend, like state() above
-            return TrafficEngine(EngineState(graph), algorithm)
+            return PerPacketRouter(graph, algorithm)
         # self.state() re-indexes a mutated graph; comparing the cached
         # engine's state to the current one inherits that staleness check
         state = self.state(graph)

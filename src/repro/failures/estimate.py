@@ -354,32 +354,14 @@ def estimate_congestion(
     Same pre-flight contract as :func:`repro.traffic.congestion.
     preflight_congestion_curve` — ``(estimate, None)`` or ``(None, skip
     reason)`` when the scheme cannot build on the topology.  Loads come
-    from the session's batched router (or per-packet simulation on a
-    naive session), one scenario per deadline/budget unit.
+    from the session's load router (per-packet simulation on a naive
+    session), one scenario per deadline/budget unit.
     """
     from ..experiments.session import resolve_session
 
-    session = resolve_session(session)
-    if session.use_engine:
-        engine = session.traffic_engine(graph, algorithm)
-
-        def load(failures):
-            return engine.load_sweep(demands, [failures])[0]
-
-        def preflight():
-            engine.load(demands)
-
-    else:
-        from ..traffic.load import per_packet_loads
-
-        def load(failures):
-            return per_packet_loads(graph, algorithm, demands, failures)
-
-        def preflight():
-            per_packet_loads(graph, algorithm, demands)
-
+    engine = resolve_session(session).traffic_engine(graph, algorithm)
     try:
-        preflight()
+        engine.load(demands)  # pre-flight
     except Exception as error:  # noqa: BLE001 - precondition failures vary by algorithm
         return None, str(error) or type(error).__name__
 
@@ -412,7 +394,7 @@ def estimate_congestion(
         if deadline is not None and deadline.expired():
             break
         failures = next(stream)
-        report = load(failures)
+        report = engine.load_sweep(demands, [failures])[0]
         drawn += 1
         max_load_sum += report.max_load
         max_load_sq += report.max_load * report.max_load

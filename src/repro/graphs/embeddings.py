@@ -105,14 +105,6 @@ def _component_rotation(graph: nx.Graph) -> dict[Node, tuple[Node, ...]]:
     return rotation
 
 
-def planar_rotation(graph: nx.Graph) -> dict[Node, tuple[Node, ...]]:
-    """Clockwise rotation system of *some* planar embedding of ``graph``."""
-    is_planar, embedding = nx.check_planarity(graph)
-    if not is_planar:
-        raise ValueError("graph is not planar")
-    return {node: tuple(embedding.neighbors_cw_order(node)) for node in graph.nodes}
-
-
 def outer_face_walk(graph: nx.Graph, rotation: RotationSystem, start: Node) -> list[Node]:
     """The node sequence of one full outer-face traversal from ``start``.
 

@@ -3,8 +3,8 @@
 A stdlib-only service layer over the experiment API: a warm
 :class:`~repro.experiments.session.ExperimentSession` behind an asyncio
 TCP server speaking a length-prefixed JSON protocol (``protocol``),
-with request coalescing into batched sweeps (``service`` /
-``server``), a disk-backed :class:`~repro.experiments.results.
+with request coalescing into batches (``service`` / ``server``), a
+disk-backed :class:`~repro.experiments.results.
 ResultStore` answer cache, per-request deadlines, and a Lazy-Pirate
 retrying client (``client``).  ``repro serve`` / ``repro query`` are
 the CLI front ends.

@@ -9,10 +9,10 @@ One :class:`ResilienceServer` owns:
   into one :meth:`~repro.serve.service.QueryService.run_batch` call —
   while a sweep runs in the (single-threaded) executor, newly arriving
   queries pile up and get coalesced into the next batch.  This is the
-  request-batching seam: under concurrent load, identical and
-  overlapping queries share one sweep.  Control ops (``ping`` /
-  ``stats`` / ``shutdown``) are answered inline on the event loop, so
-  the server stays responsive while the engine is busy;
+  request-batching seam: identical queries in a batch compute once,
+  and verdicts share the service's mask-outcome memo.  Control ops
+  (``ping`` / ``stats`` / ``shutdown``) are answered inline on the
+  event loop, so the server stays responsive while the engine is busy;
 * an optional plain-HTTP sidecar exposing
   ``MetricsRegistry.render_prometheus()`` on ``GET /metrics`` (plus
   ``/healthz``), the same registry the engine's walk counters and the

@@ -1,9 +1,18 @@
 """The query engine behind ``repro serve`` (transport-independent).
 
 :class:`QueryService` answers the protocol's compute ops — ``verdict``,
-``load``, ``grid`` — against one long-lived, warm
-:class:`~repro.experiments.session.ExperimentSession`:
+``load``, ``grid`` — against one long-lived, warm engine-backed
+:class:`~repro.experiments.session.ExperimentSession` (a naive session
+is refused: it keeps no warm state, and the explicit verdicts and loads
+would not honour it):
 
+* **One resolution per request.**  A ``verdict`` or ``load`` request is
+  resolved once — topology, scheme, explicit failure sets or model,
+  label, destination, matrix name and seed — into the identity fields of
+  the record its answer will carry.  The answer-cache identity is that
+  record's :meth:`~repro.experiments.results.ExperimentRecord.key`, and
+  the computation completes the same record, so the two cannot drift.
+  Resolving touches no engine state.
 * **Warm caches.**  Topologies are resolved once per name and kept (a
   stable graph identity is what makes the session's fingerprint-keyed
   ``EngineState`` / ``TrafficEngine`` caches hit), and each scheme is
@@ -26,12 +35,10 @@
   answers are byte-identical to the offline surfaces — the differential
   tests pin this.
 * **Batching.**  :meth:`run_batch` answers a group of concurrent
-  requests in one go: load queries for the same (topology, scheme,
-  matrix) are unioned into a *single* ``load_sweep`` call and sliced
-  per request (per-mask reports are batch-composition independent);
-  verdict queries for the same (topology, scheme, destination) share
-  the cached pattern and the mask-outcome memo, so each distinct mask
-  across the whole group is walked once.
+  requests in one go: identical queries compute once, and verdict
+  queries for the same (topology, scheme, destination) share the cached
+  pattern and the mask-outcome memo, so each distinct mask across the
+  whole group is walked once.
 
 Every envelope may carry ``budget_seconds``; it is threaded as a
 :class:`~repro.runtime.deadline.Deadline` into the sweeps, and a cut
@@ -44,19 +51,21 @@ import hashlib
 import json
 import time
 from collections import OrderedDict
+from dataclasses import dataclass, replace
+
+import networkx as nx
 
 from repro import obs as _obs
 
 from ..core.engine.sweep import ScenarioGrid, sweep_resilience
 from ..core.model import DestinationAlgorithm
 from ..core.resilience import Verdict
-from ..experiments.registry import SchemeNotApplicable, scheme as scheme_by_name
+from ..experiments.registry import SchemeNotApplicable, SchemeSpec, scheme as scheme_by_name
 from ..experiments.results import ExperimentRecord, ResultStore
 from ..experiments.runner import METRICS, run_grid
 from ..experiments.session import ExperimentSession
 from ..failures import estimate_resilience, model_from_params
 from ..failures.models import FailureModel
-from ..graphs.edges import sorted_nodes
 from ..runtime.deadline import Deadline
 from .protocol import (
     Request,
@@ -116,15 +125,6 @@ def _explicit_label(masks, destination) -> str:
     return f"explicit(n={len(masks)},sha={digest})"
 
 
-def _verdict_to_json(verdict: Verdict) -> dict:
-    return {
-        "resilient": bool(verdict.resilient),
-        "scenarios_checked": verdict.scenarios_checked,
-        "exhaustive": bool(verdict.exhaustive),
-        "counterexample": str(verdict.counterexample) if verdict.counterexample else None,
-    }
-
-
 def serialize_report(report, failures) -> dict:
     """Canonical JSON form of one :class:`~repro.traffic.load.LoadReport`.
 
@@ -153,6 +153,33 @@ def serialize_report(report, failures) -> dict:
     }
 
 
+@dataclass
+class _Query:
+    """A ``verdict`` or ``load`` request, resolved once.
+
+    ``record`` holds the identity fields of the record the answer will
+    carry (its :meth:`~repro.experiments.results.ExperimentRecord.key`
+    is the answer-cache identity); the computation completes it.
+    ``masks`` are the explicit failure sets, else ``model`` supplies
+    them; ``demands`` is the load request's traffic matrix.
+    """
+
+    record: ExperimentRecord
+    spec: SchemeSpec
+    graph: nx.Graph
+    masks: list | None
+    model: FailureModel | None
+    destination: object
+    demands: list | None
+
+    def failure_sets(self) -> list:
+        """The explicit masks, else the model's grid, smallest sets first."""
+        if self.masks is not None:
+            return self.masks
+        grid = self.model.grid(self.graph)
+        return [failures for size in sorted(grid) for failures in grid[size]]
+
+
 class QueryService:
     """Evaluates protocol requests against one warm session (see module doc)."""
 
@@ -162,6 +189,11 @@ class QueryService:
         store: ResultStore | None = None,
     ):
         self.session = session if session is not None else ExperimentSession()
+        if self.session.backend == "naive":
+            raise ValueError(
+                "the query service needs an engine-backed session: a naive "
+                "session keeps no warm state for it to serve from"
+            )
         self.store = store
         self.started = time.monotonic()
         self.stats_counters = {
@@ -211,9 +243,70 @@ class QueryService:
             algorithm = self._algorithms[spec.name] = spec.instantiate()
         return algorithm
 
+    def _resolve(self, op: str, params: dict) -> _Query:
+        """Parse a ``verdict`` or ``load`` request's params, once.
+
+        Resolves the graph (kept warm) and, for a load, builds the
+        traffic matrix with its name from :mod:`repro.traffic.matrices`;
+        builds nothing on the engine, so the server can answer a hot
+        query straight off the store index.
+        """
+        from ..traffic.matrices import build_named_matrix
+
+        topology = str(_require(params, "topology"))
+        spec = self._scheme(str(_require(params, "scheme")))
+        graph = self.graph(topology)
+        explicit = params.get("failure_sets")
+        masks = failure_sets_from_json(explicit) if explicit is not None else None
+        model = _failure_model(params) if masks is None else None
+        destination = params.get("destination")
+        if destination is not None:
+            destination = node_from_json(destination)
+        demands = None
+        if op == "verdict":
+            experiment = "resilience"
+            record_params = {"model": spec.arity}
+            if masks is None:
+                destination = None  # a model verdict covers every destination
+            else:
+                if destination is not None and destination not in graph:
+                    raise QueryError(f"destination {destination!r} is not a node of {topology}")
+                record_params["destination"] = node_to_json(destination)
+        else:
+            experiment = "load"
+            matrix_seed = params.get("matrix_seed", 0)
+            try:
+                demands, matrix_name = build_named_matrix(
+                    graph,
+                    params.get("matrix", "permutation"),
+                    seed=matrix_seed,
+                    destination=destination,
+                )
+            except ValueError as error:
+                raise QueryError(str(error)) from None
+            record_params = {"matrix": matrix_name, "matrix_seed": matrix_seed}
+        if masks is None:
+            label = model.label
+        else:
+            # a load's destination is already part of its matrix name
+            label = _explicit_label(masks, destination if op == "verdict" else None)
+        record = ExperimentRecord(
+            experiment=experiment,
+            topology=topology,
+            scheme=spec.name,
+            failure_model=label,
+            params=record_params,
+        )
+        return _Query(record, spec, graph, masks, model, destination, demands)
+
+    def _applicable_algorithm(self, query: _Query):
+        if not query.spec.applicable(query.graph):
+            raise SchemeNotApplicable(f"{query.spec.name} requires {query.spec.requires}")
+        return self._algorithm(query.spec)
+
     # -- the batched mask walk --------------------------------------------
 
-    def _masked_verdict(self, topology, spec, graph, destination, masks) -> Verdict:
+    def _masked_verdict(self, query: _Query) -> Verdict:
         """Fold memoized per-mask outcomes into the sweep's exact verdict.
 
         Each mask's outcome — ``(scenarios checked, Counterexample |
@@ -222,11 +315,12 @@ class QueryService:
         run — is memoized per (topology, scheme, destination, mask): the
         coalescing seam that lets concurrent queries share walks.
         """
-        state = self.session.state(graph)
-        memo = state.pattern(self._algorithm(spec), destination)
+        destination = query.destination
+        state = self.session.state(query.graph)
+        memo = state.pattern(self._algorithm(query.spec), destination)
         checked = 0
-        for failures in masks:
-            key = (topology, spec.name, destination, failures)
+        for failures in query.masks:
+            key = (query.record.topology, query.spec.name, destination, failures)
             outcome = self._outcomes.get(key)
             if outcome is None:
                 self.stats_counters["mask_memo_misses"] += 1
@@ -256,154 +350,63 @@ class QueryService:
         estimate_resilience`; a deadline-cut estimate is ``partial``
         (and never cached).
         """
-        topology = str(_require(params, "topology"))
-        spec = self._scheme(str(_require(params, "scheme")))
-        graph = self.graph(topology)
-        if not spec.applicable(graph):
-            raise SchemeNotApplicable(f"{spec.name} requires {spec.requires}")
-        algorithm = self._algorithm(spec)
-        explicit = params.get("failure_sets")
+        return self._verdict(self._resolve("verdict", params), deadline)
+
+    def _verdict(self, query: _Query, deadline: Deadline | None):
+        graph = query.graph
+        algorithm = self._applicable_algorithm(query)
         start = time.perf_counter()
-        if explicit is not None:
-            masks = failure_sets_from_json(explicit)
-            destination = params.get("destination")
-            if destination is not None:
-                destination = node_from_json(destination)
-                if destination not in graph:
-                    raise QueryError(f"destination {destination!r} is not a node of {topology}")
-            label = _explicit_label(masks, destination)
-            if (
-                destination is not None
-                and isinstance(algorithm, DestinationAlgorithm)
-                and deadline is None
-            ):
-                # the coalescing fast path: per-mask outcomes are
-                # memoized, so repeated/overlapping queries share walks
-                verdict = self._masked_verdict(topology, spec, graph, destination, masks)
-            else:
-                grid = ScenarioGrid(
-                    destinations=[destination] if destination is not None else None,
-                    failure_sets=masks,
-                )
-                verdict = sweep_resilience(
-                    graph,
-                    algorithm,
-                    grid,
-                    state=self.session.state(graph),
-                    backend=self.session.backend,
-                    deadline=deadline,
-                ).verdict
-            record_params = {"model": spec.arity, "destination": node_to_json(destination)}
+        if query.masks is None and query.model.sampled:
+            # Monte-Carlo models stream through the estimator and
+            # answer with a point estimate plus Wilson CI bounds —
+            # the exact shape run_grid's sampled cells record
+            estimate = estimate_resilience(
+                graph, algorithm, query.model, session=self.session, deadline=deadline
+            )
+            record = replace(
+                query.record,
+                metrics=estimate.metrics(),
+                series=list(estimate.series),
+                runtime_seconds=time.perf_counter() - start,
+                note=estimate.note,
+            )
+            return record, not estimate.exhaustive
+        destination = query.destination
+        if (
+            destination is not None
+            and isinstance(algorithm, DestinationAlgorithm)
+            and deadline is None
+        ):
+            # the coalescing fast path: per-mask outcomes are
+            # memoized, so repeated/overlapping queries share walks
+            verdict = self._masked_verdict(query)
         else:
-            model = _failure_model(params)
-            label = model.label
-            if model.sampled:
-                # Monte-Carlo models stream through the estimator and
-                # answer with a point estimate plus Wilson CI bounds —
-                # the exact shape run_grid's sampled cells record
-                estimate = estimate_resilience(
-                    graph, algorithm, model, session=self.session, deadline=deadline
-                )
-                record = ExperimentRecord(
-                    experiment="resilience",
-                    topology=topology,
-                    scheme=spec.name,
-                    failure_model=label,
-                    metrics=estimate.metrics(),
-                    series=list(estimate.series),
-                    params={"model": spec.arity},
-                    runtime_seconds=time.perf_counter() - start,
-                    note=estimate.note,
-                )
-                return record, not estimate.exhaustive
-            grid_sets = model.grid(graph)
-            failure_sets = [failures for size in sorted(grid_sets) for failures in grid_sets[size]]
             # the exact seam run_grid's resilience metric uses (the
             # checkers reduce to this sweep on engine backends), plus
             # the per-request deadline
+            grid = ScenarioGrid(
+                destinations=[destination] if destination is not None else None,
+                failure_sets=query.failure_sets(),
+            )
             verdict = sweep_resilience(
                 graph,
                 algorithm,
-                ScenarioGrid(failure_sets=failure_sets),
+                grid,
                 state=self.session.state(graph),
                 backend=self.session.backend,
                 deadline=deadline,
             ).verdict
-            record_params = {"model": spec.arity}
-        partial = deadline is not None and deadline.expired()
-        record = ExperimentRecord(
-            experiment="resilience",
-            topology=topology,
-            scheme=spec.name,
-            failure_model=label,
+        record = replace(
+            query.record,
             metrics={
                 "resilient": bool(verdict.resilient),
                 "scenarios_checked": verdict.scenarios_checked,
                 "exhaustive": bool(verdict.exhaustive),
             },
-            params=record_params,
             runtime_seconds=time.perf_counter() - start,
             note=str(verdict.counterexample) if verdict.counterexample else "",
         )
-        return record, partial
-
-    def _load_workload(self, params: dict):
-        """Resolve a load request's (graph, engine, demands, sets, labels)."""
-        from ..traffic.matrices import build_named_matrix
-
-        topology = str(_require(params, "topology"))
-        spec = self._scheme(str(_require(params, "scheme")))
-        graph = self.graph(topology)
-        if not spec.applicable(graph):
-            raise SchemeNotApplicable(f"{spec.name} requires {spec.requires}")
-        matrix = params.get("matrix", "permutation")
-        matrix_seed = params.get("matrix_seed", 0)
-        destination = params.get("destination")
-        try:
-            demands, matrix_name = build_named_matrix(
-                graph,
-                matrix,
-                seed=matrix_seed,
-                destination=node_from_json(destination) if destination is not None else None,
-            )
-        except ValueError as error:
-            raise QueryError(str(error)) from None
-        explicit = params.get("failure_sets")
-        if explicit is not None:
-            sets = failure_sets_from_json(explicit)
-            label = _explicit_label(sets, None)
-        else:
-            model = _failure_model(params)
-            grid_sets = model.grid(graph)
-            sets = [failures for size in sorted(grid_sets) for failures in grid_sets[size]]
-            label = model.label
-        engine = self.session.traffic_engine(graph, self._algorithm(spec))
-        return topology, spec, engine, demands, matrix_name, matrix_seed, sets, label
-
-    def _load_record(
-        self, topology, spec, matrix_name, matrix_seed, label, sets, reports, elapsed
-    ) -> tuple[ExperimentRecord, bool]:
-        series = [
-            serialize_report(report, failures) for report, failures in zip(reports, sets)
-        ]
-        partial = len(reports) < len(sets)
-        metrics = {
-            "failure_sets": len(sets),
-            "completed_sets": len(reports),
-            "worst_max_load": max((r.max_load for r in reports), default=0),
-            "min_delivered_fraction": min((r.delivered_fraction for r in reports), default=0.0),
-        }
-        record = ExperimentRecord(
-            experiment="load",
-            topology=topology,
-            scheme=spec.name,
-            failure_model=label,
-            metrics=metrics,
-            series=series,
-            params={"matrix": matrix_name, "matrix_seed": matrix_seed},
-            runtime_seconds=elapsed,
-        )
-        return record, partial
+        return record, deadline is not None and deadline.expired()
 
     def load(self, params: dict, deadline: Deadline | None = None):
         """Per-failure-set load reports for one (topology, scheme, matrix).
@@ -411,15 +414,31 @@ class QueryService:
         Exactly ``TrafficEngine.load_sweep`` on the session's cached
         engine; a deadline cut returns the completed prefix (partial).
         """
-        topology, spec, engine, demands, matrix_name, matrix_seed, sets, label = (
-            self._load_workload(params)
-        )
+        return self._load(self._resolve("load", params), deadline)
+
+    def _load(self, query: _Query, deadline: Deadline | None):
+        algorithm = self._applicable_algorithm(query)
+        sets = query.failure_sets()
+        engine = self.session.traffic_engine(query.graph, algorithm)
         start = time.perf_counter()
-        reports = engine.load_sweep(demands, sets, deadline=deadline)
-        return self._load_record(
-            topology, spec, matrix_name, matrix_seed, label, sets, reports,
-            time.perf_counter() - start,
+        reports = engine.load_sweep(query.demands, sets, deadline=deadline)
+        elapsed = time.perf_counter() - start
+        record = replace(
+            query.record,
+            metrics={
+                "failure_sets": len(sets),
+                "completed_sets": len(reports),
+                "worst_max_load": max((r.max_load for r in reports), default=0),
+                "min_delivered_fraction": min(
+                    (r.delivered_fraction for r in reports), default=0.0
+                ),
+            },
+            series=[
+                serialize_report(report, failures) for report, failures in zip(reports, sets)
+            ],
+            runtime_seconds=elapsed,
         )
+        return record, len(reports) < len(sets)
 
     def grid(self, params: dict, deadline: Deadline | None = None):
         """A small ``run_grid`` (records returned, optional store merge)."""
@@ -450,56 +469,6 @@ class QueryService:
         return result
 
     # -- answer cache ------------------------------------------------------
-
-    def cache_identity(self, request: Request) -> tuple | None:
-        """The store identity a request's answer lives under (None: uncached).
-
-        Computed without touching the engine, so the server can answer
-        a hot query straight off the store index.  Only whole-answer
-        ops cache; ``grid`` responses are a stream of per-cell records
-        (merged into the store, but keyed per cell, not per request).
-        """
-        params = request.params
-        try:
-            if request.op == "verdict":
-                topology = str(_require(params, "topology"))
-                scheme_name = str(_require(params, "scheme"))
-                explicit = params.get("failure_sets")
-                if explicit is not None:
-                    masks = failure_sets_from_json(explicit)
-                    destination = params.get("destination")
-                    label = _explicit_label(
-                        masks,
-                        node_from_json(destination) if destination is not None else None,
-                    )
-                else:
-                    label = _failure_model(params).label
-                return ("resilience", topology, scheme_name, label, "", "")
-            if request.op == "load":
-                topology = str(_require(params, "topology"))
-                scheme_name = str(_require(params, "scheme"))
-                matrix = params.get("matrix", "permutation")
-                destination = params.get("destination")
-                explicit = params.get("failure_sets")
-                if explicit is not None:
-                    label = _explicit_label(failure_sets_from_json(explicit), None)
-                else:
-                    label = _failure_model(params).label
-                # the record's params["matrix"] is the *resolved* name
-                # (all-to-one embeds its sink) — mirror that here
-                if matrix == "all-to-one":
-                    graph = self.graph(topology)
-                    sink = (
-                        node_from_json(destination)
-                        if destination is not None
-                        else sorted_nodes(graph.nodes)[-1]
-                    )
-                    matrix = f"all-to-one({sink})"
-                seed = str(params.get("matrix_seed", 0))
-                return ("load", topology, scheme_name, label, matrix, seed)
-        except (QueryError, ValueError):
-            return None  # malformed params fail properly at compute time
-        return None
 
     def cached_record(self, identity: tuple) -> ExperimentRecord | None:
         if self.store is None:
@@ -567,13 +536,10 @@ class QueryService:
     def run_batch(self, requests: list[Request]) -> list[dict]:
         """Answer a coalesced group of compute requests in one pass.
 
-        Load requests with explicit mask lists for the same (topology,
-        scheme, matrix) become ONE ``load_sweep`` over the union of
-        masks (reports are per-mask, independent of batch composition,
-        so slicing per request is exact); identical requests are
-        deduplicated; verdict groups share the warm pattern/mask-memo
-        path.  Per-request failures become per-request error envelopes
-        — one bad request never poisons its batch siblings.
+        Identical requests are deduplicated; verdict groups share the
+        warm pattern/mask-memo path.  Per-request failures become
+        per-request error envelopes — one bad request never poisons its
+        batch siblings.
         """
         telemetry = _obs.active()
         if telemetry is not None and len(requests) > 1:
@@ -588,13 +554,10 @@ class QueryService:
         if len(requests) > 1:
             self.stats_counters["batches"] += 1
             self.stats_counters["batched_requests"] += len(requests)
-        responses: dict[int, dict] = {}
+        responses: list[dict] = []
         #: canonical params -> response (identical queries compute once)
         seen: dict[str, dict] = {}
-        union_load = self._union_load_plan(requests, responses)
-        for position, request in enumerate(requests):
-            if position in responses:
-                continue  # answered by the union plan
+        for request in requests:
             fingerprint = json.dumps(
                 {"op": request.op, "params": request.params, "b": request.budget_seconds},
                 sort_keys=True,
@@ -602,95 +565,37 @@ class QueryService:
             )
             duplicate = seen.get(fingerprint)
             if duplicate is not None:
-                responses[position] = dict(duplicate, id=request.id)
+                responses.append(dict(duplicate, id=request.id))
                 continue
             # per-request tracing lives here, on the (single) compute
             # thread, where the TraceWriter's span stack is sequential
             with _obs.span("serve_request", op=request.op, request=request.id):
                 response = self._execute_one(request)
             seen[fingerprint] = response
-            responses[position] = response
-        return [responses[position] for position in range(len(requests))]
-
-    def _union_load_plan(self, requests: list[Request], responses: dict[int, dict]) -> None:
-        """Answer same-workload explicit-mask load requests via ONE sweep."""
-        groups: dict[tuple, list[int]] = {}
-        for position, request in enumerate(requests):
-            if (
-                request.op == "load"
-                and request.budget_seconds is None
-                and isinstance(request.params.get("failure_sets"), list)
-            ):
-                key = tuple(
-                    json.dumps(request.params.get(name), sort_keys=True)
-                    for name in ("topology", "scheme", "matrix", "matrix_seed", "destination")
-                )
-                groups.setdefault(key, []).append(position)
-        for positions in groups.values():
-            if len(positions) < 2:
-                continue
-            try:
-                first = requests[positions[0]]
-                topology, spec, engine, demands, matrix_name, matrix_seed, _, _ = (
-                    self._load_workload(first.params)
-                )
-                per_request = [
-                    failure_sets_from_json(requests[p].params["failure_sets"])
-                    for p in positions
-                ]
-                union: list = []
-                seen_masks = set()
-                for sets in per_request:
-                    for failures in sets:
-                        if failures not in seen_masks:
-                            seen_masks.add(failures)
-                            union.append(failures)
-                start = time.perf_counter()
-                reports = engine.load_sweep(demands, union)
-                elapsed = time.perf_counter() - start
-                by_mask = dict(zip(union, reports))
-                for position, sets in zip(positions, per_request):
-                    request = requests[position]
-                    label = _explicit_label(sets, None)
-                    record, partial = self._load_record(
-                        topology, spec, matrix_name, matrix_seed, label, sets,
-                        [by_mask[failures] for failures in sets], elapsed,
-                    )
-                    self.remember(record)
-                    responses[position] = ok_response(
-                        request.id, self.result_from_record("load", record), partial=partial
-                    )
-            except Exception as error:  # noqa: BLE001 - fall back to per-request paths
-                for position in positions:
-                    responses.pop(position, None)
+            responses.append(response)
+        return responses
 
     def _execute_one(self, request: Request) -> dict:
         deadline = (
             Deadline(request.budget_seconds) if request.budget_seconds is not None else None
         )
         try:
-            identity = self.cache_identity(request)
-            if identity is not None and deadline is None:
-                record = self.cached_record(identity)
-                if record is not None:
-                    return ok_response(
-                        request.id,
-                        self.result_from_record(request.op, record),
-                        cached=True,
-                    )
-            if request.op == "verdict":
-                record, partial = self.verdict(request.params, deadline)
+            if request.op in ("verdict", "load"):
+                query = self._resolve(request.op, request.params)
+                if deadline is None:
+                    record = self.cached_record(query.record.key())
+                    if record is not None:
+                        return ok_response(
+                            request.id,
+                            self.result_from_record(request.op, record),
+                            cached=True,
+                        )
+                compute = self._verdict if request.op == "verdict" else self._load
+                record, partial = compute(query, deadline)
                 if not partial:
                     self.remember(record)
                 return ok_response(
-                    request.id, self.result_from_record("verdict", record), partial=partial
-                )
-            if request.op == "load":
-                record, partial = self.load(request.params, deadline)
-                if not partial:
-                    self.remember(record)
-                return ok_response(
-                    request.id, self.result_from_record("load", record), partial=partial
+                    request.id, self.result_from_record(request.op, record), partial=partial
                 )
             if request.op == "grid":
                 result = self.grid(request.params, deadline)
@@ -704,9 +609,7 @@ class QueryService:
                     partial=not result.exhaustive,
                 )
             raise QueryError(f"op {request.op!r} is not a compute op")
-        except (QueryError, SchemeNotApplicable) as error:
-            return error_response(request.id, type(error).__name__, str(error))
-        except Exception as error:  # noqa: BLE001 - any compute bug becomes an error reply
+        except Exception as error:  # noqa: BLE001 - bad params and compute bugs alike
             return error_response(request.id, type(error).__name__, str(error))
 
     # -- stats -------------------------------------------------------------

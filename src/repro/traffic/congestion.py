@@ -86,14 +86,14 @@ def congestion_vs_failures(
 ) -> CongestionCurve:
     """Load statistics per failure-set size for one algorithm.
 
-    One :class:`TrafficEngine` serves the whole sweep, so patterns and
-    decision tables are built once (pass a prebuilt ``engine``, or a
-    ``session`` that owns the engine state, to reuse them across
-    calls).  Pass ``failure_grid`` to pin the exact scenarios (the
-    comparison harness does).
+    One router serves the whole sweep, so patterns and decision tables
+    are built once (pass a prebuilt ``engine``, or take the router from
+    a ``session``'s :meth:`~repro.experiments.session.ExperimentSession.
+    traffic_engine` to reuse them across calls).  Pass ``failure_grid``
+    to pin the exact scenarios (the comparison harness does).
     """
     if engine is None:
-        engine = TrafficEngine(graph, algorithm, session=session)
+        engine = _router(graph, algorithm, session)
     if failure_grid is None:
         if sizes is None:
             sizes = default_sizes(engine.graph)
@@ -109,6 +109,13 @@ def congestion_vs_failures(
         if reports:  # an explicitly passed grid may carry empty buckets
             curve.points.append(_aggregate(size, reports))
     return curve
+
+
+def _router(graph: nx.Graph | EngineState, algorithm: RoutingAlgorithm, session):
+    """The session's load router for ``graph``, or a fresh batched one."""
+    if session is None:
+        return TrafficEngine(graph, algorithm)
+    return session.traffic_engine(graph, algorithm)
 
 
 def _aggregate(size: int, reports: list[LoadReport]) -> CongestionPoint:
@@ -173,8 +180,10 @@ def greedy_congestion_attack(
     load), and the reported load is re-verified on the pruned set.
     ``keep_connected`` restricts the adversary to failures that keep the
     surviving graph connected — the promise of the congestion papers.
+    Given a ``session``, the router is the session's
+    :meth:`~repro.experiments.session.ExperimentSession.traffic_engine`.
     """
-    engine = TrafficEngine(graph, algorithm, session=session)
+    engine = _router(graph, algorithm, session)
     links = sorted((edge(u, v) for u, v in engine.graph.edges), key=edge_sort_key)
     baseline = engine.load(demands).max_load
     chosen: set = set()
@@ -265,7 +274,7 @@ def preflight_congestion_curve(
     except Exception as error:  # noqa: BLE001 - precondition failures vary by algorithm
         return None, str(error) or type(error).__name__
     curve = congestion_vs_failures(
-        engine.state,
+        engine.graph,
         algorithm,
         demands,
         samples=samples,
@@ -298,12 +307,10 @@ def compare_congestion(
     :class:`repro.failures.FailureModel`'s grid) to pin the scenarios
     explicitly — ``sizes``/``samples``/``seed`` then only label the
     curve.  The default ``algorithms`` line-up comes
-    from the scheme registry; engine state comes from ``session``
-    (default: the shared session).  The loads always come from the
-    batched router (differentially equal to per-packet simulation); for
-    the per-packet reference surface itself, run the grid through
-    :func:`repro.experiments.run_grid` with a ``backend="naive"``
-    session.
+    from the scheme registry; each router comes from ``session``'s
+    :meth:`~repro.experiments.session.ExperimentSession.traffic_engine`
+    (default: the shared session), so a ``backend="naive"`` session
+    routes every load per packet.
     """
     from ..experiments.session import resolve_session
 
@@ -316,11 +323,10 @@ def compare_congestion(
             sizes = default_sizes(graph)
         grid = sample_failure_grid(graph, sizes, samples, seed)
     resolved = resolve_session(session)
-    state = resolved.state(graph)
     result = ComparisonResult(curves=[])
     for algorithm in algorithms:
         curve, reason = preflight_congestion_curve(
-            TrafficEngine(state, algorithm),
+            resolved.traffic_engine(graph, algorithm),
             algorithm,
             demands,
             grid,

@@ -28,9 +28,10 @@ resulting loads equal a per-packet simulation link for link:
 
 :func:`per_packet_loads` is the naive reference implementation (one
 :func:`repro.core.simulator.route` call per demand) used for differential
-testing; :class:`TrafficEngine` is the batched router — the one load
-router of every engine-backed session, numpy sessions included — and
-:func:`route_matrix` the one-shot convenience wrapper.
+testing, and :class:`PerPacketRouter` puts it behind the router API for
+naive sessions; :class:`TrafficEngine` is the batched router — the one
+load router of every engine-backed session, numpy sessions included —
+and :func:`route_matrix` the one-shot convenience wrapper.
 """
 
 from __future__ import annotations
@@ -86,10 +87,6 @@ class LoadReport:
     @property
     def max_load(self) -> int:
         return max(self.loads.values(), default=0)
-
-    @property
-    def mean_load(self) -> float:
-        return sum(self.loads.values()) / len(self.loads) if self.loads else 0.0
 
     def percentile(self, q: float) -> int:
         """Nearest-rank ``q``-th percentile of the per-link loads."""
@@ -338,16 +335,9 @@ class TrafficEngine:
     resilience checkers).
     """
 
-    def __init__(
-        self,
-        graph: nx.Graph | EngineState,
-        algorithm: RoutingAlgorithm,
-        session=None,
-    ):
+    def __init__(self, graph: nx.Graph | EngineState, algorithm: RoutingAlgorithm):
         if isinstance(graph, EngineState):
             self.state = graph
-        elif session is not None:  # session-owned (and cached) engine state
-            self.state = session.state(graph)
         else:
             self.state = EngineState(graph)
         self.graph = self.state.graph
@@ -481,6 +471,22 @@ def route_matrix(
     decision tables then amortize across the sweep.
     """
     return TrafficEngine(graph, algorithm).load(demands, failures)
+
+
+class PerPacketRouter:
+    """:class:`TrafficEngine`'s ``load`` / ``load_sweep`` API on the naive
+    reference: every load is one :func:`per_packet_loads` call, and
+    nothing is cached.  The load router of a naive session."""
+
+    def __init__(self, graph: nx.Graph, algorithm: RoutingAlgorithm):
+        self.graph = graph
+        self.algorithm = algorithm
+
+    def load(self, demands: TrafficMatrix, failures: FailureSet = EMPTY_FAILURES) -> LoadReport:
+        return per_packet_loads(self.graph, self.algorithm, demands, failures)
+
+    # the one sweep loop: same order, same deadline cut, same telemetry
+    load_sweep = TrafficEngine.load_sweep
 
 
 def per_packet_loads(

@@ -20,6 +20,7 @@ import pytest
 from repro import obs
 from repro.experiments import (
     ExperimentRecord,
+    ExperimentSession,
     FailureModel as LegacyFailureModel,
     ResultStore,
     resolve_topology,
@@ -649,6 +650,51 @@ class TestSampledGrid:
         [record] = result.records
         assert record.metrics["exhaustive"] is False
         assert record.metrics["samples"] < 40
+
+    def test_budget_cut_last_cell_is_partial_and_not_stored(self, tmp_path):
+        # the cut falls inside the grid's only (so last) computed cell
+        store = ResultStore(tmp_path / "store.json")
+        result = run_grid(
+            topologies=["ring(8)"],
+            schemes=["greedy"],
+            failure_models=["iid:p=0.05,samples=40,seed=0"],
+            metrics=("resilience",),
+            deadline=Budget(units=10),
+            store=store,
+        )
+        [record] = result.records
+        assert record.metrics["samples"] == 10
+        assert not result.exhaustive
+        assert store.load_records() == []
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_budget_cut_cell_is_not_journaled_and_resumes_clean(self, tmp_path, processes):
+        """A cut estimate is reported, never journaled: the resumed run
+        recomputes it and equals an uninterrupted one.  In the fan-out
+        the cut happens in a worker, whose budget charges the parent
+        never sees."""
+        journal = tmp_path / "journal.jsonl"
+        kwargs = dict(
+            topologies=["ring(8)"],
+            schemes=["greedy", "distance2"],
+            failure_models=["iid:p=0.05,samples=50,seed=0"],
+            metrics=("resilience",),
+        )
+        cut = run_grid(
+            session=ExperimentSession(processes=processes),
+            deadline=Budget(units=10),
+            resume=journal,
+            **kwargs,
+        )
+        assert cut.records[0].scheme == "greedy"
+        assert cut.records[0].metrics["samples"] == 10
+        assert not cut.exhaustive
+        resumed = run_grid(resume=journal, **kwargs)
+        clean = run_grid(**kwargs)
+        assert resumed.resumed_cells == 0
+        assert [r.to_dict() | {"runtime_seconds": 0} for r in resumed.records] == [
+            r.to_dict() | {"runtime_seconds": 0} for r in clean.records
+        ]
 
     def test_sampled_records_round_trip_the_store(self, tmp_path):
         path = tmp_path / "store.json"

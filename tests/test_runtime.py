@@ -346,8 +346,19 @@ class TestOneFanOut:
                 graph, scheme("distance2").instantiate(), processes=2
             ),
             lambda graph: parallel_map(len, [graph, graph], 2, initializer=None),
+            lambda graph: parallel_map(len, [graph, graph], 2, retries=1),
+            lambda graph: parallel_map(len, [graph, graph], 2, backoff=0.0),
+            lambda graph: run_grid([("c4", graph)], ["greedy"], processes=2),
         ],
-        ids=["sweep_resilience", "destination", "source_destination", "parallel_map"],
+        ids=[
+            "sweep_resilience",
+            "destination",
+            "source_destination",
+            "parallel_map",
+            "parallel_map_retries",
+            "parallel_map_backoff",
+            "run_grid_processes",
+        ],
     )
     def test_removed_fanout_keywords_raise(self, call):
         with pytest.raises(TypeError, match="unexpected keyword argument"):
@@ -410,7 +421,7 @@ class TestSweepRecovery:
     def test_clean_cell_fanout_matches_serial(self, case, frozen_clock):
         graph, _, clean = case
         serial = self._cells(graph)
-        assert self._cells(graph, processes=2) == serial
+        assert self._cells(graph, session=ExperimentSession(processes=2)) == serial
         arborescence = serial[0]["metrics"]
         assert arborescence["resilient"] == clean.verdict.resilient
         assert arborescence["scenarios_checked"] == clean.verdict.scenarios_checked
@@ -420,7 +431,7 @@ class TestSweepRecovery:
         serial = self._cells(graph)
         telemetry = obs.Telemetry()
         with obs.installed(telemetry), FaultPlan.parse("worker-crash:at=0").installed():
-            crashed = self._cells(graph, processes=2)
+            crashed = self._cells(graph, session=ExperimentSession(processes=2))
         assert crashed == serial
         assert telemetry.registry.value("repro_faults_fired_total", kind="worker-crash") == 1
 
@@ -540,10 +551,10 @@ class TestGridRecovery:
         # exactly the first cell's records are present
         assert {record.scheme for record in result.records} == {"arborescence"}
 
-    def test_session_deadline_is_the_default(self):
-        session = ExperimentSession(deadline=Budget(1))
-        result = run_grid(session=session, **GRID_KWARGS)
-        assert not result.exhaustive
+    def test_session_deadline_keyword_is_removed(self):
+        # one knob: the grid's deadline is run_grid(deadline=)
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            ExperimentSession(deadline=Budget(1))
 
     def test_expired_deadline_yields_empty_grid(self):
         result = run_grid(session=ExperimentSession(), deadline=Deadline(0.0), **GRID_KWARGS)
@@ -552,8 +563,8 @@ class TestGridRecovery:
 
 
 class TestParallelGrid:
-    """``run_grid(processes>1)``: warm-worker fan-out whose stitched
-    output is byte-identical to a serial run."""
+    """``run_grid`` on a ``processes>1`` session: warm-worker fan-out
+    whose stitched output is byte-identical to a serial run."""
 
     def test_parallel_records_equal_serial(self, frozen_clock):
         serial = run_grid(session=ExperimentSession(), **GRID_KWARGS)
@@ -699,7 +710,7 @@ class TestParallelGrid:
 
 
 class TestLoadSweepDeadline:
-    @pytest.mark.parametrize("backend", ["engine", "numpy"])
+    @pytest.mark.parametrize("backend", ["engine", "naive", "numpy"])
     def test_partial_prefix_matches_full_run(self, backend):
         from repro.experiments import resolve_topology, scheme
         from repro.traffic import permutation, sample_failure_grid

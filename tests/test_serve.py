@@ -5,8 +5,8 @@ The load-bearing guarantees pinned here:
 * service answers are byte-identical to the offline surfaces
   (``run_grid`` / ``sweep_resilience`` / ``load_sweep``) — differential
   tests with runtimes zeroed;
-* batching (coalesced ``run_batch``, union load sweeps, the mask-
-  outcome memo) never changes an answer;
+* batching (coalesced ``run_batch``, the mask-outcome memo) never
+  changes an answer;
 * the ``ResultStore`` identity index answers ``lookup`` in O(1) with
   ``merge`` semantics unchanged from the scanning implementation;
 * deadline-cut answers survive the record JSON round-trip flagged
@@ -354,8 +354,8 @@ class TestServiceDifferential:
             for report, failures in zip(offline, sets)]
 
     def test_union_batched_load_identical_to_solo(self):
-        """Two coalesced load requests answered from ONE union sweep
-        must produce byte-identical envelopes to solo execution."""
+        """Two load requests in one batch must each produce the
+        byte-identical envelope of their solo execution."""
         sets_a = [[[0, 1]], [[1, 2], [2, 3]]]
         sets_b = [[[1, 2], [2, 3]], [[3, 4]]]  # overlaps with a
 
@@ -500,10 +500,36 @@ class TestDeadlinePartial:
         cut = service.execute(Request(id="c", op="verdict", params=params,
                                       budget_seconds=0.0))
         assert cut["partial"] is True
-        assert store.lookup(service.cache_identity(
-            Request(id="c", op="verdict", params=params))) is None
+        assert store.lookup(ExperimentRecord.from_dict(cut["result"]["record"]).key()) is None
         full = service.execute(Request(id="f", op="verdict", params=params))
         assert full["partial"] is False and full["cached"] is False
+
+    def test_budget_cut_grid_estimate_is_partial_and_never_cached(
+        self, tmp_path, monkeypatch
+    ):
+        """A grid request whose budget cuts a sampled cell mid-estimate
+        replies partial, stores nothing, and a later unbudgeted verdict
+        computes the whole estimate instead of serving the cut one."""
+        import repro.serve.service as service_module
+        from repro.runtime import Budget
+
+        # a unit budget puts the cut at a fixed sample: 10 units, one per sample
+        monkeypatch.setattr(service_module, "Deadline", lambda seconds: Budget(10))
+        store = ResultStore(tmp_path / "answers.json")
+        service = QueryService(store=store)
+        model = "iid:p=0.05,samples=50,seed=0"
+        cut = service.execute(Request(id="g", op="grid", budget_seconds=1.0, params={
+            "topologies": ["ring(8)"], "schemes": ["greedy"],
+            "metrics": ["resilience"], "model": model}))
+        assert cut["ok"] is True and cut["partial"] is True
+        [record] = cut["result"]["records"]
+        assert record["metrics"]["exhaustive"] is False
+        assert record["metrics"]["samples"] == 10
+        assert store.lookup(ExperimentRecord.from_dict(record).key()) is None
+        full = service.execute(Request(id="v", op="verdict", params={
+            "topology": "ring(8)", "scheme": "greedy", "model": model}))
+        assert full["cached"] is False and full["partial"] is False
+        assert full["result"]["verdict"]["samples"] == 50
 
     def test_partial_load_returns_completed_prefix(self):
         service = QueryService()
@@ -514,6 +540,82 @@ class TestDeadlinePartial:
         assert reply["ok"] is True and reply["partial"] is True
         metrics = reply["result"]["record"]["metrics"]
         assert metrics["completed_sets"] < metrics["failure_sets"]
+
+
+class TestOneResolution:
+    """Each verdict and load request is resolved once: the answer-cache
+    identity is the key of the record the answer carries."""
+
+    def test_naive_session_is_refused(self):
+        with pytest.raises(ValueError, match="engine-backed session"):
+            QueryService(session=ExperimentSession(backend="naive"))
+
+    def test_serve_cli_has_no_naive_backend(self, capsys, monkeypatch):
+        import repro.serve.server as server_module
+        from repro.cli import main
+
+        def refuse(**kwargs):
+            raise AssertionError("a naive session reached the server")
+
+        monkeypatch.setattr(server_module, "serve", refuse)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--backend", "naive"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'naive'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("op, extra", [
+        ("verdict", {"destination": 4}),
+        ("load", {"matrix": "permutation"}),
+    ])
+    def test_computed_explicit_request_parses_its_masks_once(
+        self, tmp_path, monkeypatch, op, extra
+    ):
+        import repro.serve.service as service_module
+
+        calls = []
+        parse = service_module.failure_sets_from_json
+
+        def counted(sets):
+            calls.append(sets)
+            return parse(sets)
+
+        monkeypatch.setattr(service_module, "failure_sets_from_json", counted)
+        service = QueryService(store=ResultStore(tmp_path / "answers.json"))
+        params = dict({"topology": "k5", "scheme": "arborescence",
+                       "failure_sets": [[[0, 1]], [[1, 2], [2, 3]]]}, **extra)
+        reply = service.execute(Request(id="q", op=op, params=params))
+        assert reply["ok"] is True and reply["cached"] is False
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("destination, sink", [(None, 7), (2, 2)])
+    def test_all_to_one_load_is_cached_under_its_record_identity(
+        self, tmp_path, monkeypatch, destination, sink
+    ):
+        """The matrix name comes from traffic.matrices alone, so the
+        cache identity follows its label, whatever that label is."""
+        import repro.traffic.matrices as matrices
+
+        build = matrices.build_named_matrix
+
+        def relabelled(graph, name, seed=0, destination=None):
+            demands, label = build(graph, name, seed=seed, destination=destination)
+            return demands, label.replace("all-to-one", "incast")
+
+        monkeypatch.setattr(matrices, "build_named_matrix", relabelled)
+        store = ResultStore(tmp_path / "answers.json")
+        params = {"topology": "ring(8)", "scheme": "greedy", "matrix": "all-to-one",
+                  "failure_sets": [[[0, 1]], [[2, 3], [5, 6]]]}
+        if destination is not None:
+            params["destination"] = destination
+        first = QueryService(store=store).execute(Request(id="a", op="load", params=params))
+        assert first["cached"] is False
+        record = ExperimentRecord.from_dict(first["result"]["record"])
+        assert record.params["matrix"] == f"incast({sink})"
+        assert store.lookup(record.key()) is not None
+        again = QueryService(store=ResultStore(store.path)).execute(
+            Request(id="b", op="load", params=params))
+        assert again["cached"] is True
+        assert again["result"] == first["result"]
 
 
 # ---------------------------------------------------------------------------

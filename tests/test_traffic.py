@@ -20,6 +20,7 @@ from repro.core.algorithms import (
 )
 from repro.core.engine.sweep import EngineState
 from repro.core.simulator import Network, route
+from repro.experiments import ExperimentSession, naive_session
 from repro.graphs import construct
 from repro.graphs.edges import edge, edge_sort_key, failure_set
 from repro.traffic import (
@@ -247,6 +248,13 @@ class TestBatchedNaiveParity:
         with pytest.raises(ValueError):
             per_packet_loads(graph, GreedyLowestNeighbor(), demands)
 
+    def test_session_keyword_is_removed(self):
+        # a session hands out its router: session.traffic_engine(graph, algorithm)
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            TrafficEngine(
+                construct.cycle_graph(4), GreedyLowestNeighbor(), session=ExperimentSession()
+            )
+
     def test_engine_state_is_reusable(self):
         graph = construct.fat_tree(4)
         state = EngineState(graph)
@@ -305,6 +313,43 @@ class TestCongestionSweeps:
         sizes = {tuple(p.failures for p in curve.points) for curve in result.curves}
         assert len(sizes) == 1
         assert congestion_table(result.curves)  # renders
+
+    def test_naive_session_routes_every_surface_per_packet(self, monkeypatch):
+        """Given a naive session, each congestion surface takes the
+        session's reference router, whose loads are per_packet_loads:
+        the same numbers as an engine session's batched router."""
+        import repro.traffic.load as load_module
+
+        calls = []
+        reference = load_module.per_packet_loads
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return reference(*args, **kwargs)
+
+        monkeypatch.setattr(load_module, "per_packet_loads", counted)
+        graph = construct.cycle_graph(6)
+        algorithm = GreedyLowestNeighbor()
+        demands = all_to_one(graph, 0)
+        grid = dict(sizes=[0, 1], samples=2, seed=0)
+        surfaces = {
+            "compare_congestion": lambda session: compare_congestion(
+                graph, demands, algorithms=[algorithm], session=session, **grid
+            ).curves,
+            "congestion_vs_failures": lambda session: congestion_vs_failures(
+                graph, algorithm, demands, session=session, **grid
+            ),
+            "greedy_congestion_attack": lambda session: greedy_congestion_attack(
+                graph, algorithm, demands, max_failures=2, session=session
+            ),
+        }
+        for name, surface in surfaces.items():
+            calls.clear()
+            naive = surface(naive_session())
+            assert calls, name
+            calls.clear()
+            assert surface(ExperimentSession()) == naive, name
+            assert not calls, name
 
     def test_greedy_attack_is_verified_and_connected(self):
         graph = construct.fat_tree(4)
