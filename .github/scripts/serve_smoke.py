@@ -35,16 +35,13 @@ COLD_ARGS = [
     "verdict",
     "--topology", "maximal-outerplanar(10)",
     "--scheme", "right-hand",
-    "--sizes", "2,3",
-    "--samples", "200",
+    "--failure-model", "random:sizes=2/3,samples=200",
 ]
 #: big enough that SIGKILL lands mid-compute even on a fast runner
 SLOW_PARAMS = {
     "topology": "maximal-outerplanar(14)",
     "scheme": "right-hand",
-    "sizes": [2, 3, 4],
-    "samples": 8000,
-    "seed": 0,
+    "model": "random:sizes=2/3/4,samples=8000,seed=0",
 }
 
 

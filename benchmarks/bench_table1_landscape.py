@@ -25,7 +25,7 @@ from repro.analysis import simple_table
 from repro.core.adversary import attack_complete_graph, attack_r_tolerance
 from repro.core.algorithms import Distance2Algorithm, Distance3BipartiteAlgorithm
 from repro.core.resilience import all_failure_sets, check_pattern_resilience, check_r_tolerance
-from repro.experiments import FailureModel, run_grid
+from repro.experiments import run_grid
 from repro.graphs import construct
 
 
@@ -134,7 +134,7 @@ def run_benchmark(quick: bool = False) -> dict:
     grid = run_grid(
         [grid_topology],
         ["distance2"],
-        failure_models=[FailureModel(sizes=(1, 2, 3), samples=20 if quick else 100, seed=0)],
+        failure_models=[f"random:sizes=1/2/3,samples={20 if quick else 100},seed=0"],
         metrics=["resilience"],
     )
     return {

@@ -21,6 +21,7 @@ Run:  python examples/congestion_study.py
 """
 
 from repro.experiments import resolve_topology, scheme
+from repro.failures import RandomGridModel
 from repro.traffic import (
     all_to_one,
     compare_congestion,
@@ -45,9 +46,7 @@ def main() -> None:
     result = compare_congestion(
         fabric,
         demands,
-        sizes=[0, 1, 2, 4],
-        samples=5,
-        seed=0,
+        failure_model=RandomGridModel(sizes=(0, 1, 2, 4), samples=5),
         graph_name="fat_tree(4)",
         matrix_name="permutation",
     )
@@ -63,9 +62,7 @@ def main() -> None:
         fabric,
         incast,
         algorithms=[arborescence.instantiate()],
-        sizes=[0, 2, 4, 8],
-        samples=5,
-        seed=0,
+        failure_model=RandomGridModel(sizes=(0, 2, 4, 8), samples=5),
         graph_name="fat_tree(4)",
         matrix_name=f"all-to-one({sink})",
     )
@@ -87,9 +84,7 @@ def main() -> None:
     result = compare_congestion(
         cube,
         permutation(cube, seed=1),
-        sizes=[0, 1, 2, 4],
-        samples=5,
-        seed=0,
+        failure_model=RandomGridModel(sizes=(0, 1, 2, 4), samples=5),
         graph_name="hypercube(3)",
         matrix_name="permutation",
     )

@@ -21,7 +21,6 @@ import tempfile
 
 from repro.experiments import (
     ExperimentSession,
-    FailureModel,
     ResultStore,
     list_schemes,
     run_grid,
@@ -48,7 +47,7 @@ def main() -> None:
     result = run_grid(
         topologies=["ring(12)", "fattree"],
         schemes=["arborescence", "distance2", "distance3", "tour", "greedy"],
-        failure_models=[FailureModel(sizes=(0, 1, 2, 4), samples=4, seed=0)],
+        failure_models=["random:sizes=0/1/2/4,samples=4,seed=0"],
         metrics=("resilience", "congestion", "stretch", "table_space"),
         matrix="permutation",
         session=session,
@@ -66,7 +65,7 @@ def main() -> None:
         rerun = run_grid(
             topologies=["ring(12)"],
             schemes=["arborescence"],
-            failure_models=[FailureModel(sizes=(0, 2), samples=4, seed=7)],
+            failure_models=["random:sizes=0/2,samples=4,seed=7"],
             metrics=("congestion",),
             session=session,
             store=store,

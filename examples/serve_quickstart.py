@@ -60,8 +60,7 @@ def main() -> None:
             params = dict(
                 topology="maximal-outerplanar(10)",
                 scheme="right-hand",
-                sizes=[2, 3],
-                samples=200,
+                model="random:sizes=2/3,samples=200",
             )
             start = time.perf_counter()
             cold = client.verdict(**params)
@@ -96,8 +95,7 @@ def main() -> None:
             reply = client.verdict(
                 topology="maximal-outerplanar(14)",
                 scheme="right-hand",
-                sizes=[2, 3, 4],
-                samples=2000,
+                model="random:sizes=2/3/4,samples=2000",
                 budget_seconds=0.01,
             )
             print(

@@ -50,7 +50,6 @@ from .core.classification import Classification, Possibility, classify
 from .experiments import (
     ExperimentRecord,
     ExperimentSession,
-    FailureModel,
     GridResult,
     ResultStore,
     SchemeNotApplicable,
@@ -72,7 +71,6 @@ __all__ = [
     "Edge",
     "ExperimentRecord",
     "ExperimentSession",
-    "FailureModel",
     "FailureSet",
     "GridResult",
     "Network",

@@ -205,6 +205,19 @@ def _build_matrix(graph, args):
     return build_named_matrix(graph, args.matrix, seed=args.seed, destination=destination)
 
 
+def _failure_model(spec: str | None, default: str):
+    """The model ``--failure-model`` names, else the command's
+    ``default`` spec; ``None`` after printing the error for a bad spec."""
+    from .failures import parse_failure_model, spec_grammar
+
+    try:
+        return parse_failure_model(spec or default)
+    except ValueError as error:
+        print(f"invalid --failure-model: {error}", file=sys.stderr)
+        print(f"spec grammar: {spec_grammar()}", file=sys.stderr)
+        return None
+
+
 def _cmd_traffic(args) -> int:
     from . import traffic
 
@@ -214,74 +227,42 @@ def _cmd_traffic(args) -> int:
     except ValueError as error:  # e.g. --destination not a node of the graph
         print(f"cannot build matrix: {error}", file=sys.stderr)
         return 2
-    try:
-        sizes = [int(token) for token in args.sizes.split(",")] if args.sizes else None
-    except ValueError:
-        print(
-            f"invalid --sizes {args.sizes!r}: expected comma-separated integers",
-            file=sys.stderr,
-        )
+    model = _failure_model(args.failure_model, f"random:samples=10,seed={args.seed}")
+    if model is None:
         return 2
-    if args.failure_model:
-        from .failures import parse_failure_model, spec_grammar
-
-        try:
-            model = parse_failure_model(args.failure_model)
-        except ValueError as error:
-            print(f"invalid --failure-model: {error}", file=sys.stderr)
-            print(f"spec grammar: {spec_grammar()}", file=sys.stderr)
-            return 2
-    else:
-        model = None
     session = default_session()
-    if args.algorithm == "all":
-        competitors = traffic.default_competitors()
-        try:
-            # a --failure-model pins the grid explicitly; otherwise the
-            # historical sizes/samples/seed sampler runs inside
+    try:
+        if args.algorithm == "all":
+            competitors = traffic.default_competitors()
             result = traffic.compare_congestion(
                 graph,
                 demands,
                 algorithms=competitors,
-                sizes=sizes,
-                samples=args.samples,
-                seed=args.seed,
+                failure_model=model,
                 graph_name=args.graph,
                 matrix_name=matrix_name,
                 session=session,
-                failure_grid=model.grid(graph) if model is not None else None,
             )
-        except ValueError as error:  # bad sizes/samples for this topology
-            print(f"cannot sweep: {error}", file=sys.stderr)
-            return 2
-        curves = result.curves
-        for name, reason in result.skipped:
-            print(f"[skipped] {name}: {reason}", file=sys.stderr)
-    else:
-        algorithm = scheme(args.algorithm).instantiate()
-        try:
-            if model is not None:
-                grid = model.grid(graph)
-            else:
-                grid = traffic.sample_failure_grid(
-                    graph, sizes or traffic.default_sizes(graph), args.samples, args.seed
-                )
-        except ValueError as error:
-            print(f"cannot sweep: {error}", file=sys.stderr)
-            return 2
-        curve, reason = traffic.preflight_congestion_curve(
-            session.traffic_engine(graph, algorithm),
-            algorithm,
-            demands,
-            grid,
-            samples=getattr(model, "samples", args.samples),
-            graph_name=args.graph,
-            matrix_name=matrix_name,
-        )
-        if curve is None:
-            print(f"{algorithm.name} cannot run on this topology: {reason}", file=sys.stderr)
-            return 2
-        curves = [curve]
+            curves = result.curves
+            for name, reason in result.skipped:
+                print(f"[skipped] {name}: {reason}", file=sys.stderr)
+        else:
+            algorithm = scheme(args.algorithm).instantiate()
+            curve, reason = traffic.preflight_congestion_curve(
+                session.traffic_engine(graph, algorithm),
+                algorithm,
+                demands,
+                model.grid(graph),
+                graph_name=args.graph,
+                matrix_name=matrix_name,
+            )
+            if curve is None:
+                print(f"{algorithm.name} cannot run on this topology: {reason}", file=sys.stderr)
+                return 2
+            curves = [curve]
+    except ValueError as error:  # e.g. a failure size beyond this topology's links
+        print(f"cannot sweep: {error}", file=sys.stderr)
+        return 2
     print(f"congestion sweep: {args.graph}, matrix {matrix_name}, {len(demands)} demands")
     print(traffic.congestion_table(curves))
     if args.attack:
@@ -356,7 +337,6 @@ def _print_progress(info: dict) -> None:
 
 def _cmd_experiments(args) -> int:
     from .experiments import (
-        FailureModel,
         ResultStore,
         list_schemes,
         list_topologies,
@@ -390,17 +370,12 @@ def _cmd_experiments(args) -> int:
     metrics_spec = (
         "resilience,congestion,stretch,table_space" if dump_metrics else args.metrics
     )
-    if args.failure_model:
-        from .failures import parse_failure_model, spec_grammar
-
-        try:
-            spec_model = parse_failure_model(args.failure_model)
-        except ValueError as error:
-            print(f"invalid --failure-model: {error}", file=sys.stderr)
-            print(f"spec grammar: {spec_grammar()}", file=sys.stderr)
-            return 2
-    else:
-        spec_model = None
+    default_model = (
+        "random:sizes=0/1,samples=2,seed=0" if args.quick else f"random:samples=5,seed={args.seed}"
+    )
+    model = _failure_model(args.failure_model, default_model)
+    if model is None:
+        return 2
     if args.quick:
         # CI smoke: a tiny fixed 2-topology x 3-scheme grid, every
         # metric, permutation matrix, seed 0 — only the failure model
@@ -412,8 +387,6 @@ def _cmd_experiments(args) -> int:
             for flag, given in (
                 ("--topologies", args.topologies != "ring,fattree"),
                 ("--schemes", args.schemes is not None),
-                ("--sizes", args.sizes is not None),
-                ("--samples", args.samples != 5),
                 ("--metrics", metrics_spec != "resilience,congestion,stretch,table_space"),
                 ("--matrix", args.matrix != "permutation"),
                 ("--seed", args.seed != 0),
@@ -427,21 +400,12 @@ def _cmd_experiments(args) -> int:
             )
         topologies = ["ring", "grid"]
         schemes = ["arborescence", "distance2", "greedy"]
-        model = spec_model or FailureModel(sizes=(0, 1), samples=2, seed=0)
         metrics = list(METRICS)
         matrix = "permutation"
         seed = 0
     else:
         topologies = _split_names(args.topologies)
         schemes = _split_names(args.schemes) if args.schemes else None
-        try:
-            sizes = (
-                tuple(int(token) for token in args.sizes.split(",")) if args.sizes else None
-            )
-        except ValueError:
-            print(f"invalid --sizes {args.sizes!r}", file=sys.stderr)
-            return 2
-        model = spec_model or FailureModel(sizes=sizes, samples=args.samples, seed=args.seed)
         metrics = [token for token in metrics_spec.split(",") if token]
         matrix = args.matrix
         seed = args.seed
@@ -541,12 +505,20 @@ def _cmd_experiments(args) -> int:
             )
     if not result.exhaustive:
         print("deadline exhausted: partial grid (completed cells only)", file=sys.stderr)
+    saved = {id(record) for record in result.saved}
+    for record in result.records:
+        if id(record) not in saved:
+            print(
+                f"[not stored] {record.experiment} of {record.scheme} on {record.topology} "
+                f"({record.failure_model}): its estimate was cut short",
+                file=sys.stderr,
+            )
     if not records_round_trip(result.records):
         print("records failed the JSON round-trip", file=sys.stderr)
         return 1
     print(f"{len(result.records)} records (JSON round-trip ok)")
     if store is not None:
-        print(f"merged into {store.path}")
+        print(f"merged {len(result.saved)} records into {store.path}")
     if args.csv:
         rows = write_records_csv(result.records, args.csv)
         print(f"wrote {rows} CSV rows to {args.csv}")
@@ -622,6 +594,7 @@ def _cmd_query(args) -> int:
 
     params: dict = {}
     budget = args.budget
+    model = args.failure_model or f"random:samples=10,seed={args.seed}"
     if args.op in ("verdict", "load"):
         if not args.topology or not args.scheme:
             print(f"{args.op} needs --topology and --scheme", file=sys.stderr)
@@ -631,32 +604,23 @@ def _cmd_query(args) -> int:
             params["failure_sets"] = _json_failure_sets(args.failures)
             if args.destination is not None and args.op == "verdict":
                 params["destination"] = _maybe_int(args.destination)
-        elif args.failure_model:
+        else:
             # the raw spec string travels; the service parses it with
             # the same grammar the CLI uses (one error surface)
-            params["model"] = args.failure_model
-        else:
-            sizes = (
-                [int(token) for token in args.sizes.split(",")] if args.sizes else None
-            )
-            params.update({"sizes": sizes, "samples": args.samples, "seed": args.seed})
+            params["model"] = model
         if args.op == "load":
             params.update({"matrix": args.matrix, "matrix_seed": args.seed})
     elif args.op == "grid":
         if not args.topology:
             print("grid needs --topology (comma-separated names)", file=sys.stderr)
             return 2
-        sizes = [int(token) for token in args.sizes.split(",")] if args.sizes else None
         params = {
             "topologies": _split_names(args.topology),
             "schemes": _split_names(args.scheme) if args.scheme else None,
             "matrix": args.matrix,
             "matrix_seed": args.seed,
+            "model": model,
         }
-        if args.failure_model:
-            params["model"] = args.failure_model
-        else:
-            params.update({"sizes": sizes, "samples": args.samples, "seed": args.seed})
     client = QueryClient(
         host=args.host, port=args.port, timeout=args.timeout, retries=args.retries
     )
@@ -787,14 +751,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="one registered scheme, or 'all' for the comparison harness",
     )
-    p.add_argument("--sizes", default=None, help="failure-set sizes, e.g. 0,1,2,4")
-    p.add_argument("--samples", type=int, default=10, help="failure sets per size")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--failure-model",
         default=None,
         metavar="SPEC",
-        help="failure-model spec, e.g. 'iid:p=0.01,samples=500,seed=0' (families: random, exhaustive, iid, srlg, regional); overrides --sizes/--samples/--seed",
+        help="failure-model spec, e.g. 'iid:p=0.01,samples=500,seed=0' (families: random, exhaustive, iid, srlg, regional); default 'random:samples=10' seeded by --seed",
     )
     p.add_argument(
         "--attack", type=int, default=0, metavar="K",
@@ -826,17 +788,15 @@ def build_parser() -> argparse.ArgumentParser:
         "Prometheus text after the run",
     )
     p.add_argument("--matrix", default="permutation")
-    p.add_argument("--sizes", default=None, help="failure-set sizes, e.g. 0,1,2,4")
-    p.add_argument("--samples", type=int, default=5, help="failure sets per size")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--failure-model",
         default=None,
         metavar="SPEC",
         help="failure-model spec, e.g. 'iid:p=0.01,samples=500,seed=0' "
-        "(families: random, exhaustive, iid, srlg, regional); sampled "
-        "models stream estimates with 95%% CI bounds; honored even "
-        "under --quick",
+        "(families: random, exhaustive, iid, srlg, regional); default "
+        "'random:samples=5' seeded by --seed; sampled models stream "
+        "estimates with 95%% CI bounds; honored even under --quick",
     )
     p.add_argument(
         "--backend",
@@ -993,14 +953,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--destination", default=None, help="destination node for explicit verdicts"
     )
-    p.add_argument("--sizes", default=None, help="failure-model sizes, e.g. 1,2")
-    p.add_argument("--samples", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--failure-model",
         default=None,
         metavar="SPEC",
-        help="failure-model spec, e.g. 'iid:p=0.01,samples=500,seed=0' (families: random, exhaustive, iid, srlg, regional); overrides --sizes/--samples/--seed",
+        help="failure-model spec, e.g. 'iid:p=0.01,samples=500,seed=0' (families: random, exhaustive, iid, srlg, regional); default 'random:samples=10' seeded by --seed",
     )
     p.add_argument("--matrix", default="permutation")
     p.add_argument("--json", action="store_true", help="print the raw reply envelope")

@@ -35,7 +35,7 @@ from ...graphs.connectivity import component_of
 from ...graphs.edges import FailureSet, Node, sorted_nodes
 from ...runtime.deadline import Deadline
 from ...runtime.faults import fire as _fault_fire
-from ..resilience import DEFAULT_FAILURE_PARAMS, EXHAUSTIVE_LINK_LIMIT, Counterexample
+from ..resilience import EXHAUSTIVE_LINK_LIMIT, Counterexample
 from ..model import DestinationAlgorithm, SourceDestinationAlgorithm, TouringAlgorithm
 from ..simulator import Network, RouteResult
 from ..simulator import route as naive_route
@@ -218,20 +218,16 @@ class ScenarioGrid:
     """A (destination × source × failure set) scenario grid.
 
     ``None`` fields mean the checker defaults: all destinations, every
-    source in the destination's surviving component, and exhaustive
-    failure enumeration when the graph has few enough links (else the
-    deterministic-prefix random sample) — exactly the naive checkers'
-    behaviour.  ``pairs`` overrides destinations × sources for the
-    source-destination model.
+    source in the destination's surviving component, and the failure
+    sets of :func:`~repro.core.resilience.default_failure_sets` —
+    exactly the naive checkers' behaviour.  ``pairs`` overrides
+    destinations × sources for the source-destination model.
     """
 
     destinations: Sequence[Node] | None = None
     sources: Sequence[Node] | None = None
     pairs: Sequence[tuple[Node, Node]] | None = None
     failure_sets: Iterable[FailureSet] | None = None
-    max_failures: int | None = None
-    samples: int = 400
-    seed: int = 0
 
 
 @dataclass
@@ -264,6 +260,9 @@ _POLL_SECONDS = 0.02
 #: serial pass, sleeping ``_BACKOFF_SECONDS * attempt`` before each
 _RETRIES = 2
 _BACKOFF_SECONDS = 0.05
+#: past a wall-clock deadline, how long a deadline-bound fan-out
+#: (``run_grid``'s) still waits for a result before abandoning its pool
+HANG_GRACE_SECONDS = 1.0
 
 
 def _fork_call(task: tuple[int, Any, Any]) -> tuple[int, Any, Any]:
@@ -430,7 +429,6 @@ def sweep_pattern_resilience(
     sources: Iterable[Node] | None = None,
     failure_sets: Iterable[FailureSet] | None = None,
     backend: str = "engine",
-    default_params: tuple = DEFAULT_FAILURE_PARAMS,
 ) -> Any:
     """Engine twin of the naive ``check_pattern_resilience``, for one
     memoized pattern (usually :meth:`EngineState.pattern`'s).
@@ -440,18 +438,14 @@ def sweep_pattern_resilience(
     counterexample carries the same route trace.  ``backend="numpy"``
     batches the failure masks through the vectorized walker where the
     instance supports it (and falls back to this scalar path, same
-    verdicts, where it does not); ``default_params`` are the
-    ``(max_failures, samples, seed)`` of the default failure
-    enumeration, so both backends resolve the identical scenario family.
+    verdicts, where it does not).
     """
     telemetry = _obs.active()
     if telemetry is None:
-        return _sweep_pattern_resilience(
-            state, memo, destination, sources, failure_sets, backend, default_params
-        )
+        return _sweep_pattern_resilience(state, memo, destination, sources, failure_sets, backend)
     with telemetry.span("pattern_sweep", destination=destination, backend=backend):
         verdict = _sweep_pattern_resilience(
-            state, memo, destination, sources, failure_sets, backend, default_params
+            state, memo, destination, sources, failure_sets, backend
         )
     telemetry.count(
         "repro_engine_scenarios_total",
@@ -468,7 +462,6 @@ def _sweep_pattern_resilience(
     sources: Iterable[Node] | None = None,
     failure_sets: Iterable[FailureSet] | None = None,
     backend: str = "engine",
-    default_params: tuple = DEFAULT_FAILURE_PARAMS,
 ) -> Any:
     from ..resilience import Verdict, default_failure_sets
 
@@ -477,12 +470,7 @@ def _sweep_pattern_resilience(
 
         try:
             return pattern_sweep_numpy(
-                state,
-                memo,
-                destination,
-                sources=sources,
-                failure_sets=failure_sets,
-                default_params=default_params,
+                state, memo, destination, sources=sources, failure_sets=failure_sets
             )
         except VectorizedUnsupported as unsupported:
             telemetry = _obs.active()
@@ -501,10 +489,7 @@ def _sweep_pattern_resilience(
         failure_iter: Iterable[FailureSet] = failure_sets
         exhaustive = False
     else:
-        max_failures, samples, seed = default_params
-        failure_iter, exhaustive = default_failure_sets(
-            state.graph, max_failures=max_failures, samples=samples, seed=seed
-        )
+        failure_iter, exhaustive = default_failure_sets(state.graph)
     wanted = None if sources is None else set(sources)
     checked = 0
     # walk accounting is batched over the WHOLE sweep (one registry
@@ -627,7 +612,6 @@ def _sweep_units(
             sources=served,
             failure_sets=materialized,
             backend=backend,
-            default_params=(grid.max_failures, grid.samples, grid.seed),
         )
         done.append((unit, verdict))
         total += verdict.scenarios_checked
@@ -670,7 +654,6 @@ def _sweep_touring(
                 starts,
                 failure_sets=explicit_sets,
                 exhaustive=False if explicit_sets is not None else None,
-                default_params=(grid.max_failures, grid.samples, grid.seed),
             )
             return SweepResult(verdict, [(None, verdict)])
         except VectorizedUnsupported as unsupported:
@@ -692,9 +675,7 @@ def _sweep_touring(
         failure_iter: Iterable[FailureSet] = explicit_sets
         exhaustive = False
     else:
-        failure_iter, exhaustive = default_failure_sets(
-            graph, max_failures=grid.max_failures, samples=grid.samples, seed=grid.seed
-        )
+        failure_iter, exhaustive = default_failure_sets(graph)
     index = network.index
     checked = 0
     # same sweep-level walk batching as the pattern sweep above: one

@@ -55,7 +55,6 @@ except ModuleNotFoundError:  # pragma: no cover - exercised by the no-numpy CI j
 from repro import obs as _obs
 
 from ...graphs.edges import FailureSet, Node, sorted_nodes
-from ..resilience import DEFAULT_FAILURE_PARAMS
 from .indexed import IndexedNetwork
 from .memo import MemoizedPattern, route_indexed
 
@@ -288,7 +287,7 @@ class MaskBatch:
         return batch._finish(masks, positions, total)
 
     @classmethod
-    def exhaustive(cls, network: IndexedNetwork, max_failures: int | None = None) -> "MaskBatch":
+    def exhaustive(cls, network: IndexedNetwork) -> "MaskBatch":
         """All failure masks, in ``all_failure_sets`` enumeration order.
 
         The canonical link order *is* the bit order
@@ -299,10 +298,9 @@ class MaskBatch:
         """
         batch = cls(network)
         m = network.m
-        limit = m if max_failures is None else min(max_failures, m)
         masks: list[int] = []
         append = masks.append
-        for size in range(limit + 1):
+        for size in range(m + 1):
             for combo in combinations(range(m), size):
                 mask = 0
                 for b in combo:
@@ -330,32 +328,28 @@ def _bounded_insert(cache: dict, key, value) -> None:
     cache[key] = value
 
 
-def default_batch(state, default_params=DEFAULT_FAILURE_PARAMS) -> tuple[MaskBatch, bool]:
-    """The (cached) batch for the checkers' default failure enumeration.
+def default_batch(state) -> tuple[MaskBatch, bool]:
+    """The (cached) batch of :func:`~repro.core.resilience.
+    default_failure_sets`, and whether it is exhaustive.
 
-    Mirrors :func:`~repro.core.resilience.default_failure_sets`:
-    exhaustive below the link limit, the deterministic sample above it.
+    An exhaustive family is packed straight from bit combinations.
     Cached on the engine state so every destination of a grid sweep
     shares one batch (and its component labels).
     """
     cache = _state_cache(state)
-    key = ("default", default_params)
-    entry = cache.get(key)
+    entry = cache.get("default")
     if entry is not None:
-        cache[key] = cache.pop(key)  # refresh: move to the FIFO tail
+        cache["default"] = cache.pop("default")  # refresh: move to the FIFO tail
     else:
-        from ..resilience import EXHAUSTIVE_LINK_LIMIT, sampled_failure_sets
+        from ..resilience import default_failure_sets
 
-        max_failures, samples, seed = default_params
-        network = state.network
-        if network.m <= EXHAUSTIVE_LINK_LIMIT:
-            entry = (MaskBatch.exhaustive(network, max_failures), True)
+        failure_sets, exhaustive = default_failure_sets(state.graph)
+        if exhaustive:
+            batch = MaskBatch.exhaustive(state.network)
         else:
-            iterator = sampled_failure_sets(
-                state.graph, samples=samples, max_failures=max_failures, seed=seed
-            )
-            entry = (MaskBatch.from_failure_sets(network, iterator), False)
-        _bounded_insert(cache, key, entry)
+            batch = MaskBatch.from_failure_sets(state.network, failure_sets)
+        entry = (batch, exhaustive)
+        _bounded_insert(cache, "default", entry)
     return entry
 
 
@@ -598,7 +592,6 @@ def pattern_sweep_numpy(
     destination: Node,
     sources=None,
     failure_sets=None,
-    default_params=DEFAULT_FAILURE_PARAMS,
 ):
     """Vectorized twin of :func:`~.sweep.sweep_pattern_resilience`.
 
@@ -619,7 +612,7 @@ def pattern_sweep_numpy(
 
     one_shot_batch = None
     if failure_sets is None:
-        batch, exhaustive = default_batch(state, default_params)
+        batch, exhaustive = default_batch(state)
     else:
         batch = batch_for(state, failure_sets)
         exhaustive = False
@@ -707,7 +700,6 @@ def touring_sweep_numpy(
     starts: list[Node],
     failure_sets=None,
     exhaustive: bool | None = None,
-    default_params=DEFAULT_FAILURE_PARAMS,
 ):
     """Vectorized perfect-touring check: identical Verdicts.
 
@@ -735,7 +727,7 @@ def touring_sweep_numpy(
 
     one_shot_batch = None
     if failure_sets is None:
-        batch, default_exhaustive = default_batch(state, default_params)
+        batch, default_exhaustive = default_batch(state)
         if exhaustive is None:
             exhaustive = default_exhaustive
     else:

@@ -45,12 +45,6 @@ from .simulator import Network, Outcome, RouteResult, route, tours_component
 #: exhaustively enumerate failure sets up to this many links
 EXHAUSTIVE_LINK_LIMIT = 17
 
-#: the default enumeration's (max_failures, samples, seed) — the ONE
-#: definition every surface (naive checkers, scalar engine sweeps, the
-#: vectorized mask batches) resolves, so all backends face the
-#: identical scenario family
-DEFAULT_FAILURE_PARAMS: tuple[int | None, int, int] = (None, 400, 0)
-
 
 @dataclass
 class Counterexample:
@@ -114,19 +108,17 @@ def sampled_failure_sets(
         yield frozenset(rng.sample(links, size))
 
 
-def default_failure_sets(
-    graph: nx.Graph,
-    max_failures: int | None = DEFAULT_FAILURE_PARAMS[0],
-    samples: int = DEFAULT_FAILURE_PARAMS[1],
-    seed: int = DEFAULT_FAILURE_PARAMS[2],
-) -> tuple[Iterator[FailureSet], bool]:
-    """Exhaustive enumeration when feasible, else sampling.
+def default_failure_sets(graph: nx.Graph) -> tuple[Iterator[FailureSet], bool]:
+    """The checkers' default family: every failure set when feasible,
+    else the seeded sample.
 
-    Returns the iterator and whether it is exhaustive.
+    Returns the iterator and whether it is exhaustive.  The one
+    definition every backend (naive checkers, scalar engine sweeps, the
+    vectorized mask batches) resolves, so all face the same scenarios.
     """
     if graph.number_of_edges() <= EXHAUSTIVE_LINK_LIMIT:
-        return all_failure_sets(graph, max_failures), True
-    return sampled_failure_sets(graph, samples=samples, max_failures=max_failures, seed=seed), False
+        return all_failure_sets(graph), True
+    return sampled_failure_sets(graph), False
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,7 @@ session.ExperimentSession`, grids run through
 into a :class:`~repro.experiments.results.ResultStore`.
 
 Failure models live in :mod:`repro.failures`; ``failure_models``
-accepts model instances or spec strings, and the historical
-``FailureModel`` name is an alias of
-:class:`repro.failures.RandomGridModel` (identical labels and grids).
+accepts model instances, spec strings or labels.
 
 Quickstart::
 
@@ -51,7 +49,7 @@ from .results import (
     records_table,
     write_records_csv,
 )
-from .runner import METRICS, FailureModel, GridResult, run_grid
+from .runner import METRICS, GridResult, run_grid
 from .session import (
     ExperimentSession,
     default_session,
@@ -64,7 +62,6 @@ __all__ = [
     "METRICS",
     "ExperimentRecord",
     "ExperimentSession",
-    "FailureModel",
     "GridResult",
     "ResultStore",
     "SchemeNotApplicable",

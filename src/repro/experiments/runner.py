@@ -37,8 +37,7 @@ import networkx as nx
 
 from repro import obs as _obs
 
-from ..failures import RandomGridModel, parse_failure_model
-from ..failures.models import FailureModel as BaseFailureModel
+from ..failures import FailureModel, RandomGridModel, parse_failure_model
 from ..runtime.deadline import Budget, Deadline
 from ..runtime.faults import GridKill, InjectedFault, fire
 from ..runtime.journal import CellJournal
@@ -54,11 +53,6 @@ from .session import ExperimentSession, resolve_session
 
 METRICS = ("resilience", "congestion", "stretch", "table_space")
 
-#: backwards-compat alias: the historical ``repro.experiments.FailureModel``
-#: (a seeded random failure grid) is :class:`repro.failures.RandomGridModel`
-#: now — identical fields, labels and grids, pinned by differential tests
-FailureModel = RandomGridModel
-
 
 @dataclass
 class GridResult:
@@ -69,13 +63,15 @@ class GridResult:
     ``resumed_cells`` counts cells replayed from a journal instead of
     recomputed; :attr:`errors` views the cells that raised (typed
     ``status="error"`` records — the grid itself never aborts on a cell
-    exception).
+    exception).  ``saved`` is what a store receives: every record but
+    those of cells whose sampled estimate was cut short.
     """
 
     records: list[ExperimentRecord] = field(default_factory=list)
     skipped: list[tuple[str, str, str]] = field(default_factory=list)
     exhaustive: bool = True
     resumed_cells: int = 0
+    saved: list[ExperimentRecord] = field(default_factory=list)
 
     def table(self) -> str:
         return records_table(self.records)
@@ -120,15 +116,15 @@ def _resolve_schemes(schemes: Iterable | None) -> list[SchemeSpec]:
     return resolved
 
 
-def _resolve_failure_models(models: Sequence | None) -> list[BaseFailureModel]:
+def _resolve_failure_models(models: Sequence | None) -> list[FailureModel]:
     """Models, spec strings, or ``None`` (the default random grid)."""
     if models is None:
         return [RandomGridModel()]
-    resolved: list[BaseFailureModel] = []
+    resolved: list[FailureModel] = []
     for item in models:
         if isinstance(item, str):
             resolved.append(parse_failure_model(item))
-        elif isinstance(item, BaseFailureModel):
+        elif isinstance(item, FailureModel):
             resolved.append(item)
         else:
             raise TypeError(f"not a failure model or spec string: {item!r}")
@@ -138,7 +134,7 @@ def _resolve_failure_models(models: Sequence | None) -> list[BaseFailureModel]:
 def _cell_key(
     topology_name: str,
     scheme_name: str,
-    model: BaseFailureModel,
+    model: FailureModel,
     matrix: str,
     matrix_seed: int,
     metrics: Sequence[str],
@@ -182,7 +178,7 @@ class _Cell:
     topology_name: str
     graph: nx.Graph
     spec: SchemeSpec
-    model: BaseFailureModel
+    model: FailureModel
     grid: dict | None
     demands: Any
     matrix_name: str
@@ -193,7 +189,7 @@ class _Cell:
 def _plan_grid(
     resolved_topologies: Sequence[tuple[str, nx.Graph]],
     resolved_schemes: Sequence[SchemeSpec],
-    failure_models: Sequence[BaseFailureModel],
+    failure_models: Sequence[FailureModel],
     metrics: Sequence[str],
     matrix: str,
     matrix_seed: int,
@@ -291,8 +287,9 @@ def run_grid(
       not cells.  On expiry the grid stops cleanly with
       ``exhaustive=False``.  Grid-model cells are always whole; a
       sampled cell whose estimate the deadline cut short is published
-      (its records flagged ``exhaustive: false``) but never journaled
-      or merged into ``store``, so a rerun recomputes it.
+      (its records flagged ``exhaustive: false``) but never journaled,
+      merged into ``store`` or listed in :attr:`GridResult.saved`, so a
+      rerun recomputes it.
     * ``progress`` is an opt-in heartbeat: a callable invoked after
       every cell (computed or replayed) with a dict of ``done``,
       ``total``, ``errors``, ``replayed``, ``elapsed`` seconds and an
@@ -309,7 +306,9 @@ def run_grid(
       before the fork and then by each worker as it starts a cell: the
       stitch loop stops at the first cell no worker started, and itself
       checks only the budget units it charges, so every cell a worker
-      finished is published and journaled.  Either way the same stitch
+      finished is published and journaled.  A pool that returns nothing
+      for ``HANG_GRACE_SECONDS`` past the deadline is abandoned as hung:
+      its lost cells count as not started.  Either way the same stitch
       loop publishes the output, so it is identical to a serial run
       apart from ``runtime_seconds`` wall-clock noise (and, under a
       wall-clock deadline, where the cut falls).
@@ -393,7 +392,7 @@ def run_grid(
 
     grid_start = time.perf_counter()
     if session.processes > 1:
-        from ..core.engine.sweep import parallel_map
+        from ..core.engine.sweep import HANG_GRACE_SECONDS, parallel_map
 
         plan = list(plan)
         tasks = [item for item in plan if isinstance(item, _Cell) and item.replay is None]
@@ -417,7 +416,14 @@ def run_grid(
                     return None  # not started: the stitch loop stops here
                 return compute(tasks[position])
 
-            outputs = iter(parallel_map(start_cell, range(len(tasks)), session.processes))
+            # a worker checks the wall clock only as it starts a cell:
+            # a pool silent past the deadline (plus a grace) is hung, and
+            # the retry of each cell it lost finds the deadline expired
+            remaining = deadline.remaining() if deadline is not None else None
+            timeout = None if remaining is None else remaining + HANG_GRACE_SECONDS
+            outputs = iter(
+                parallel_map(start_cell, range(len(tasks)), session.processes, timeout=timeout)
+            )
 
         def stopped() -> bool:
             return expired_at_fork or (
@@ -453,8 +459,6 @@ def run_grid(
         )
     cell_index = 0  # cells published so far, replayed or computed
     error_cells = 0
-    # ids of the records of cells whose sampled estimate was cut short
-    unsaved: set[int] = set()
     for item in plan:
         if isinstance(item, _Skip):
             result.skipped.append((item.topology_name, item.scheme_name, item.reason))
@@ -465,7 +469,7 @@ def run_grid(
                     help="grid cells by status",
                     status="skipped",
                 )
-            result.records.extend(
+            skips = [
                 ExperimentRecord(
                     experiment="applicability",
                     topology=item.topology_name,
@@ -475,7 +479,9 @@ def run_grid(
                     note=item.reason,
                 )
                 for model in failure_models
-            )
+            ]
+            result.records.extend(skips)
+            result.saved.extend(skips)
             continue
         if stopped():
             result.exhaustive = False
@@ -486,6 +492,7 @@ def run_grid(
             records = item.replay
             status = "replayed"
             result.resumed_cells += 1
+            result.saved.extend(records)
         else:
             fault = fire("cell", cell_index)
             if fault is not None and fault.kind == "grid-kill":
@@ -515,13 +522,14 @@ def run_grid(
                 # reported, never saved: a rerun must recompute the cell
                 # rather than replay or serve a partial estimate
                 result.exhaustive = False
-                unsaved.update(map(id, records))
-            elif journal is not None:
-                # journal before publishing: the invariant is that
-                # every cell whose records are visible is journaled,
-                # so a kill between the two costs one recomputation,
-                # never a lost cell
-                journal.append(item.key, [record.to_dict() for record in records])
+            else:
+                if journal is not None:
+                    # journal before publishing: the invariant is that
+                    # every cell whose records are visible is journaled,
+                    # so a kill between the two costs one recomputation,
+                    # never a lost cell
+                    journal.append(item.key, [record.to_dict() for record in records])
+                result.saved.extend(records)
         if telemetry is not None:
             telemetry.count("repro_grid_cells_total", help="grid cells by status", status=status)
         result.records.extend(records)
@@ -541,7 +549,7 @@ def run_grid(
         if item.replay is None and deadline is not None:
             deadline.charge()
     if store is not None:
-        store.merge([record for record in result.records if id(record) not in unsaved])
+        store.merge(result.saved)
     return result
 
 
@@ -556,7 +564,7 @@ def _run_cell(
     graph: nx.Graph,
     spec: SchemeSpec,
     algorithm,
-    model: BaseFailureModel,
+    model: FailureModel,
     grid: dict | None,
     metrics: Sequence[str],
     demands,
@@ -594,7 +602,7 @@ def _run_cell(
     if needs_curve:
         start = time.perf_counter()
         curve, error = _congestion_curve(
-            session, graph, algorithm, grid, model, topology_name, demands, matrix_name
+            session, graph, algorithm, grid, topology_name, demands, matrix_name
         )
         elapsed = time.perf_counter() - start
         if curve is None:
@@ -697,7 +705,7 @@ def _sampled_cell(
     graph: nx.Graph,
     spec: SchemeSpec,
     algorithm,
-    model: BaseFailureModel,
+    model: FailureModel,
     metrics: Sequence[str],
     demands,
     matrix_name: str,
@@ -809,7 +817,6 @@ def _congestion_curve(
     graph: nx.Graph,
     algorithm,
     grid,
-    model: BaseFailureModel,
     topology_name: str,
     demands,
     matrix_name: str,
@@ -830,7 +837,6 @@ def _congestion_curve(
         algorithm,
         demands,
         grid,
-        samples=getattr(model, "samples", 0),
         graph_name=topology_name,
         matrix_name=matrix_name,
     )

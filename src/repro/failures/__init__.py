@@ -44,7 +44,7 @@ from .models import (
     default_sizes,
     sample_failure_grid,
 )
-from .spec import MODEL_FAMILIES, model_from_params, parse_failure_model, spec_grammar
+from .spec import MODEL_FAMILIES, parse_failure_model, spec_grammar
 
 __all__ = [
     "MODEL_FAMILIES",
@@ -63,7 +63,6 @@ __all__ = [
     "estimate_resilience",
     "exact_binomial_interval",
     "mean_interval",
-    "model_from_params",
     "parse_failure_model",
     "sample_failure_grid",
     "spec_grammar",

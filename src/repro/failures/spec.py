@@ -146,28 +146,3 @@ def parse_failure_model(spec: str) -> FailureModel:
             )
         kwargs[key] = parser(raw.strip())
     return model_cls(**kwargs)
-
-
-def model_from_params(params: dict) -> FailureModel:
-    """Resolve a serve-protocol params dict to a failure model.
-
-    ``params["model"]`` (a spec string) wins; otherwise the legacy
-    ``sizes`` / ``samples`` / ``seed`` keys build a
-    :class:`RandomGridModel` exactly as the pre-``repro.failures``
-    service did (same validation, same error messages).
-    """
-    spec = params.get("model")
-    if spec is not None:
-        if not isinstance(spec, str):
-            raise ValueError(f"model must be a spec string, got {spec!r}")
-        return parse_failure_model(spec)
-    sizes = params.get("sizes")
-    if sizes is not None:
-        if not isinstance(sizes, list) or not all(isinstance(s, int) for s in sizes):
-            raise ValueError(f"sizes must be a list of integers, got {sizes!r}")
-        sizes = tuple(sizes)
-    samples = params.get("samples", 10)
-    seed = params.get("seed", 0)
-    if not isinstance(samples, int) or not isinstance(seed, int):
-        raise ValueError("samples and seed must be integers")
-    return RandomGridModel(sizes=sizes, samples=samples, seed=seed)

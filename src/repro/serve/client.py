@@ -63,7 +63,7 @@ class QueryClient:
     Usage::
 
         with QueryClient(port=7421) as client:
-            reply = client.verdict("gadget-3", "hdp", sizes=[1, 2])
+            reply = client.verdict("k5", "arborescence", model="random:sizes=1/2")
             reply["result"]["verdict"]["resilient"]
     """
 
@@ -188,9 +188,6 @@ class QueryClient:
         scheme: str,
         failure_sets: list | None = None,
         destination=None,
-        sizes: list | None = None,
-        samples: int = 10,
-        seed: int = 0,
         model: str | None = None,
         budget_seconds: float | None = None,
     ) -> dict:
@@ -201,8 +198,6 @@ class QueryClient:
                 params["destination"] = destination
         elif model is not None:
             params["model"] = model
-        else:
-            params.update({"sizes": sizes, "samples": samples, "seed": seed})
         return self.request("verdict", params, budget_seconds=budget_seconds)
 
     def load(
@@ -212,9 +207,6 @@ class QueryClient:
         matrix: str = "permutation",
         matrix_seed: int = 0,
         failure_sets: list | None = None,
-        sizes: list | None = None,
-        samples: int = 10,
-        seed: int = 0,
         model: str | None = None,
         budget_seconds: float | None = None,
     ) -> dict:
@@ -228,8 +220,6 @@ class QueryClient:
             params["failure_sets"] = failure_sets
         elif model is not None:
             params["model"] = model
-        else:
-            params.update({"sizes": sizes, "samples": samples, "seed": seed})
         return self.request("load", params, budget_seconds=budget_seconds)
 
     def grid(
@@ -237,9 +227,6 @@ class QueryClient:
         topologies: list,
         schemes: list | None = None,
         metrics: list | None = None,
-        sizes: list | None = None,
-        samples: int = 10,
-        seed: int = 0,
         model: str | None = None,
         matrix: str = "permutation",
         matrix_seed: int = 0,
@@ -253,8 +240,6 @@ class QueryClient:
         }
         if model is not None:
             params["model"] = model
-        else:
-            params.update({"sizes": sizes, "samples": samples, "seed": seed})
         if metrics is not None:
             params["metrics"] = metrics
         return self.request("grid", params, budget_seconds=budget_seconds)

@@ -23,13 +23,13 @@ labels) become JSON arrays and are restored to tuples on the way in, so
 every registered topology is addressable over the wire.
 
 Compute ops pick their failure scenarios with either an explicit
-``failure_sets`` list, a ``model`` spec string
+``failure_sets`` list or a ``model`` spec string or label
 (``"iid:p=0.01,samples=500,seed=0"`` — parsed by
 :func:`repro.failures.parse_failure_model`, the same grammar the CLI
-and ``run_grid`` use), or the legacy ``sizes``/``samples``/``seed``
-keys (a ``random`` grid model).  Sampled models answer ``verdict``
-with a point estimate plus Wilson confidence bounds instead of an
-exact sweep.
+and ``run_grid`` use; ``random`` when neither is given).  Sampled
+models answer ``verdict`` with a point estimate plus Wilson confidence
+bounds instead of an exact sweep.  A param the op does not take is
+refused, never ignored.
 """
 
 from __future__ import annotations

@@ -64,7 +64,7 @@ from ..experiments.registry import SchemeNotApplicable, SchemeSpec, scheme as sc
 from ..experiments.results import ExperimentRecord, ResultStore
 from ..experiments.runner import METRICS, run_grid
 from ..experiments.session import ExperimentSession
-from ..failures import estimate_resilience, model_from_params
+from ..failures import estimate_resilience, parse_failure_model
 from ..failures.models import FailureModel
 from ..runtime.deadline import Deadline
 from .protocol import (
@@ -82,6 +82,14 @@ from .protocol import (
 GRAPH_CACHE_LIMIT = 32
 #: memoized per-mask outcomes kept (FIFO over all patterns)
 MASK_MEMO_LIMIT = 65536
+#: the params each compute op takes; a request naming any other is refused
+OP_PARAMS = {
+    "verdict": frozenset({"topology", "scheme", "failure_sets", "destination", "model"}),
+    "load": frozenset(
+        {"topology", "scheme", "failure_sets", "destination", "model", "matrix", "matrix_seed"}
+    ),
+    "grid": frozenset({"topologies", "schemes", "metrics", "model", "matrix", "matrix_seed"}),
+}
 
 
 class QueryError(ValueError):
@@ -95,16 +103,23 @@ def _require(params: dict, name: str) -> object:
     return value
 
 
-def _failure_model(params: dict) -> FailureModel:
-    """Resolve the request's failure model via the shared spec grammar.
+def _check_params(op: str, params: dict) -> None:
+    """Refuse a param the op does not take, rather than ignore it."""
+    unknown = sorted(set(params) - OP_PARAMS[op])
+    if unknown:
+        raise QueryError(
+            f"{op} does not take {', '.join(map(repr, unknown))}; "
+            f"its params: {', '.join(sorted(OP_PARAMS[op]))}"
+        )
 
-    ``params["model"]`` (a ``"iid:p=0.01,samples=500,seed=0"`` spec
-    string) or the legacy ``sizes``/``samples``/``seed`` keys — one
-    parser, :func:`repro.failures.model_from_params`, so the service
-    cannot drift from the CLI or ``run_grid``.
-    """
+
+def _failure_model(params: dict) -> FailureModel:
+    """The request's ``model``, a spec string or label parsed by
+    :func:`repro.failures.parse_failure_model` (the grammar of the CLI
+    and ``run_grid``); ``random`` when absent or null."""
+    spec = params.get("model")
     try:
-        return model_from_params(params)
+        return parse_failure_model("random" if spec is None else spec)
     except ValueError as error:
         raise QueryError(str(error)) from None
 
@@ -253,6 +268,7 @@ class QueryService:
         """
         from ..traffic.matrices import build_named_matrix
 
+        _check_params(op, params)
         topology = str(_require(params, "topology"))
         spec = self._scheme(str(_require(params, "scheme")))
         graph = self.graph(topology)
@@ -442,6 +458,7 @@ class QueryService:
 
     def grid(self, params: dict, deadline: Deadline | None = None):
         """A small ``run_grid`` (records returned, optional store merge)."""
+        _check_params("grid", params)
         topologies = _require(params, "topologies")
         if not isinstance(topologies, list) or not topologies:
             raise QueryError("topologies must be a non-empty list of registry names")

@@ -30,10 +30,8 @@ from .congestion import (
     congestion_table,
     congestion_vs_failures,
     default_competitors,
-    default_sizes,
     greedy_congestion_attack,
     preflight_congestion_curve,
-    sample_failure_grid,
 )
 from .load import LoadReport, TrafficEngine, per_packet_loads, route_matrix
 from .matrices import (
@@ -64,7 +62,6 @@ __all__ = [
     "congestion_table",
     "congestion_vs_failures",
     "default_competitors",
-    "default_sizes",
     "gravity",
     "greedy_congestion_attack",
     "hotspot",
@@ -72,6 +69,5 @@ __all__ = [
     "permutation",
     "preflight_congestion_curve",
     "route_matrix",
-    "sample_failure_grid",
     "total_volume",
 ]

@@ -10,15 +10,16 @@ Elsässer, Schmid 2020/2021).
 
 Three drivers:
 
-* :func:`congestion_vs_failures` — congestion curve over failure-set
-  sizes, sampled on a deterministic seeded grid;
+* :func:`congestion_vs_failures` — congestion curve over the
+  failure-set sizes of a pinned scenario grid;
 * :func:`greedy_congestion_attack` — worst-case failure search for load,
   greedy link-by-link with a pruning pass, following the verified-witness
   scaffolding of :mod:`repro.core.adversary.search` (every returned
   witness is re-simulated, never trusted from the search);
 * :func:`compare_congestion` — the repo's algorithms (arborescence,
   distance-2/3, outerplanar touring, naive) on the **same** scenario
-  grid, skipping algorithms a topology cannot support.
+  grid, one failure model's, skipping algorithms a topology cannot
+  support.
 """
 
 from __future__ import annotations
@@ -28,11 +29,7 @@ from dataclasses import dataclass, field
 import networkx as nx
 
 from ..core.engine.sweep import EngineState
-
-# the grid sampler moved to repro.failures (it is RandomGridModel's
-# internals now); re-exported here because every congestion surface —
-# and years of call sites — import it from this module
-from ..failures.models import default_sizes, sample_failure_grid  # noqa: F401
+from ..failures.models import RandomGridModel
 from ..graphs.connectivity import surviving_graph
 from ..graphs.edges import FailureSet, edge, edge_sort_key
 from .load import LoadReport, RoutingAlgorithm, TrafficEngine
@@ -61,7 +58,6 @@ class CongestionCurve:
     algorithm: str
     graph: str
     matrix: str
-    samples_per_size: int
     points: list[CongestionPoint] = field(default_factory=list)
 
     def at(self, size: int) -> CongestionPoint:
@@ -75,34 +71,26 @@ def congestion_vs_failures(
     graph: nx.Graph | EngineState,
     algorithm: RoutingAlgorithm,
     demands: TrafficMatrix,
-    sizes: list[int] | None = None,
-    samples: int = 20,
-    seed: int = 0,
+    failure_grid: dict[int, list[FailureSet]],
     graph_name: str = "",
     matrix_name: str = "",
-    failure_grid: dict[int, list[FailureSet]] | None = None,
     engine: TrafficEngine | None = None,
     session=None,
 ) -> CongestionCurve:
-    """Load statistics per failure-set size for one algorithm.
+    """Load statistics per failure-set size of ``failure_grid`` (a
+    :class:`~repro.failures.FailureModel`'s grid) for one algorithm.
 
     One router serves the whole sweep, so patterns and decision tables
     are built once (pass a prebuilt ``engine``, or take the router from
     a ``session``'s :meth:`~repro.experiments.session.ExperimentSession.
-    traffic_engine` to reuse them across calls).  Pass ``failure_grid``
-    to pin the exact scenarios (the comparison harness does).
+    traffic_engine` to reuse them across calls).
     """
     if engine is None:
         engine = _router(graph, algorithm, session)
-    if failure_grid is None:
-        if sizes is None:
-            sizes = default_sizes(engine.graph)
-        failure_grid = sample_failure_grid(engine.graph, sizes, samples, seed)
     curve = CongestionCurve(
         algorithm=algorithm.name,
         graph=graph_name or f"n={engine.graph.number_of_nodes()}",
         matrix=matrix_name or f"{len(demands)} demands",
-        samples_per_size=samples,
     )
     for size in sorted(failure_grid):
         reports = engine.load_sweep(demands, failure_grid[size])
@@ -255,7 +243,6 @@ def preflight_congestion_curve(
     algorithm: RoutingAlgorithm,
     demands: TrafficMatrix,
     failure_grid: dict[int, list[FailureSet]],
-    samples: int = 20,
     graph_name: str = "",
     matrix_name: str = "",
 ) -> tuple[CongestionCurve | None, str | None]:
@@ -277,10 +264,9 @@ def preflight_congestion_curve(
         engine.graph,
         algorithm,
         demands,
-        samples=samples,
+        failure_grid,
         graph_name=graph_name,
         matrix_name=matrix_name,
-        failure_grid=failure_grid,
         engine=engine,  # patterns built by the pre-flight are reused
     )
     return curve, None
@@ -290,23 +276,18 @@ def compare_congestion(
     graph: nx.Graph,
     demands: TrafficMatrix,
     algorithms: list[RoutingAlgorithm] | None = None,
-    sizes: list[int] | None = None,
-    samples: int = 20,
-    seed: int = 0,
+    failure_model=RandomGridModel(samples=20),
     graph_name: str = "",
     matrix_name: str = "",
     session=None,
-    failure_grid: dict[int, list[FailureSet]] | None = None,
 ) -> ComparisonResult:
-    """Congestion curves for several algorithms on one shared scenario grid.
+    """Congestion curves for several algorithms on the grid of
+    ``failure_model``, a :class:`~repro.failures.FailureModel`.
 
     Algorithms whose preconditions the topology violates (bipartite-only
     distance-3, outerplanar-only touring, ...) are skipped and reported
     rather than crashing the sweep; every surviving competitor sees the
-    exact same failure sets.  Pass ``failure_grid`` (e.g. a
-    :class:`repro.failures.FailureModel`'s grid) to pin the scenarios
-    explicitly — ``sizes``/``samples``/``seed`` then only label the
-    curve.  The default ``algorithms`` line-up comes
+    exact same failure sets.  The default ``algorithms`` line-up comes
     from the scheme registry; each router comes from ``session``'s
     :meth:`~repro.experiments.session.ExperimentSession.traffic_engine`
     (default: the shared session), so a ``backend="naive"`` session
@@ -316,12 +297,7 @@ def compare_congestion(
 
     if algorithms is None:
         algorithms = default_competitors()
-    if failure_grid is not None:
-        grid = failure_grid  # a FailureModel's grid, pinned by the caller
-    else:
-        if sizes is None:
-            sizes = default_sizes(graph)
-        grid = sample_failure_grid(graph, sizes, samples, seed)
+    grid = failure_model.grid(graph)
     resolved = resolve_session(session)
     result = ComparisonResult(curves=[])
     for algorithm in algorithms:
@@ -330,7 +306,6 @@ def compare_congestion(
             algorithm,
             demands,
             grid,
-            samples=samples,
             graph_name=graph_name,
             matrix_name=matrix_name,
         )

@@ -118,7 +118,7 @@ def test_module_entry_point():
 
 class TestTraffic:
     def test_fat_tree_sweep_end_to_end(self, capsys):
-        assert run_cli("traffic", "fattree", "--sizes", "0,2", "--samples", "3") == 0
+        assert run_cli("traffic", "fattree", "--failure-model", "random:sizes=0/2,samples=3") == 0
         out = capsys.readouterr().out
         assert "congestion sweep" in out
         assert "arborescence" in out
@@ -127,7 +127,7 @@ class TestTraffic:
     def test_single_algorithm_with_attack(self, capsys):
         code = run_cli(
             "traffic", "ring", "--matrix", "all-to-one", "--algorithm", "greedy",
-            "--sizes", "0,1", "--samples", "2", "--attack", "1",
+            "--failure-model", "random:sizes=0/1,samples=2", "--attack", "1",
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -146,8 +146,8 @@ class TestTraffic:
 
         monkeypatch.setattr(arborescence_routing, "arc_disjoint_in_arborescences", counted)
         code = run_cli(
-            "traffic", "grid(3,3)", "--algorithm", "arborescence", "--samples", "2",
-            "--attack", "1",
+            "traffic", "grid(3,3)", "--algorithm", "arborescence",
+            "--failure-model", "random:samples=2", "--attack", "1",
         )
         assert code == 0
         assert "worst-case load attack" in capsys.readouterr().out
@@ -157,7 +157,7 @@ class TestTraffic:
     def test_has_no_backend_option(self, capsys):
         # loads run on the default engine session; the option is gone
         with pytest.raises(SystemExit) as info:
-            run_cli("traffic", "ring(6)", "--samples", "1", "--backend", "numpy")
+            run_cli("traffic", "ring(6)", "--backend", "numpy")
         assert info.value.code == 2
         assert "--backend" in capsys.readouterr().err
         with pytest.raises(SystemExit) as info:
@@ -167,22 +167,38 @@ class TestTraffic:
 
     def test_unsupported_algorithm_reports(self, capsys):
         # fat-tree is not outerplanar, so the Cor-5 tour cannot build
-        assert run_cli("traffic", "fattree", "--algorithm", "tour", "--samples", "2") == 2
+        assert run_cli(
+            "traffic", "fattree", "--algorithm", "tour", "--failure-model", "random:samples=2"
+        ) == 2
         assert "cannot run" in capsys.readouterr().err
 
     def test_matrix_choices(self, capsys):
         for matrix in ("hotspot", "gravity", "all-to-all"):
             assert run_cli(
                 "traffic", "hypercube", "--matrix", matrix, "--algorithm", "arborescence",
-                "--sizes", "0,1", "--samples", "2",
+                "--failure-model", "random:sizes=0/1,samples=2",
             ) == 0
             assert "congestion sweep" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", [("--sizes", "0,1"), ("--samples", "2")], ids=["sizes", "samples"])
+@pytest.mark.parametrize(
+    "command",
+    [("experiments",), ("traffic", "ring"), ("query", "verdict")],
+    ids=["experiments", "traffic", "query"],
+)
+def test_removed_failure_flags_exit_2(command, flag, capsys):
+    # a failure model is named only by --failure-model (or the default)
+    with pytest.raises(SystemExit) as info:
+        run_cli(*command, *flag)
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 class TestTelemetryCli:
     ARGS = (
         "experiments", "--topologies", "ring", "--schemes", "greedy",
-        "--sizes", "0,1", "--samples", "2",
+        "--failure-model", "random:sizes=0/1,samples=2",
     )
 
     def test_trace_metrics_and_progress(self, tmp_path, capsys):

@@ -8,7 +8,6 @@ from repro.core.engine.vectorized import numpy_available
 from repro.experiments import (
     ExperimentRecord,
     ExperimentSession,
-    FailureModel,
     ResultStore,
     list_schemes,
     records_round_trip,
@@ -16,6 +15,7 @@ from repro.experiments import (
     run_grid,
     scheme,
 )
+from repro.failures import RandomGridModel
 from repro.runtime import CellJournal
 from repro.traffic import compare_congestion, permutation
 
@@ -36,9 +36,7 @@ class TestGridVsCompareCongestion:
         return compare_congestion(
             graph,
             demands,
-            sizes=list(self.SIZES),
-            samples=self.SAMPLES,
-            seed=self.SEED,
+            failure_model=RandomGridModel(sizes=self.SIZES, samples=self.SAMPLES, seed=self.SEED),
         )
 
     @pytest.fixture(scope="class")
@@ -48,7 +46,7 @@ class TestGridVsCompareCongestion:
             ["grid(3, 3)"],
             names,
             failure_models=[
-                FailureModel(sizes=self.SIZES, samples=self.SAMPLES, seed=self.SEED)
+                RandomGridModel(sizes=self.SIZES, samples=self.SAMPLES, seed=self.SEED)
             ],
             metrics=("congestion",),
             matrix="permutation",
@@ -96,7 +94,7 @@ class TestRunGrid:
         result = run_grid(
             ["petersen"],
             ["tour"],
-            failure_models=[FailureModel(sizes=(0,), samples=1)],
+            failure_models=[RandomGridModel(sizes=(0,), samples=1)],
             metrics=("congestion",),
         )
         assert not result.select("congestion")
@@ -110,7 +108,7 @@ class TestRunGrid:
         from repro.core.resilience import check_perfect_resilience_destination
 
         graph = resolve_topology("ring")
-        model = FailureModel(sizes=(0, 1, 2), samples=3, seed=5)
+        model = RandomGridModel(sizes=(0, 1, 2), samples=3, seed=5)
         grid = model.grid(graph)
         flat = [failures for size in sorted(grid) for failures in grid[size]]
         expected = check_perfect_resilience_destination(
@@ -136,7 +134,7 @@ class TestRunGrid:
 
         kwargs = dict(
             failure_models=[
-                FailureModel(sizes=(0, 1, 2), samples=2, seed=4),
+                RandomGridModel(sizes=(0, 1, 2), samples=2, seed=4),
                 "iid:p=0.1,samples=20,seed=0",
             ],
             metrics=("resilience", "congestion", "stretch"),
@@ -182,7 +180,7 @@ class TestRunGrid:
 
     def test_runtime_recorded(self):
         result = run_grid(
-            ["ring"], ["greedy"], failure_models=[FailureModel(sizes=(0,), samples=1)]
+            ["ring"], ["greedy"], failure_models=[RandomGridModel(sizes=(0,), samples=1)]
         )
         assert all(record.runtime_seconds >= 0.0 for record in result.records)
         assert result.table()  # renders without crashing
@@ -299,7 +297,7 @@ class TestResultStore:
 #: a two-cell grid: its journal has two lines, its store many
 SMALL_GRID = [
     "experiments", "--topologies", "ring", "--schemes", "greedy,distance2",
-    "--sizes", "0", "--samples", "1", "--metrics", "resilience",
+    "--failure-model", "random:sizes=0,samples=1", "--metrics", "resilience",
 ]
 
 
@@ -311,6 +309,39 @@ class TestExperimentsCli:
         out = capsys.readouterr().out
         assert "JSON round-trip ok" in out
         assert "resilience" in out and "congestion" in out
+
+    def test_merge_line_counts_what_the_store_gained(self, tmp_path, capsys):
+        from repro.cli import main
+
+        store = tmp_path / "r.json"
+        assert main(SMALL_GRID + ["--out", str(store)]) == 0
+        stored = len(ResultStore(store).load_records())
+        assert stored > 0
+        assert f"merged {stored} records into {store}" in capsys.readouterr().out
+
+    def test_cut_cell_is_reported_but_not_stored(self, tmp_path, capsys, monkeypatch):
+        """A deadline-cut estimate stays in the table; the CLI says it
+        was not stored and counts only what the store received."""
+        import repro.runtime
+        from repro.cli import main
+        from repro.runtime import Budget
+
+        # a unit budget cuts the first cell's estimate at its 10th sample
+        monkeypatch.setattr(repro.runtime, "Deadline", lambda seconds: Budget(10))
+        store, journal = tmp_path / "s.json", tmp_path / "j.jsonl"
+        args = [
+            "experiments", "--topologies", "ring", "--schemes", "greedy,distance2",
+            "--metrics", "resilience", "--failure-model", "iid:p=0.05,samples=20000,seed=0",
+            "--deadline", "60", "--out", str(store), "--resume", str(journal),
+        ]
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        assert "(cut)" in captured.out
+        assert "1 records (JSON round-trip ok)" in captured.out
+        assert f"merged 0 records into {store}" in captured.out
+        assert "[not stored] resilience of greedy on ring" in captured.err
+        assert ResultStore(store).load_records() == []
+        assert len(CellJournal(journal)) == 0
 
     def test_list_registries(self, capsys):
         from repro.cli import main
@@ -387,8 +418,7 @@ class TestExperimentsCli:
                 "experiments",
                 "--topologies", "ring",
                 "--schemes", "greedy",
-                "--sizes", "0,1",
-                "--samples", "2",
+                "--failure-model", "random:sizes=0/1,samples=2",
                 "--metrics", "congestion",
                 "--out", str(out_json),
                 "--csv", str(out_csv),

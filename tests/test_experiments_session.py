@@ -193,7 +193,8 @@ class TestStateOwnership:
         code = (
             "import sys, repro.cli\n"
             "assert 'numpy' not in sys.modules, 'import repro.cli loaded numpy'\n"
-            "repro.cli.main(['traffic', 'ring(6)', '--sizes', '0,1', '--samples', '1'])\n"
+            "repro.cli.main(['traffic', 'ring(6)',\n"
+            "                '--failure-model', 'random:sizes=0/1,samples=1'])\n"
             "assert 'numpy' not in sys.modules, 'an engine session loaded numpy'\n"
             "from repro.experiments import ExperimentSession\n"
             "ExperimentSession(backend='numpy')\n"

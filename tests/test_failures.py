@@ -21,14 +21,15 @@ from repro import obs
 from repro.experiments import (
     ExperimentRecord,
     ExperimentSession,
-    FailureModel as LegacyFailureModel,
     ResultStore,
     resolve_topology,
     run_grid,
     scheme,
 )
 from repro.failures import (
+    MODEL_FAMILIES,
     ExhaustiveModel,
+    FailureModel,
     IIDModel,
     MaskEvaluator,
     RandomGridModel,
@@ -38,7 +39,6 @@ from repro.failures import (
     estimate_resilience,
     exact_binomial_interval,
     mean_interval,
-    model_from_params,
     parse_failure_model,
     sample_failure_grid,
     spec_grammar,
@@ -47,6 +47,8 @@ from repro.failures import (
 from repro.failures.models import canonical_links
 from repro.graphs.edges import edge
 from repro.runtime import Budget
+from repro.serve import QueryClient, QueryService, Request
+from repro.serve.service import QueryError
 
 FIXTURE = pathlib.Path(__file__).resolve().parent / "fixtures" / "run_grid_random_model.json"
 
@@ -171,25 +173,29 @@ class TestSpecGrammar:
         for family in ("random", "exhaustive", "iid", "srlg", "regional"):
             assert family in summary
 
-    def test_model_param_wins(self):
-        model = model_from_params({"model": "iid:p=0.1", "sizes": [1], "samples": 3})
-        assert model == IIDModel(p=0.1)
+    def test_model_param_beside_removed_keys_is_refused(self):
+        # an old client's sizes must not silently get another grid
+        params = {"topology": "ring(8)", "scheme": "greedy", "model": "iid:p=0.1",
+                  "sizes": [1], "samples": 3}
+        with pytest.raises(QueryError, match="verdict does not take 'samples', 'sizes'"):
+            QueryService().verdict(params)
 
     def test_model_param_must_be_a_string(self):
-        with pytest.raises(ValueError, match="model must be a spec string"):
-            model_from_params({"model": 7})
+        with pytest.raises(QueryError, match="spec must be a non-empty string, got 7"):
+            QueryService().verdict({"topology": "ring(8)", "scheme": "greedy", "model": 7})
 
-    def test_legacy_params_build_the_random_grid(self):
-        model = model_from_params({"sizes": [0, 1], "samples": 4, "seed": 2})
-        assert model == RandomGridModel(sizes=(0, 1), samples=4, seed=2)
-        assert model_from_params({}) == RandomGridModel()
+    @pytest.mark.parametrize("extra", [{}, {"model": None}], ids=["absent", "null"])
+    def test_absent_model_param_is_the_random_family_default(self, extra):
+        params = dict({"topology": "ring(8)", "scheme": "greedy"}, **extra)
+        record, _ = QueryService().verdict(params)
+        assert record.failure_model == parse_failure_model("random").label
+        assert record.failure_model == "random(sizes=auto,samples=10,seed=0)"
 
-    def test_legacy_error_messages_preserved(self):
-        # the serve protocol's historical messages, verbatim
-        with pytest.raises(ValueError, match="sizes must be a list of integers"):
-            model_from_params({"sizes": "bogus"})
-        with pytest.raises(ValueError, match="samples and seed must be integers"):
-            model_from_params({"samples": "ten"})
+    def test_service_errors_are_the_grammar_errors(self):
+        with pytest.raises(QueryError, match="invalid sizes '0/x': expected slash-separated"):
+            QueryService().verdict(
+                {"topology": "ring(8)", "scheme": "greedy", "model": "random:sizes=0/x"}
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +204,13 @@ class TestSpecGrammar:
 
 
 class TestModels:
-    def test_legacy_alias_is_the_random_grid_model(self):
-        assert LegacyFailureModel is RandomGridModel
+    def test_failure_model_names_only_the_base_class(self):
+        import repro
+        import repro.experiments
+
+        assert not hasattr(repro, "FailureModel")
+        assert not hasattr(repro.experiments, "FailureModel")
+        assert isinstance(IIDModel(p=0.1), FailureModel)
 
     def test_random_grid_label_is_bit_identical_to_history(self):
         assert RandomGridModel().label == "random(sizes=auto,samples=10,seed=0)"
@@ -556,7 +567,7 @@ class TestDifferentialCompat:
         result = run_grid(
             topologies=["ring(8)", "grid(3,3)"],
             schemes=["arborescence", "greedy", "tour"],
-            failure_models=[LegacyFailureModel(sizes=(0, 1, 2), samples=3, seed=0)],
+            failure_models=[RandomGridModel(sizes=(0, 1, 2), samples=3, seed=0)],
             matrix="permutation",
             matrix_seed=0,
         )
@@ -745,35 +756,31 @@ class TestServeFailureModels:
         assert verdict["exhaustive"] is True
         assert not response.get("partial")
 
-    def test_model_spec_and_legacy_params_agree_on_grids(self):
+    def test_model_spec_and_label_agree_on_grids(self):
         service = self._service()
-        via_spec = service.execute(
-            self._request(
-                "verdict",
-                {
-                    "topology": "ring(8)",
-                    "scheme": "greedy",
-                    "model": "random:sizes=0/1/2,samples=3,seed=0",
-                },
-            )
-        )
-        via_legacy = service.execute(
-            self._request(
-                "verdict",
-                {
-                    "topology": "ring(8)",
-                    "scheme": "greedy",
-                    "sizes": [0, 1, 2],
-                    "samples": 3,
-                    "seed": 0,
-                },
-                id="r2",
-            )
-        )
-        spec_record = via_spec["result"]["record"]
-        legacy_record = via_legacy["result"]["record"]
-        legacy_record["runtime_seconds"] = spec_record["runtime_seconds"]
-        assert spec_record == legacy_record
+        records = [
+            service.execute(
+                self._request("verdict", {"topology": "ring(8)", "scheme": "greedy",
+                                          "model": model}, id=model)
+            )["result"]["record"]
+            for model in ("random:sizes=0/1/2,samples=3,seed=0",
+                          "random(sizes=0/1/2,samples=3,seed=0)")
+        ]
+        for record in records:
+            record["runtime_seconds"] = 0.0
+        assert records[0] == records[1]
+
+    @pytest.mark.parametrize("key", ["sizes", "samples", "seed"])
+    @pytest.mark.parametrize("op", ["verdict", "load", "grid"])
+    def test_removed_keys_get_an_error_envelope(self, op, key):
+        if op == "grid":
+            params = {"topologies": ["ring(8)"], "schemes": ["greedy"]}
+        else:
+            params = {"topology": "ring(8)", "scheme": "greedy"}
+        response = self._service().execute(self._request(op, dict(params, **{key: 1})))
+        assert not response["ok"]
+        assert response["error"]["type"] == "QueryError"
+        assert f"{op} does not take {key!r}" in response["error"]["message"]
 
     def test_sampled_answer_is_cached_and_replayed(self, tmp_path):
         from repro.experiments import ResultStore
@@ -816,9 +823,9 @@ class TestServeFailureModels:
         cases = [
             ({"model": "martian:x=1"}, "unknown failure model 'martian'"),
             ({"model": "iid:p=oops"}, "invalid p 'oops': expected a number"),
-            ({"model": 7}, "model must be a spec string"),
-            ({"sizes": "bogus"}, "sizes must be a list of integers"),
-            ({"samples": "ten"}, "samples and seed must be integers"),
+            ({"model": 7}, "failure-model spec must be a non-empty string, got 7"),
+            ({"sizes": "bogus"}, "verdict does not take 'sizes'"),
+            ({"samples": "ten"}, "verdict does not take 'samples'"),
         ]
         for extra, message in cases:
             response = service.execute(
@@ -902,3 +909,104 @@ class TestFailureModelCLI:
     def test_traffic_rejects_bad_spec(self, capsys):
         assert self._run("traffic", "ring", "--failure-model", "iid:p=oops") == 2
         assert "invalid --failure-model" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# One vocabulary: a model instance, its spec string or its label.
+# ---------------------------------------------------------------------------
+
+#: one spec per registered family (a new family must add its own)
+FAMILY_SPECS = {
+    "random": "random:sizes=0/1/2,samples=3,seed=0",
+    "exhaustive": "exhaustive:k=1",
+    "iid": "iid:p=0.05,samples=40,seed=0",
+    "srlg": "srlg:groups=3,p=0.2,samples=20,seed=0",
+    "regional": "regional:radius=1,centers=1,samples=20,seed=0",
+}
+
+REMOVED_KEYWORDS = (
+    [(op, key) for op in ("verdict", "load", "grid") for key in ("sizes", "samples", "seed")]
+    + [("compare_congestion", key) for key in ("sizes", "samples", "seed", "failure_grid")]
+    + [("congestion_vs_failures", key) for key in ("sizes", "samples", "seed")]
+    + [("preflight_congestion_curve", "samples")]
+    + [("ScenarioGrid", key) for key in ("max_failures", "samples", "seed")]
+    + [("default_failure_sets", key) for key in ("max_failures", "samples", "seed")]
+    + [("sweep_pattern_resilience", "default_params"), ("default_batch", "default_params")]
+)
+
+
+class TestOneVocabulary:
+    @pytest.mark.parametrize("target, keyword", REMOVED_KEYWORDS)
+    def test_removed_keywords_raise(self, target, keyword):
+        from repro.core.engine import EngineState, vectorized
+        from repro.core.engine.sweep import ScenarioGrid, sweep_pattern_resilience
+        from repro.core.resilience import default_failure_sets
+        from repro.traffic import (
+            TrafficEngine,
+            compare_congestion,
+            congestion_vs_failures,
+            permutation,
+            preflight_congestion_curve,
+        )
+
+        graph = resolve_topology("ring(8)")
+        algorithm = scheme("greedy").instantiate()
+        demands = permutation(graph, seed=0)
+        grid = {0: [frozenset()]}
+        state = EngineState(graph)
+        client = QueryClient()
+        calls = {
+            "verdict": lambda **kw: client.verdict("ring(8)", "greedy", **kw),
+            "load": lambda **kw: client.load("ring(8)", "greedy", **kw),
+            "grid": lambda **kw: client.grid(["ring(8)"], **kw),
+            "compare_congestion": lambda **kw: compare_congestion(graph, demands, **kw),
+            "congestion_vs_failures": lambda **kw: congestion_vs_failures(
+                graph, algorithm, demands, grid, **kw
+            ),
+            "preflight_congestion_curve": lambda **kw: preflight_congestion_curve(
+                TrafficEngine(graph, algorithm), algorithm, demands, grid, **kw
+            ),
+            "ScenarioGrid": lambda **kw: ScenarioGrid(**kw),
+            "default_failure_sets": lambda **kw: default_failure_sets(graph, **kw),
+            "sweep_pattern_resilience": lambda **kw: sweep_pattern_resilience(
+                state, state.pattern(algorithm, 0), 0, **kw
+            ),
+            "default_batch": lambda **kw: vectorized.default_batch(state, **kw),
+        }
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
+            calls[target](**{keyword: 1})
+
+    def test_second_vocabulary_names_are_gone(self):
+        import repro.core.resilience as resilience
+        import repro.failures as failures
+        import repro.traffic as traffic
+        from repro.traffic import CongestionCurve
+
+        assert not hasattr(traffic, "sample_failure_grid")
+        assert not hasattr(traffic, "default_sizes")
+        assert not hasattr(failures, "model_from_params")
+        assert not hasattr(resilience, "DEFAULT_FAILURE_PARAMS")
+        assert "samples_per_size" not in CongestionCurve.__dataclass_fields__
+
+    @pytest.mark.parametrize("family", sorted(MODEL_FAMILIES))
+    def test_spec_label_and_instance_name_one_model(self, family, tmp_path):
+        """run_grid records agree however the model is named, and the
+        service answers a verdict by spec from the store they wrote."""
+        spec = FAMILY_SPECS[family]
+        model = parse_failure_model(spec)
+        store = ResultStore(tmp_path / "store.json")
+        runs = []
+        for named in (spec, model.label, model):
+            result = run_grid(
+                ["ring(8)"], ["greedy"], failure_models=[named],
+                store=store if named is model else None,
+            )
+            runs.append([dict(record.to_dict(), runtime_seconds=0.0) for record in result.records])
+        assert runs[0] == runs[1] == runs[2]
+        reply = QueryService(store=ResultStore(store.path)).execute(
+            Request(id="v", op="verdict",
+                    params={"topology": "ring(8)", "scheme": "greedy", "model": spec})
+        )
+        assert reply["cached"] is True
+        (stored,) = [r for r in store.load_records() if r.experiment == "resilience"]
+        assert reply["result"]["record"] == stored.to_dict()

@@ -10,9 +10,9 @@ from repro.core.algorithms import ArborescenceRouting
 from repro.core.engine.sweep import parallel_map
 from repro.experiments import (
     ExperimentSession,
-    FailureModel,
     run_grid,
 )
+from repro.failures import RandomGridModel, sample_failure_grid
 from repro.graphs.construct import fat_tree
 from repro.obs import (
     MetricsRegistry,
@@ -24,7 +24,7 @@ from repro.obs import (
     validate_trace,
 )
 from repro.obs.stats import render_metrics_report, render_trace_report, sniff_kind
-from repro.traffic import TrafficEngine, permutation, sample_failure_grid
+from repro.traffic import TrafficEngine, permutation
 
 
 class TestMetricsRegistry:
@@ -252,7 +252,7 @@ class TestStatsReports:
 def _grid_kwargs():
     return dict(
         schemes=["distance2", "greedy"],
-        failure_models=[FailureModel(sizes=(0, 1), samples=2, seed=0)],
+        failure_models=[RandomGridModel(sizes=(0, 1), samples=2, seed=0)],
         matrix="permutation",
         matrix_seed=0,
     )

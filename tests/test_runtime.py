@@ -26,11 +26,11 @@ from repro.core.resilience import (
 from repro.experiments import (
     ExperimentRecord,
     ExperimentSession,
-    FailureModel,
     ResultStore,
     run_grid,
     scheme,
 )
+from repro.failures import RandomGridModel
 from repro.runtime import (
     Budget,
     CellJournal,
@@ -402,17 +402,19 @@ class TestSweepRecovery:
 
     @pytest.fixture(scope="class")
     def case(self):
-        graph = nx.circulant_graph(8, [1, 2])
-        grid = ScenarioGrid(max_failures=1)
+        # a triangle: the default family is every failure set of its
+        # three links, and both schemes deliver under all of them
+        graph = nx.cycle_graph(3)
+        grid = ScenarioGrid()
         clean = sweep_resilience(graph, ArborescenceRouting(), grid)
         return graph, grid, clean
 
     @staticmethod
     def _cells(graph, **kwargs):
         result = run_grid(
-            [("circulant(8;1,2)", graph)],
+            [("cycle(3)", graph)],
             ["arborescence", "distance2"],
-            failure_models=["exhaustive:k=1"],
+            failure_models=["exhaustive:k=3"],
             metrics=("resilience",),
             **kwargs,
         )
@@ -472,7 +474,7 @@ class TestSweepRecovery:
 GRID_KWARGS = dict(
     topologies=["ring"],
     schemes=["arborescence", "greedy"],
-    failure_models=[FailureModel(sizes=(0, 1), samples=2, seed=0)],
+    failure_models=[RandomGridModel(sizes=(0, 1), samples=2, seed=0)],
     metrics=("resilience", "congestion", "stretch", "table_space"),
     matrix="permutation",
     matrix_seed=0,
@@ -628,6 +630,26 @@ class TestParallelGrid:
         assert not result.exhaustive
         assert {record.scheme for record in result.records} == {"arborescence"}
 
+    def test_deadline_ends_a_wedged_cell_worker(self, tmp_path):
+        # a worker checks the deadline only as it starts a cell: past the
+        # deadline and a grace the fan-out abandons the wedged worker, and
+        # its cell counts as not started, so the grid stops before it
+        journal_path = tmp_path / "journal.jsonl"
+        store = ResultStore(tmp_path / "store.json")
+        kwargs = dict(GRID_KWARGS, schemes=["arborescence", "greedy", "distance2"])
+        start = time.monotonic()
+        with FaultPlan.parse("slow-chunk:at=1,seconds=30").installed():
+            result = run_grid(
+                session=ExperimentSession(processes=2), deadline=Deadline(1),
+                resume=journal_path, store=store, **kwargs,
+            )
+        assert time.monotonic() - start < 10  # never waited out the sleep
+        assert not result.exhaustive
+        # the slowed cell is greedy's: published, journaled and stored nowhere
+        assert {record.scheme for record in result.records} == {"arborescence"}
+        assert {record.scheme for record in store.load_records()} == {"arborescence"}
+        assert len(CellJournal(journal_path)) == 1
+
     def test_progress_heartbeat_fires_per_cell(self):
         beats = []
         run_grid(
@@ -713,7 +735,8 @@ class TestLoadSweepDeadline:
     @pytest.mark.parametrize("backend", ["engine", "naive", "numpy"])
     def test_partial_prefix_matches_full_run(self, backend):
         from repro.experiments import resolve_topology, scheme
-        from repro.traffic import permutation, sample_failure_grid
+        from repro.failures import sample_failure_grid
+        from repro.traffic import permutation
 
         if backend == "numpy":
             pytest.importorskip("numpy")

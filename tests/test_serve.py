@@ -34,11 +34,11 @@ from repro import obs
 from repro.experiments import (
     ExperimentRecord,
     ExperimentSession,
-    FailureModel,
     ResultStore,
     run_grid,
 )
 from repro.experiments.registry import resolve_topology, scheme
+from repro.failures import RandomGridModel
 from repro.serve import (
     ProtocolError,
     QueryClient,
@@ -218,13 +218,13 @@ class TestResultStoreIndex:
 
 class TestServiceDifferential:
     def test_model_verdict_matches_run_grid_record(self, tmp_path):
-        model = FailureModel(sizes=(1, 2), samples=3, seed=0)
+        model = RandomGridModel(sizes=(1, 2), samples=3, seed=0)
         offline = run_grid(["k5"], ["arborescence"], failure_models=[model],
                            metrics=["resilience"])
         service = QueryService()
         record, partial = service.verdict(
-            {"topology": "k5", "scheme": "arborescence", "sizes": [1, 2],
-             "samples": 3, "seed": 0})
+            {"topology": "k5", "scheme": "arborescence",
+             "model": "random:sizes=1/2,samples=3,seed=0"})
         assert not partial
         assert _no_runtime(record.to_dict()) == _no_runtime(offline.records[0].to_dict())
 
@@ -402,7 +402,7 @@ class TestServiceDifferential:
         service = QueryService(store=store)
         request = Request(id="q1", op="verdict", params={
             "topology": "k5", "scheme": "arborescence",
-            "sizes": [1], "samples": 2, "seed": 0})
+            "model": "random:sizes=1,samples=2,seed=0"})
         first = service.execute(request)
         assert first["cached"] is False
         second = service.execute(Request(id="q2", op="verdict", params=request.params))
@@ -417,20 +417,20 @@ class TestServiceDifferential:
 
     def test_offline_run_grid_populates_the_cache(self, tmp_path):
         store = ResultStore(tmp_path / "answers.json")
-        model = FailureModel(sizes=(1,), samples=2, seed=0)
+        model = RandomGridModel(sizes=(1,), samples=2, seed=0)
         run_grid(["k5"], ["arborescence"], failure_models=[model],
                  metrics=["resilience"], store=store)
         service = QueryService(store=ResultStore(store.path))
         reply = service.execute(Request(id="q", op="verdict", params={
             "topology": "k5", "scheme": "arborescence",
-            "sizes": [1], "samples": 2, "seed": 0}))
+            "model": "random:sizes=1,samples=2,seed=0"}))
         assert reply["cached"] is True
         assert reply["result"]["verdict"]["resilient"] is True
 
     def test_answer_cache_tells_matrix_seeds_apart(self, tmp_path):
         service = QueryService(store=ResultStore(tmp_path / "answers.json"))
         base = {"topology": "ring(8)", "scheme": "greedy", "matrix": "permutation",
-                "sizes": [1], "samples": 2, "seed": 0}
+                "model": "random:sizes=1,samples=2,seed=0"}
 
         def load(svc, matrix_seed):
             params = dict(base, matrix_seed=matrix_seed)
@@ -450,19 +450,19 @@ class TestServiceDifferential:
 
     def test_inapplicable_scheme_is_an_error_envelope(self):
         reply = QueryService().execute(Request(id="q", op="verdict", params={
-            "topology": "k5", "scheme": "hamiltonian", "sizes": [1]}))
+            "topology": "k5", "scheme": "hamiltonian", "model": "random:sizes=1"}))
         # k5 is not Hamiltonian-decomposable per the registry predicate;
         # whichever way the registry rules, a clean envelope comes back
         assert reply["id"] == "q"
         assert isinstance(reply["ok"], bool)
 
     def test_grid_op_matches_run_grid(self):
-        model = FailureModel(sizes=(1,), samples=2, seed=0)
+        model = RandomGridModel(sizes=(1,), samples=2, seed=0)
         offline = run_grid(["k5"], ["arborescence"], failure_models=[model],
                            metrics=["resilience"])
         reply = QueryService().execute(Request(id="g", op="grid", params={
             "topologies": ["k5"], "schemes": ["arborescence"],
-            "metrics": ["resilience"], "sizes": [1], "samples": 2, "seed": 0}))
+            "metrics": ["resilience"], "model": "random:sizes=1,samples=2,seed=0"}))
         assert reply["ok"] is True and reply["partial"] is False
         got = [_no_runtime(entry) for entry in reply["result"]["records"]]
         want = [_no_runtime(record.to_dict()) for record in offline.records]
@@ -483,7 +483,7 @@ class TestDeadlinePartial:
         reply = service.execute(Request(
             id="p1", op="verdict", budget_seconds=0.0,
             params={"topology": "fattree", "scheme": "arborescence",
-                    "sizes": [1, 2], "samples": 5, "seed": 0}))
+                    "model": "random:sizes=1/2,samples=5,seed=0"}))
         assert reply["ok"] is True
         assert reply["partial"] is True
         record_dict = reply["result"]["record"]
@@ -496,7 +496,7 @@ class TestDeadlinePartial:
         store = ResultStore(tmp_path / "answers.json")
         service = QueryService(store=store)
         params = {"topology": "k5", "scheme": "arborescence",
-                  "sizes": [1], "samples": 2, "seed": 0}
+                  "model": "random:sizes=1,samples=2,seed=0"}
         cut = service.execute(Request(id="c", op="verdict", params=params,
                                       budget_seconds=0.0))
         assert cut["partial"] is True
@@ -684,7 +684,7 @@ class TestServerEndToEnd:
 
     def test_tcp_answer_identical_to_in_process(self):
         params = {"topology": "k5", "scheme": "arborescence",
-                  "sizes": [1], "samples": 3, "seed": 0}
+                  "model": "random:sizes=1,samples=3,seed=0"}
         local = QueryService().execute(Request(id="x", op="verdict", params=params))
         with running_server() as server:
             with QueryClient(port=server.bound_port, timeout=30) as client:
@@ -802,7 +802,7 @@ class TestLazyPirateClient:
         with running_server() as server:
             with QueryClient(port=server.bound_port, timeout=30) as client:
                 with pytest.raises(RemoteError) as excinfo:
-                    client.verdict("no-such-topology", "arborescence", sizes=[1])
+                    client.verdict("no-such-topology", "arborescence", model="random:sizes=1")
         assert excinfo.value.kind == "QueryError"
 
 

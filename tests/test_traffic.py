@@ -21,6 +21,7 @@ from repro.core.algorithms import (
 from repro.core.engine.sweep import EngineState
 from repro.core.simulator import Network, route
 from repro.experiments import ExperimentSession, naive_session
+from repro.failures import RandomGridModel, sample_failure_grid
 from repro.graphs import construct
 from repro.graphs.edges import edge, edge_sort_key, failure_set
 from repro.traffic import (
@@ -37,7 +38,6 @@ from repro.traffic import (
     per_packet_loads,
     permutation,
     route_matrix,
-    sample_failure_grid,
     total_volume,
 )
 
@@ -284,9 +284,8 @@ class TestCongestionSweeps:
     def test_curve_shape_and_failure_free_point(self):
         graph = construct.fat_tree(4)
         demands = permutation(graph, seed=1)
-        curve = congestion_vs_failures(
-            graph, ArborescenceRouting(), demands, sizes=[0, 2], samples=4, seed=0
-        )
+        grid = RandomGridModel(sizes=(0, 2), samples=4, seed=0).grid(graph)
+        curve = congestion_vs_failures(graph, ArborescenceRouting(), demands, grid)
         assert [point.failures for point in curve.points] == [0, 2]
         baseline = curve.at(0)
         assert baseline.scenarios == 1
@@ -304,7 +303,9 @@ class TestCongestionSweeps:
     def test_compare_skips_unsupported_algorithms(self):
         graph = construct.fat_tree(4)  # not outerplanar: tour must be skipped
         result = compare_congestion(
-            graph, permutation(graph, seed=1), sizes=[0, 1], samples=2, seed=0
+            graph,
+            permutation(graph, seed=1),
+            failure_model=RandomGridModel(sizes=(0, 1), samples=2, seed=0),
         )
         skipped_names = {name for name, _ in result.skipped}
         assert "tour-to-destination (Cor 5)" in skipped_names
@@ -331,13 +332,13 @@ class TestCongestionSweeps:
         graph = construct.cycle_graph(6)
         algorithm = GreedyLowestNeighbor()
         demands = all_to_one(graph, 0)
-        grid = dict(sizes=[0, 1], samples=2, seed=0)
+        model = RandomGridModel(sizes=(0, 1), samples=2, seed=0)
         surfaces = {
             "compare_congestion": lambda session: compare_congestion(
-                graph, demands, algorithms=[algorithm], session=session, **grid
+                graph, demands, algorithms=[algorithm], failure_model=model, session=session
             ).curves,
             "congestion_vs_failures": lambda session: congestion_vs_failures(
-                graph, algorithm, demands, session=session, **grid
+                graph, algorithm, demands, model.grid(graph), session=session
             ),
             "greedy_congestion_attack": lambda session: greedy_congestion_attack(
                 graph, algorithm, demands, max_failures=2, session=session

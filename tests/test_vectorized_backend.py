@@ -35,13 +35,13 @@ from repro.core.resilience import (
 )
 from repro.experiments import (
     ExperimentSession,
-    FailureModel,
     naive_session,
     resolve_topology,
     run_grid,
     scheme,
     topology,
 )
+from repro.failures import RandomGridModel
 from repro.graphs.construct import complete_graph, cycle_graph
 from repro.traffic import TrafficEngine, all_to_one, per_packet_loads, permutation
 
@@ -266,7 +266,7 @@ class TestTrafficLoadSweep:
     """A numpy session routes loads through the scalar TrafficEngine."""
 
     def test_load_sweep_equals_scalar_and_per_packet(self):
-        from repro.traffic import sample_failure_grid
+        from repro.failures import sample_failure_grid
 
         graph = topology("fattree").build(4)
         algorithm = scheme("arborescence").instantiate()
@@ -378,7 +378,7 @@ class TestFatTreeMultiWord:
 
     def test_load_sweep_parity_zero_fallbacks(self):
         from repro import obs
-        from repro.traffic import sample_failure_grid
+        from repro.failures import sample_failure_grid
 
         graph = resolve_topology("fattree(8)")
         algorithm = scheme("greedy").instantiate()
@@ -474,7 +474,7 @@ class TestFallbackAccounting:
 
 class TestGridParity:
     def test_quick_grid_numpy_equals_naive(self):
-        model = FailureModel(sizes=(0, 1), samples=2, seed=0)
+        model = RandomGridModel(sizes=(0, 1), samples=2, seed=0)
         kwargs = dict(
             topologies=["ring", "grid"],
             schemes=["arborescence", "distance2", "greedy"],
