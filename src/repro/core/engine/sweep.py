@@ -261,7 +261,7 @@ _POLL_SECONDS = 0.02
 _RETRIES = 2
 _BACKOFF_SECONDS = 0.05
 #: past a wall-clock deadline, how long a deadline-bound fan-out
-#: (``run_grid``'s) still waits for a result before abandoning its pool
+#: (``run_grid``'s) still waits for its results before abandoning its pool
 HANG_GRACE_SECONDS = 1.0
 
 
@@ -300,11 +300,12 @@ def parallel_map(
     forked workers via a module global, never pickled.  Items stream
     through ``imap_unordered`` so every completed result is salvaged the
     moment it arrives; when a fork dies (detected by the worker pid set
-    changing or a nonzero exit code) or no result lands within
-    ``timeout`` seconds, only the *missing* items are retried — up to
-    ``_RETRIES`` fresh pools with linear backoff, then a final serial
-    pass completes whatever is still missing, so a poisoned item can
-    never lose its siblings' work.  Workers inherit whatever warm state
+    changing or a nonzero exit code) or a pool still misses results
+    ``timeout`` seconds after it started (on the monotonic clock, however
+    recently a result landed), only the *missing* items are retried —
+    up to ``_RETRIES`` fresh pools with linear backoff, then a final
+    serial pass completes whatever is still missing, so a poisoned item
+    can never lose its siblings' work.  Workers inherit whatever warm state
     ``function`` closes over (engine indexes, decision tables) as
     copy-on-write pages.
 
@@ -342,6 +343,7 @@ def parallel_map(
                         )
                         telemetry.point("parallel_retry", attempt=attempt, pending=len(pending))
                 tasks = [(i, items[i], _fault_fire("worker", i, attempt)) for i in pending]
+                started = time.monotonic()
                 try:
                     pool = context.Pool(min(processes, len(pending)))
                 except OSError:  # pragma: no cover - fork failed (resource limits)
@@ -355,17 +357,16 @@ def parallel_map(
                         initial_pids = {worker.pid for worker in pool._pool}
                         iterator = pool.imap_unordered(_fork_call, tasks)
                         received = 0
-                        waited = 0.0
                         while received < len(tasks):
                             try:
                                 index, value, delta = iterator.next(timeout=_POLL_SECONDS)
                             except multiprocessing.TimeoutError:
-                                waited += _POLL_SECONDS
                                 workers = pool._pool
                                 died = {w.pid for w in workers} != initial_pids or any(
                                     w.exitcode not in (None, 0) for w in workers
                                 )
-                                if died or (timeout is not None and waited >= timeout):
+                                late = timeout is not None and time.monotonic() - started >= timeout
+                                if died or late:
                                     broken = True
                                     if telemetry is not None:
                                         reason = "worker_died" if died else "timeout"
@@ -384,7 +385,6 @@ def parallel_map(
                                 continue
                             results[index] = value
                             received += 1
-                            waited = 0.0
                             if delta is not None and telemetry is not None and telemetry.registry is not None:
                                 # the worker's metrics delta rides home
                                 # with its result; merging keeps parent

@@ -306,12 +306,13 @@ def run_grid(
       before the fork and then by each worker as it starts a cell: the
       stitch loop stops at the first cell no worker started, and itself
       checks only the budget units it charges, so every cell a worker
-      finished is published and journaled.  A pool that returns nothing
-      for ``HANG_GRACE_SECONDS`` past the deadline is abandoned as hung:
-      its lost cells count as not started.  Either way the same stitch
-      loop publishes the output, so it is identical to a serial run
-      apart from ``runtime_seconds`` wall-clock noise (and, under a
-      wall-clock deadline, where the cut falls).
+      finished is published and journaled.  A pool still short of a
+      cell ``HANG_GRACE_SECONDS`` past the deadline is abandoned as
+      hung, however recently another cell finished: its lost cells
+      count as not started.  Either way the same stitch loop publishes
+      the output, so it is identical to a serial run apart from
+      ``runtime_seconds`` wall-clock noise (and, under a wall-clock
+      deadline, where the cut falls).
     * An installed fault plan decides in the parent under either
       executor: ``grid-kill`` and ``cell-error`` fire as the stitch
       loop reaches a cell (in a parallel run the parent builds the
@@ -417,8 +418,8 @@ def run_grid(
                 return compute(tasks[position])
 
             # a worker checks the wall clock only as it starts a cell:
-            # a pool silent past the deadline (plus a grace) is hung, and
-            # the retry of each cell it lost finds the deadline expired
+            # a pool still busy past the deadline (plus a grace) is hung,
+            # and the retry of each cell it lost finds the deadline expired
             remaining = deadline.remaining() if deadline is not None else None
             timeout = None if remaining is None else remaining + HANG_GRACE_SECONDS
             outputs = iter(

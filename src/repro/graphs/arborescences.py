@@ -115,60 +115,50 @@ def _complete_graph_packing(graph: nx.Graph, root: Node) -> list[ParentMap]:
 
 
 def _backtracking_packing(
-    graph: nx.Graph, root: Node, k: int, rng: random.Random, budget: int = 200_000
+    nodes: list[Node], arcs: set[Arc], root: Node, k: int, rng: random.Random, budget: int = 200_000
 ) -> list[ParentMap] | None:
     """Backtracking packing with an exact connectivity prune.
 
-    Grows one in-arborescence at a time.  Before committing an arc
-    ``(u -> v)`` the prune verifies the *necessary* condition that in the
-    unused arcs every node ``w`` still has enough arc-disjoint paths to the
-    root: the number of trees yet to be built, plus one more if ``w`` is
-    not yet attached to the current tree (Menger + Edmonds).  Because the
-    condition is necessary, pruned branches are always dead; backtracking
-    makes the search complete within the budget.
+    Grows one in-arborescence at a time.  Committing an arc ``(u -> v)``
+    must leave every node enough arc-disjoint paths to the root in the
+    unused arcs: one per tree still to build after the current one,
+    ``r`` of them (Menger + Edmonds).  Every arc set the search reaches
+    already gives every node ``r`` such paths (the caller checks ``k``
+    at the start, and each commit keeps ``r``), so one unit max-flow
+    from ``u`` decides the candidate exactly: removing ``(u -> v)``
+    shrinks only the cuts that hold ``u`` and not ``v``, so any node
+    that falls below ``r`` does so through a cut that shows ``u`` below
+    ``r`` too.  On the last tree (``r = 0``) every candidate passes.
+    The current tree stays completable without a check: a node whose
+    path to the tree ran through ``(u -> v)`` still reaches ``u``, which
+    the tree now holds.  Because the prune is exact, pruned branches
+    are always dead; backtracking makes the search complete within
+    ``budget`` search steps.
+
+    The search keeps its own stack of frames, one per open choice, so
+    its depth (``k * (n - 1)`` committed arcs) is not bounded by the
+    interpreter's recursion limit.
     """
-    nodes = list(graph.nodes)
-    available: set[Arc] = set()
-    for u, v in graph.edges:
-        available.add((u, v))
-        available.add((v, u))
-    steps = [0]
-
-    def feasible(arcs: set[Arc], attached: set[Node], remaining_trees: int) -> bool:
-        # (a) every node still needs one arc-disjoint path to the root per
-        #     *future* tree (their paths live entirely in unused arcs);
-        if remaining_trees > 0:
-            for w in nodes:
-                if w == root:
-                    continue
-                if _arc_connectivity(arcs, nodes, w, root, stop_at=remaining_trees) < remaining_trees:
-                    return False
-        # (b) the current tree must remain completable: every unattached
-        #     node must reach the attached set via unused arcs (its path
-        #     then continues to the root over already-committed tree arcs).
-        reach = set(attached)
-        frontier = list(attached)
-        into: dict[Node, list[Node]] = {}
-        for u, v in arcs:
-            into.setdefault(v, []).append(u)
-        while frontier:
-            node = frontier.pop()
-            for previous in into.get(node, ()):
-                if previous not in reach:
-                    reach.add(previous)
-                    frontier.append(previous)
-        return len(reach) == len(nodes)
-
-    def build(index: int, avail: set[Arc], done: list[ParentMap]) -> list[ParentMap] | None:
-        if index == k:
-            return done
-
-        def grow(parent: ParentMap, attached: set[Node], arcs: set[Arc]) -> list[ParentMap] | None:
-            steps[0] += 1
-            if steps[0] > budget:
+    steps = 0
+    # a frame: [tree index, parent map, attached set, unused arcs,
+    # finished trees, candidates left to try, tail committed last]
+    frames: list[list] = []
+    call: tuple | None = (0, {}, {root}, arcs, [])
+    while True:
+        if call is not None:
+            # one search step: finish the tree, or open a frame over the
+            # arcs that attach one more node to it
+            steps += 1
+            if steps > budget:
                 return None
+            index, parent, attached, arcs, done = call
+            call = None
             if len(attached) == len(nodes):
-                return build(index + 1, arcs, done + [dict(parent)])
+                done = done + [dict(parent)]
+                if index + 1 == k:
+                    return done
+                call = (index + 1, {}, {root}, arcs, done)
+                continue
             # ``arcs`` is a set: sort before the seeded shuffle, or its
             # hash-dependent iteration order leaks PYTHONHASHSEED into
             # the packing (and every metric downstream of it)
@@ -177,20 +167,24 @@ def _backtracking_packing(
                 key=edge_sort_key,
             )
             rng.shuffle(candidates)
-            for u, v in candidates:
-                trial = arcs - {(u, v)}
-                if not feasible(trial, attached | {u}, k - index - 1):
-                    continue
-                parent[u] = v
-                result = grow(parent, attached | {u}, trial)
-                if result is not None:
-                    return result
-                del parent[u]
+            frames.append([index, parent, attached, arcs, done, iter(candidates), None])
+        if not frames:
             return None
-
-        return grow({}, {root}, avail)
-
-    return build(0, available, [])
+        frame = frames[-1]
+        index, parent, attached, arcs, done, candidates, committed = frame
+        if committed is not None:
+            del parent[committed]  # the step it led to was a dead end
+        remaining = k - index - 1
+        for u, v in candidates:
+            trial = arcs - {(u, v)}
+            if remaining and _arc_connectivity(trial, nodes, u, root, stop_at=remaining) < remaining:
+                continue
+            parent[u] = v
+            frame[-1] = u
+            call = (index, parent, attached | {u}, trial, done)
+            break
+        else:
+            frames.pop()
 
 
 def arc_disjoint_in_arborescences(
@@ -198,29 +192,38 @@ def arc_disjoint_in_arborescences(
 ) -> list[ParentMap]:
     """``k`` arc-disjoint spanning in-arborescences rooted at ``root``.
 
-    ``k`` defaults to the edge connectivity of the graph (the maximum
-    possible by Edmonds' theorem on the bidirected graph).  Uses the fast
-    Walecki-based construction on odd complete graphs and the greedy
-    oracle-guided packing elsewhere.  The result is always verified.
+    One pass of unit max-flows, one from each node to the root, opens
+    the packing.  Its minimum is the edge connectivity of the graph,
+    the default ``k`` (the maximum possible by Edmonds' theorem on the
+    bidirected graph).  An explicit ``k`` above it raises
+    ``RuntimeError`` at once: each tree holds one path from every node,
+    so such a packing cannot exist.  Uses the fast Walecki-based
+    construction on odd complete graphs and the backtracking packing
+    elsewhere, whose depth is not bounded by the recursion limit.  The
+    result is always verified.
     """
-    from .connectivity import global_edge_connectivity
-
+    nodes = list(graph.nodes)
+    arcs = {arc for u, v in graph.edges for arc in ((u, v), (v, u))}
+    connectivity = min(
+        (_arc_connectivity(arcs, nodes, w, root, stop_at=graph.degree(w)) for w in nodes if w != root),
+        default=0,
+    )
     if k is None:
-        k = global_edge_connectivity(graph)
+        k = connectivity
     if k < 1:
         raise ValueError("graph must be connected to pack arborescences")
     n = graph.number_of_nodes()
+    trees = None
     if k == n - 1 and n % 2 == 1 and graph.number_of_edges() == n * (n - 1) // 2:
         trees = _complete_graph_packing(graph, root)
-    else:
-        trees = None
+    elif k <= connectivity:
         for attempt in range(attempts):
             rng = random.Random(seed + attempt)
-            trees = _backtracking_packing(graph, root, k, rng)
+            trees = _backtracking_packing(nodes, arcs, root, k, rng)
             if trees is not None:
                 break
-        if trees is None:
-            raise RuntimeError(f"could not pack {k} arborescences rooted at {root!r}")
+    if trees is None:
+        raise RuntimeError(f"could not pack {k} arborescences rooted at {root!r}")
     if not verify_arborescences(graph, root, trees):  # pragma: no cover
         raise AssertionError("internal error: invalid arborescence packing")
     return trees

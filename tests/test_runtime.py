@@ -706,7 +706,11 @@ class TestParallelGrid:
 
         def run_cell_then_expire(*args, **kwargs):
             records = run_cell(*args, **kwargs)
-            marker.touch()  # a file: the clock reads the same in every worker
+            # only the first cell expires the clock: were the second cell
+            # to expire it, its worker could finish before the first
+            # cell's worker reads the clock, and then nothing is published
+            if args[3].name == "arborescence":
+                marker.touch()  # a file: the clock reads the same in every worker
             return records
 
         monkeypatch.setattr(runner, "_run_cell", run_cell_then_expire)
@@ -729,6 +733,27 @@ class TestParallelGrid:
         assert [record.to_dict() for record in rerun.records] == [
             record.to_dict() for record in full.records
         ]
+
+    def test_a_cell_finishing_late_does_not_extend_the_hang_bound(self, tmp_path):
+        # cell 0 lands just before the deadline while cell 1 is wedged:
+        # the pool is still abandoned a grace past the deadline, not a
+        # whole deadline after cell 0's result
+        journal_path = tmp_path / "journal.jsonl"
+        store = ResultStore(tmp_path / "store.json")
+        kwargs = dict(GRID_KWARGS, schemes=["arborescence", "greedy", "distance2", "tour"])
+        plan = FaultPlan.parse("slow-chunk:at=0,seconds=2.8;slow-chunk:at=1,seconds=60")
+        start = time.monotonic()
+        with plan.installed():
+            result = run_grid(
+                session=ExperimentSession(processes=2), deadline=Deadline(3),
+                resume=journal_path, store=store, **kwargs,
+            )
+        assert time.monotonic() - start < 5.5
+        assert not result.exhaustive
+        # the wedged cell is greedy's: journaled and stored nowhere
+        assert "greedy" not in {record.scheme for record in store.load_records()}
+        journaled = journal_path.read_text().splitlines() if journal_path.exists() else []
+        assert not any(json.loads(line)["key"].startswith("ring|greedy|") for line in journaled)
 
 
 class TestLoadSweepDeadline:
