@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import networkx as nx
 
 from ..core.model import DestinationAlgorithm, SourceDestinationAlgorithm
-from ..graphs.edges import edge, edge_sort_key
+from ..graphs.edges import canonical_links
 
 
 @dataclass
@@ -50,20 +50,17 @@ def delivery_curve(
 ) -> DeliveryCurve:
     """Estimate P[delivered | s, t connected] per random failure count.
 
-    Engine-only: a ``backend="naive"`` session is rejected rather than
-    silently measured on the engine.
+    A naive session walks every scenario with the reference simulator
+    and gives the same curve.
     """
     from ..experiments.session import resolve_session
 
-    session = resolve_session(session)
-    if not session.use_engine:
-        raise ValueError("delivery_curve runs on the engine backend only")
     if sizes is None:
         sizes = list(range(graph.number_of_edges()))
-    links = sorted((edge(u, v) for u, v in graph.edges), key=edge_sort_key)
+    links = canonical_links(graph)
     # session-owned engine state, shared across every size and sample:
     # mask-cached connectivity plus one memoized table for the pattern
-    state = session.state(graph)
+    state = resolve_session(session).state(graph)
     memo = state.pattern_for(algorithm, source, destination)
     rng = random.Random(seed)
     probabilities = []

@@ -16,7 +16,7 @@ import networkx as nx
 
 from ..core.model import DestinationAlgorithm, SourceDestinationAlgorithm
 from ..graphs.connectivity import surviving_graph
-from ..graphs.edges import edge, edge_sort_key
+from ..graphs.edges import canonical_links
 
 
 @dataclass
@@ -48,18 +48,14 @@ def measure_stretch(
 
     Engine state comes from ``session`` (default: the shared
     :func:`~repro.experiments.session.default_session`), so repeated
-    measurements on one graph reuse its index maps and caches.  This
-    surface is engine-only — a ``backend="naive"`` session is rejected
-    rather than silently measured on the engine (the per-packet stretch
-    reference lives in the load router's differential tests).
+    measurements on one graph reuse its index maps and caches; a naive
+    session walks every scenario with the reference simulator and
+    measures the same numbers.
     """
     from ..experiments.session import resolve_session
 
-    session = resolve_session(session)
-    if not session.use_engine:
-        raise ValueError("measure_stretch runs on the engine backend only")
-    links = sorted((edge(u, v) for u, v in graph.edges), key=edge_sort_key)
-    state = session.state(graph)
+    links = canonical_links(graph)
+    state = resolve_session(session).state(graph)
     memo = state.pattern_for(algorithm, source, destination)
     rng = random.Random(seed)
     stretches: list[float] = []

@@ -36,6 +36,7 @@ from .resilience import (
     check_perfect_resilience_source_destination,
     check_perfect_touring,
     check_r_tolerance,
+    check_resilience,
     sampled_failure_sets,
 )
 from .simulator import Network, Outcome, RouteResult, TourResult, route, tour, tours_component

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import networkx as nx
 
 from ...graphs.connectivity import are_connected, st_edge_connectivity
-from ...graphs.edges import Edge, FailureSet, Node, edge, edge_sort_key
+from ...graphs.edges import FailureSet, Node, canonical_links, edge, edge_sort_key
 from ..engine.memo import MemoizedPattern
 from ..engine.sweep import EngineState
 from ..model import ForwardingPattern, LocalView
@@ -138,7 +138,7 @@ def random_attack(
 ) -> AttackResult | None:
     """Randomized search for a breaking failure set, then greedy minimization."""
     rng = random.Random(seed)
-    links = sorted((edge(u, v) for u, v in graph.edges), key=edge_sort_key)
+    links = canonical_links(graph)
     limit = len(links) if max_failures is None else min(max_failures, len(links))
     state = EngineState(graph)
     memo = MemoizedPattern(state.network, pattern)

@@ -13,16 +13,15 @@ out-port it used at start.  On outerplanar graphs (Cor 6) the detection
 is sound and complete: every node of the source's surviving component is
 informed before the source declares the broadcast finished.
 
-Runs on the fast engine by default: the session's
-:class:`~repro.core.engine.sweep.EngineState` for the graph and its
-pattern cache hold the index and the memoized tour, so sweeping a
+Runs on the session's :class:`~repro.core.engine.sweep.EngineState` for
+the graph: its pattern cache holds the memoized tour, so sweeping a
 broadcast over many failure sets pays for network indexing and pattern
 construction once.  Pass ``session=`` (an
 :class:`~repro.experiments.session.ExperimentSession`) to source engine
-state from a shared session; a ``backend="naive"`` session selects the
-hop-by-hop reference walk (identical results, kept for differential
-testing).  Failure sets naming links outside the graph fall back to the
-naive walk automatically.
+state from a shared session.  Where the state's mask is ``None`` — on a
+``backend="naive"`` session, and for failure sets naming links outside
+the graph — the broadcast takes the hop-by-hop reference walk
+(identical results, kept for differential testing).
 """
 
 from __future__ import annotations
@@ -79,20 +78,14 @@ class TouringBroadcast:
         # the constructor-level session is only the default
         session = resolve_session(session if session is not None else self._session)
         limit = max_hops if max_hops is not None else 4 * graph.number_of_edges() + 4
-        if session.use_engine:
-            # the session re-indexes a graph mutated in place, and the
-            # state's pattern cache builds the tour once per graph
-            state = session.state(graph)
-            memo = state.pattern(self._algorithm)
-            fmask = state.network.mask_of(failures)
-            if fmask is not None and source in state.network.index:
-                return self._run_indexed(state, memo, source, fmask, limit)
-            pattern = memo.pattern
-            network: Network = state.naive_network
-        else:
-            pattern = self._algorithm.build(graph)
-            network = Network(graph)
-        return self._run_naive(network, pattern, source, failures, limit)
+        # the session re-indexes a graph mutated in place, and the
+        # state's pattern cache builds the tour once per graph
+        state = session.state(graph)
+        memo = state.pattern(self._algorithm)
+        fmask = state.mask(failures)
+        if fmask is not None and source in state.network.index:
+            return self._run_indexed(state, memo, source, fmask, limit)
+        return self._run_naive(state.naive_network, memo.pattern, source, failures, limit)
 
     def _run_indexed(
         self,

@@ -1,7 +1,8 @@
 """Incremental connected-component tracking per failure mask.
 
-The naive checkers run one BFS per ``(destination, failure set)``
-scenario.  Two observations kill almost all of that work:
+The reference path (a naive session's) runs one BFS per
+``(destination, failure set)`` scenario.  Two observations kill almost
+all of that work:
 
 * the component **partition** of ``G \\ F`` depends on the mask alone,
   so one flood per mask serves every destination and source; and

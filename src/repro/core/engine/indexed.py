@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from ...graphs.edges import Edge, FailureSet, Node, edge, edge_sort_key
+from ...graphs.edges import Edge, FailureSet, Node, canonical_links, edge
 from ...graphs.edges import _sort_key  # one definition: engine/naive order must agree
 from ..model import LocalView
 
@@ -60,8 +60,7 @@ class IndexedNetwork:
         self.n = len(self.labels)
         self.index: dict[Node, int] = {label: i for i, label in enumerate(self.labels)}
 
-        links = sorted((edge(u, v) for u, v in graph.edges), key=edge_sort_key)
-        self.links: tuple[Edge, ...] = tuple(links)
+        self.links: tuple[Edge, ...] = tuple(canonical_links(graph))
         self.m = len(self.links)
         self.link_bit: dict[Edge, int] = {link: 1 << i for i, link in enumerate(self.links)}
         #: bit position -> (endpoint index, endpoint index)
@@ -105,7 +104,7 @@ class IndexedNetwork:
         ``None`` sends the caller down the naive fallback, which is what
         keeps exotic inputs (links outside the graph, *non-canonical*
         tuples like ``(1, 0)`` for canonical ``(0, 1)``) behaving exactly
-        as the naive checkers treat them — notably, the naive path
+        as the reference walks treat them — notably, the naive path
         matches failures against canonical edges only, so a
         non-canonical entry is effectively alive and must NOT be
         canonicalized into a failed bit here.

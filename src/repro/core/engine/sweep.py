@@ -4,15 +4,16 @@ This is the engine's public face.  :func:`sweep_resilience` evaluates a
 whole grid of scenarios for one algorithm with shared state — one
 :class:`IndexedNetwork`, one component cache across all destinations,
 each pattern and its decision table built once per graph
-(:meth:`EngineState.pattern`).  Sweeps run in process and reproduce the
-naive checkers' verdicts *exactly* (same counterexample, same
-``scenarios_checked``, same ``exhaustive`` flag).  :func:`parallel_map`
-is the crash-recovering fork fan-out that ``run_grid`` spreads its grid
-cells with.
+(:meth:`EngineState.pattern`).  Sweeps run in process, and they are the
+only scenario loops of every backend: on a naive session's state
+(:meth:`EngineState.mask`) the same loops walk each scenario with the
+reference simulator, so the backends differ only in that walk (same
+counterexample, same ``scenarios_checked``, same ``exhaustive`` flag).
+:func:`parallel_map` is the crash-recovering fork fan-out that
+``run_grid`` spreads its grid cells with.
 
-Verdict semantics note: sub-checks driven by an explicitly supplied
-failure-set list report ``exhaustive=False`` exactly like the naive
-checkers do.
+Verdict semantics note: a sweep over an explicitly supplied failure-set
+list reports ``exhaustive=False``.
 """
 
 from __future__ import annotations
@@ -61,13 +62,19 @@ class EngineState:
     the component cache and the per-``(node, local mask)`` view cache
     amortize across the whole sweep, and :meth:`pattern` builds each
     forwarding pattern once per graph.
+
+    A ``naive`` state (a naive session's) indexes nothing per scenario:
+    :meth:`mask` answers ``None`` for every failure set, so every sweep,
+    check and load router on it walks each scenario with the reference
+    simulator, in the same loops the indexed scenarios run.
     """
 
-    def __init__(self, graph: nx.Graph):
+    def __init__(self, graph: nx.Graph, naive: bool = False):
         self.graph = graph
+        self.naive = naive
         self.network = IndexedNetwork(graph)
         self.tracker = ComponentTracker(self.network)
-        self._naive: Network | None = None
+        self._naive_network: Network | None = None
         #: id(algorithm) -> (algorithm, {unit: MemoizedPattern})
         self._patterns: dict[int, tuple[Any, dict[tuple, MemoizedPattern]]] = {}
         self.pattern_hits = 0
@@ -75,10 +82,17 @@ class EngineState:
 
     @property
     def naive_network(self) -> Network:
-        """Naive fallback network, for failure sets outside the index."""
-        if self._naive is None:
-            self._naive = Network(self.graph)
-        return self._naive
+        """The reference simulator's network, for the walks :meth:`mask`
+        sends there."""
+        if self._naive_network is None:
+            self._naive_network = Network(self.graph)
+        return self._naive_network
+
+    def mask(self, failures: FailureSet) -> int | None:
+        """The link bitmask of ``failures``, or ``None`` where the reference
+        walks must run: on a naive state, and for a set naming links
+        outside the index.  Every indexed path asks this first."""
+        return None if self.naive else self.network.mask_of(failures)
 
     def pattern(self, algorithm, *unit) -> MemoizedPattern:
         """``algorithm.build(graph, *unit)`` with its decision table, built once.
@@ -125,10 +139,10 @@ class EngineState:
         destination: Node,
         failures: FailureSet,
     ) -> RouteResult:
-        """Label-level routing; falls back to the naive walk when the
-        failure set mentions links outside the graph."""
+        """Label-level routing; falls back to the naive walk where
+        :meth:`mask` gives ``None``."""
         network = self.network
-        fmask = network.mask_of(failures)
+        fmask = self.mask(failures)
         src = network.index.get(source)
         dst = network.index.get(destination)
         if fmask is None or src is None or dst is None:
@@ -149,16 +163,16 @@ class EngineState:
         destination and, with ``wanted``, every source outside it); walks
         share a delivered-state set, so a walk that joins a state already
         proven to deliver stops early.  The first failing source is
-        re-walked for its exact trace.  Masks naming links outside the
-        index (or an un-indexed destination) take the naive walk, keeping
-        the naive checkers' semantics to the letter.  Returns ``(scenarios
+        re-walked for its exact trace.  Where :meth:`mask` gives ``None``
+        (and for an un-indexed destination) each source takes the
+        reference walk, in the same sorted order.  Returns ``(scenarios
         checked, Counterexample | None)``.  The covers walks record no
         telemetry (callers batch their own counters); only the indexed
         counterexample re-walk counts, as one ``route`` walk.
         """
         network = self.network
         dest_idx = network.index.get(destination)
-        fmask = network.mask_of(failures) if dest_idx is not None else None
+        fmask = self.mask(failures) if dest_idx is not None else None
         checked = 0
         if fmask is None:
             naive = self.naive_network
@@ -195,13 +209,14 @@ class EngineState:
         """Engine twin of :func:`repro.graphs.connectivity.are_connected`.
 
         Uses the mask-cached partition on small graphs (where sweeps
-        revisit masks) and a one-off mask BFS on large ones (where
-        caching every random mask's partition would not pay).
+        revisit masks), a one-off mask BFS on large ones (where caching
+        every random mask's partition would not pay), and the reference
+        BFS where :meth:`mask` gives ``None``.
         """
         if source == destination:
             return True
         network = self.network
-        fmask = network.mask_of(failures)
+        fmask = self.mask(failures)
         src = network.index.get(source)
         dst = network.index.get(destination)
         if fmask is None or src is None or dst is None:
@@ -219,9 +234,9 @@ class ScenarioGrid:
 
     ``None`` fields mean the checker defaults: all destinations, every
     source in the destination's surviving component, and the failure
-    sets of :func:`~repro.core.resilience.default_failure_sets` —
-    exactly the naive checkers' behaviour.  ``pairs`` overrides
-    destinations × sources for the source-destination model.
+    sets of :func:`~repro.core.resilience.default_failure_sets`.
+    ``pairs`` overrides destinations × sources for the
+    source-destination model.
     """
 
     destinations: Sequence[Node] | None = None
@@ -276,7 +291,7 @@ def _fork_call(task: tuple[int, Any, Any]) -> tuple[int, Any, Any]:
             time.sleep(fault.seconds)
     assert _FORK_PAYLOAD is not None
     telemetry = _obs.active()
-    if telemetry is None or telemetry.registry is None:
+    if telemetry is None:
         return index, _FORK_PAYLOAD(item), None
     # the forked worker inherited the parent's registry at fork time:
     # snapshot before/after the payload and ship only the delta home
@@ -385,7 +400,7 @@ def parallel_map(
                                 continue
                             results[index] = value
                             received += 1
-                            if delta is not None and telemetry is not None and telemetry.registry is not None:
+                            if delta is not None and telemetry is not None:
                                 # the worker's metrics delta rides home
                                 # with its result; merging keeps parent
                                 # counters equal to a serial run's
@@ -430,15 +445,13 @@ def sweep_pattern_resilience(
     failure_sets: Iterable[FailureSet] | None = None,
     backend: str = "engine",
 ) -> Any:
-    """Engine twin of the naive ``check_pattern_resilience``, for one
-    memoized pattern (usually :meth:`EngineState.pattern`'s).
-
-    Identical verdicts: failure sets are walked in the same order,
-    sources in the same (component frozenset) order, and the
-    counterexample carries the same route trace.  ``backend="numpy"``
-    batches the failure masks through the vectorized walker where the
-    instance supports it (and falls back to this scalar path, same
-    verdicts, where it does not).
+    """The sweep behind ``check_pattern_resilience``, for one memoized
+    pattern (usually :meth:`EngineState.pattern`'s): one
+    :meth:`EngineState.mask_outcome` per failure set, in order, up to
+    the first counterexample.  ``backend="numpy"`` batches the failure
+    masks through the vectorized walker where the instance supports it
+    (and falls back to this scalar path, same verdicts, where it does
+    not).
     """
     telemetry = _obs.active()
     if telemetry is None:
@@ -689,7 +702,7 @@ def _sweep_touring(
                 # cut between failure buckets: the covered prefix is whole
                 exhaustive = False
                 break
-            fmask = network.mask_of(failures)
+            fmask = state.mask(failures)
             for start in starts:
                 checked += 1
                 if fmask is None or start not in index:

@@ -10,17 +10,20 @@ gadgets have ≤ 16 links, so exhaustive checking is exact); larger graphs
 use structured plus uniformly random samples.  Checkers always skip
 failure sets that break the respective promise.
 
-Checkers run on the fast engine (:mod:`repro.core.engine`) by default:
-integer-indexed networks, memoized ``(node, inport, local mask)``
-forwarding decisions, and a component cache shared across the whole
-destination × failure-set grid.  Engine state is owned by an
+Every checker is a thin front on the engine's sweeps
+(:mod:`repro.core.engine.sweep`), the one scenario loop of every
+backend: integer-indexed networks, memoized ``(node, inport, local
+mask)`` forwarding decisions, and a component cache shared across the
+whole destination × failure-set grid.  Engine state is owned by an
 :class:`~repro.experiments.session.ExperimentSession` — pass ``session=``
 to share index maps and caches across calls; the default is the shared
-:func:`~repro.experiments.session.default_session`.  A session with
-``backend="naive"`` selects the hop-by-hop reference path (same
-verdicts) — kept for differential testing and the speedup benchmarks.
-Checkers run in process; ``run_grid(processes=N)`` spreads grid cells,
-each a set of checks, across forked workers.
+:func:`~repro.experiments.session.default_session`.  On a session with
+``backend="naive"`` the same loops walk every scenario with the
+hop-by-hop reference simulator (same verdicts; with telemetry on it
+emits the sweep spans and walk counters too) — the surface the
+differential tests compare against.  Checkers run in process;
+``run_grid(processes=N)`` spreads grid cells, each a set of checks,
+across forked workers.
 """
 
 from __future__ import annotations
@@ -32,15 +35,15 @@ from itertools import combinations
 
 import networkx as nx
 
-from ..graphs.connectivity import component_of, st_edge_connectivity
-from ..graphs.edges import Edge, FailureSet, Node, edge, edge_sort_key, sorted_nodes
+from ..graphs.connectivity import st_edge_connectivity
+from ..graphs.edges import FailureSet, Node, canonical_links
 from .model import (
     DestinationAlgorithm,
     ForwardingPattern,
     SourceDestinationAlgorithm,
     TouringAlgorithm,
 )
-from .simulator import Network, Outcome, RouteResult, route, tours_component
+from .simulator import RouteResult
 
 #: exhaustively enumerate failure sets up to this many links
 EXHAUSTIVE_LINK_LIMIT = 17
@@ -79,7 +82,7 @@ class Verdict:
 
 def all_failure_sets(graph: nx.Graph, max_failures: int | None = None) -> Iterator[FailureSet]:
     """All failure sets of the graph, smallest first."""
-    links = sorted((edge(u, v) for u, v in graph.edges), key=edge_sort_key)
+    links = canonical_links(graph)
     limit = len(links) if max_failures is None else min(max_failures, len(links))
     for size in range(limit + 1):
         for combo in combinations(links, size):
@@ -97,7 +100,7 @@ def sampled_failure_sets(
     Always starts with the empty set and all singletons, so trivial bugs
     surface deterministically.
     """
-    links = sorted((edge(u, v) for u, v in graph.edges), key=edge_sort_key)
+    links = canonical_links(graph)
     limit = len(links) if max_failures is None else min(max_failures, len(links))
     yield frozenset()
     for link in links:
@@ -113,8 +116,8 @@ def default_failure_sets(graph: nx.Graph) -> tuple[Iterator[FailureSet], bool]:
     else the seeded sample.
 
     Returns the iterator and whether it is exhaustive.  The one
-    definition every backend (naive checkers, scalar engine sweeps, the
-    vectorized mask batches) resolves, so all face the same scenarios.
+    definition every backend (the scalar sweeps, naive or indexed, and
+    the vectorized mask batches) resolves, so all face the same scenarios.
     """
     if graph.number_of_edges() <= EXHAUSTIVE_LINK_LIMIT:
         return all_failure_sets(graph), True
@@ -140,43 +143,30 @@ def check_pattern_resilience(
     optionally a fixed source, for the source-destination model).
     """
     from ..experiments.session import resolve_session
+    from .engine.memo import MemoizedPattern
+    from .engine.sweep import sweep_pattern_resilience
 
     session = resolve_session(session)
-    if session.use_engine:
-        from .engine.memo import MemoizedPattern
-        from .engine.sweep import sweep_pattern_resilience
-
-        state = session.state(graph)
-        return sweep_pattern_resilience(
-            state,
-            MemoizedPattern(state.network, pattern),
-            destination,
-            sources=sources,
-            failure_sets=failure_sets,
-            backend=session.backend,
-        )
-    network = Network(graph)
-    failure_iter, exhaustive = (
-        (failure_sets, False) if failure_sets is not None else default_failure_sets(graph)
+    state = session.state(graph)
+    return sweep_pattern_resilience(
+        state,
+        MemoizedPattern(state.network, pattern),
+        destination,
+        sources=sources,
+        failure_sets=failure_sets,
+        backend=session.backend,
     )
-    wanted = None if sources is None else set(sources)
-    checked = 0
-    for failures in failure_iter:
-        # sorted: deterministic counterexamples, matching the engine path
-        component = sorted_nodes(component_of(graph, destination, failures))
-        for source in component:
-            if source == destination or (wanted is not None and source not in wanted):
-                continue
-            checked += 1
-            result = route(network, pattern, source, destination, failures)
-            if not result.delivered:
-                return Verdict(
-                    False,
-                    checked,
-                    Counterexample(source, destination, failures, result),
-                    exhaustive,
-                )
-    return Verdict(True, checked, exhaustive=exhaustive)
+
+
+def _sweep_verdict(graph: nx.Graph, algorithm, session, **grid) -> Verdict:
+    """``sweep_resilience`` over ``ScenarioGrid(**grid)`` on the session's state."""
+    from ..experiments.session import resolve_session
+    from .engine.sweep import ScenarioGrid, sweep_resilience
+
+    session = resolve_session(session)
+    return sweep_resilience(
+        graph, algorithm, ScenarioGrid(**grid), state=session.state(graph), backend=session.backend
+    ).verdict
 
 
 def check_perfect_resilience_source_destination(
@@ -187,34 +177,7 @@ def check_perfect_resilience_source_destination(
     session=None,
 ) -> Verdict:
     """Is the algorithm perfectly resilient on ``graph`` in the π^{s,t} model?"""
-    from ..experiments.session import resolve_session
-
-    session = resolve_session(session)
-    if session.use_engine:
-        from .engine.sweep import ScenarioGrid, sweep_resilience
-
-        grid = ScenarioGrid(pairs=pairs, failure_sets=failure_sets)
-        return sweep_resilience(
-            graph, algorithm, grid, state=session.state(graph), backend=session.backend
-        ).verdict
-    nodes = list(graph.nodes)
-    if pairs is None:
-        pairs = [(s, t) for t in nodes for s in nodes if s != t]
-    total = 0
-    exhaustive = True
-    materialized = list(failure_sets) if failure_sets is not None else None
-    for source, destination in pairs:
-        pattern = algorithm.build(graph, source, destination)
-        verdict = check_pattern_resilience(
-            graph, pattern, destination, sources=[source], failure_sets=materialized,
-            session=session,
-        )
-        total += verdict.scenarios_checked
-        exhaustive = exhaustive and (verdict.exhaustive or materialized is not None)
-        if not verdict.resilient:
-            verdict.scenarios_checked = total
-            return verdict
-    return Verdict(True, total, exhaustive=exhaustive and materialized is None)
+    return _sweep_verdict(graph, algorithm, session, pairs=pairs, failure_sets=failure_sets)
 
 
 def check_perfect_resilience_destination(
@@ -229,31 +192,30 @@ def check_perfect_resilience_destination(
     Every node of the destination's surviving component must be served,
     whatever the source (§II).
     """
-    from ..experiments.session import resolve_session
+    return _sweep_verdict(
+        graph, algorithm, session, destinations=destinations, failure_sets=failure_sets
+    )
 
-    session = resolve_session(session)
-    if session.use_engine:
-        from .engine.sweep import ScenarioGrid, sweep_resilience
 
-        grid = ScenarioGrid(destinations=destinations, failure_sets=failure_sets)
-        return sweep_resilience(
-            graph, algorithm, grid, state=session.state(graph), backend=session.backend
-        ).verdict
-    nodes = list(destinations) if destinations is not None else list(graph.nodes)
-    total = 0
-    exhaustive = True
-    materialized = list(failure_sets) if failure_sets is not None else None
-    for destination in nodes:
-        pattern = algorithm.build(graph, destination)
-        verdict = check_pattern_resilience(
-            graph, pattern, destination, failure_sets=materialized, session=session
+def check_resilience(
+    graph: nx.Graph,
+    algorithm: DestinationAlgorithm | SourceDestinationAlgorithm | TouringAlgorithm,
+    failure_sets: Iterable[FailureSet] | None = None,
+    session=None,
+) -> Verdict:
+    """Perfect resilience in the algorithm's own routing model: the π^∀
+    touring, π^{s,t} or π^t checker, over every unit of the graph."""
+    if isinstance(algorithm, TouringAlgorithm):
+        return check_perfect_touring(graph, algorithm, failure_sets=failure_sets, session=session)
+    if isinstance(algorithm, SourceDestinationAlgorithm):
+        return check_perfect_resilience_source_destination(
+            graph, algorithm, failure_sets=failure_sets, session=session
         )
-        total += verdict.scenarios_checked
-        exhaustive = exhaustive and verdict.exhaustive
-        if not verdict.resilient:
-            verdict.scenarios_checked = total
-            return verdict
-    return Verdict(True, total, exhaustive=exhaustive and materialized is None)
+    if isinstance(algorithm, DestinationAlgorithm):
+        return check_perfect_resilience_destination(
+            graph, algorithm, failure_sets=failure_sets, session=session
+        )
+    raise TypeError(f"not a routing algorithm: {algorithm!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +235,9 @@ def check_r_tolerance(
     """Is the pattern r-tolerant for (source, destination) on ``graph``?
 
     Only failure sets under which s and t remain r-connected count
-    (Definition 1); everything else is vacuously fine.  Every
-    engine-backed session, numpy included, walks the counted scenarios
-    with :meth:`EngineState.route`.
+    (Definition 1); everything else is vacuously fine.  Every session
+    walks the counted scenarios with :meth:`EngineState.route` (the
+    reference walk on a naive session, the scalar one on the others).
     """
     from ..experiments.session import resolve_session
 
@@ -283,22 +245,14 @@ def check_r_tolerance(
     failure_iter, exhaustive = (
         (failure_sets, False) if failure_sets is not None else default_failure_sets(graph)
     )
-    if session.use_engine:
-        state = session.state(graph)
-        memo = state.pattern(algorithm, source, destination)
-        simulate = lambda failures: state.route(memo, source, destination, failures)  # noqa: E731
-    else:
-        network = Network(graph)
-        pattern = algorithm.build(graph, source, destination)
-        simulate = lambda failures: route(  # noqa: E731
-            network, pattern, source, destination, failures
-        )
+    state = session.state(graph)
+    memo = state.pattern(algorithm, source, destination)
     checked = 0
     for failures in failure_iter:
         if st_edge_connectivity(graph, source, destination, failures, stop_at=r) < r:
             continue
         checked += 1
-        result = simulate(failures)
+        result = state.route(memo, source, destination, failures)
         if not result.delivered:
             return Verdict(
                 False,
@@ -322,34 +276,7 @@ def check_perfect_touring(
     session=None,
 ) -> Verdict:
     """Does the π^∀ pattern tour every component under every failure set?"""
-    from ..experiments.session import resolve_session
-
-    session = resolve_session(session)
-    if session.use_engine:
-        from .engine.sweep import ScenarioGrid, sweep_resilience
-
-        grid = ScenarioGrid(sources=starts, failure_sets=failure_sets)
-        return sweep_resilience(
-            graph, algorithm, grid, state=session.state(graph), backend=session.backend
-        ).verdict
-    network = Network(graph)
-    pattern = algorithm.build(graph)
-    failure_iter, exhaustive = (
-        (failure_sets, False) if failure_sets is not None else default_failure_sets(graph)
-    )
-    start_nodes = list(starts) if starts is not None else list(graph.nodes)
-    checked = 0
-    for failures in failure_iter:
-        for start in start_nodes:
-            checked += 1
-            if not tours_component(network, pattern, start, failures):
-                return Verdict(
-                    False,
-                    checked,
-                    Counterexample(start, None, failures, None, note="tour does not cover component"),
-                    exhaustive,
-                )
-    return Verdict(True, checked, exhaustive=exhaustive)
+    return _sweep_verdict(graph, algorithm, session, sources=starts, failure_sets=failure_sets)
 
 
 def check_ideal_resilience(
@@ -368,6 +295,7 @@ def check_ideal_resilience(
     """
     from ..experiments.session import resolve_session
     from ..graphs.connectivity import global_edge_connectivity
+    from .engine.sweep import sweep_pattern_resilience
 
     session = resolve_session(session)
     if k is None:
@@ -375,27 +303,14 @@ def check_ideal_resilience(
     if k < 1:
         raise ValueError("ideal resilience needs a connected graph")
     nodes = list(destinations) if destinations is not None else list(graph.nodes)
-    state = None
-    if session.use_engine:
-        from .engine.sweep import sweep_pattern_resilience
-
-        state = session.state(graph)
+    state = session.state(graph)
     total = 0
     for destination in nodes:
-        if state is not None:
-            verdict = sweep_pattern_resilience(
-                state, state.pattern(algorithm, destination), destination,
-                failure_sets=all_failure_sets(graph, max_failures=k - 1),
-                backend=session.backend,
-            )
-        else:
-            verdict = check_pattern_resilience(
-                graph,
-                algorithm.build(graph, destination),
-                destination,
-                failure_sets=all_failure_sets(graph, max_failures=k - 1),
-                session=session,
-            )
+        verdict = sweep_pattern_resilience(
+            state, state.pattern(algorithm, destination), destination,
+            failure_sets=all_failure_sets(graph, max_failures=k - 1),
+            backend=session.backend,
+        )
         total += verdict.scenarios_checked
         if not verdict.resilient:
             verdict.scenarios_checked = total

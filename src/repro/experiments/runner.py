@@ -37,6 +37,7 @@ import networkx as nx
 
 from repro import obs as _obs
 
+from ..core.resilience import check_resilience
 from ..failures import FailureModel, RandomGridModel, parse_failure_model
 from ..runtime.deadline import Budget, Deadline
 from ..runtime.faults import GridKill, InjectedFault, fire
@@ -583,7 +584,8 @@ def _run_cell(
         )
     if "resilience" in metrics and not model.sampled:
         start = time.perf_counter()
-        verdict = _check_resilience(session, graph, algorithm, grid)
+        failure_sets = [failures for size in sorted(grid) for failures in grid[size]]
+        verdict = check_resilience(graph, algorithm, failure_sets=failure_sets, session=session)
         records.append(
             ExperimentRecord(
                 experiment="resilience",
@@ -786,33 +788,6 @@ def _sampled_cell(
             )
 
 
-def _check_resilience(session: ExperimentSession, graph: nx.Graph, algorithm, grid):
-    """Grid-scenario resilience for one scheme, per routing model."""
-    from ..core.model import (
-        DestinationAlgorithm,
-        SourceDestinationAlgorithm,
-        TouringAlgorithm,
-    )
-    from ..core.resilience import (
-        check_perfect_resilience_destination,
-        check_perfect_resilience_source_destination,
-        check_perfect_touring,
-    )
-
-    failure_sets = [failures for size in sorted(grid) for failures in grid[size]]
-    if isinstance(algorithm, TouringAlgorithm):
-        return check_perfect_touring(graph, algorithm, failure_sets=failure_sets, session=session)
-    if isinstance(algorithm, SourceDestinationAlgorithm):
-        return check_perfect_resilience_source_destination(
-            graph, algorithm, failure_sets=failure_sets, session=session
-        )
-    if isinstance(algorithm, DestinationAlgorithm):
-        return check_perfect_resilience_destination(
-            graph, algorithm, failure_sets=failure_sets, session=session
-        )
-    raise TypeError(f"not a routing algorithm: {algorithm!r}")
-
-
 def _congestion_curve(
     session: ExperimentSession,
     graph: nx.Graph,
@@ -827,9 +802,10 @@ def _congestion_curve(
     This mirrors :func:`repro.traffic.congestion.compare_congestion`
     exactly — same pre-flight, same ``load_sweep`` on the session's load
     router — so grid records are differentially equal to the comparison
-    harness.  On a ``backend="naive"`` session that router is
-    :class:`repro.traffic.load.PerPacketRouter` (one simulated walk per
-    demand): the reference surface differential tests compare against.
+    harness.  On a ``backend="naive"`` session that router's state walks
+    every demand with the reference simulator
+    (:func:`repro.traffic.load.per_packet_loads`): the reference surface
+    differential tests compare against.
     """
     from ..traffic.congestion import preflight_congestion_curve
 

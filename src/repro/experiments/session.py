@@ -9,9 +9,11 @@ decides the *backend* — ``"engine"`` (the fast indexed path),
 resilience sweeps batched through the vectorized mask walker; needs
 the optional numpy dependency, which only this backend imports, and
 falls back to scalar-engine semantics where an instance cannot
-vectorize), or ``"naive"`` (the hop-by-hop reference simulator, kept
-for differential testing, which caches nothing).  Traffic loads and
-r-tolerance checks take the scalar engine on both engine backends.
+vectorize), or ``"naive"`` (the same sweeps and load router on a
+throwaway state that walks every scenario with the hop-by-hop reference
+simulator, kept for differential testing, which caches nothing).
+Traffic loads and r-tolerance checks take the scalar engine on both
+engine backends.
 Consumers accept ``session=``; :func:`resolve_session` turns ``None``
 into the shared default.  Pattern caches key on the algorithm
 *instance*, so callers that share one instance across calls
@@ -57,9 +59,12 @@ class ExperimentSession:
     same engine state (requires the optional numpy dependency, which
     no other backend imports; instances the vectorizer cannot handle
     silently take the scalar engine path with identical verdicts);
-    ``backend="naive"`` selects the reference hop-by-hop
-    paths (identical verdicts, no caching) — the surface the
-    differential tests compare against.  ``processes`` is the width of
+    ``backend="naive"`` runs the same sweeps on a throwaway state per
+    call that walks every scenario with the reference hop-by-hop
+    simulator (identical verdicts, no caching) — the surface the
+    differential tests compare against.  A naive run with telemetry on
+    emits the sweep spans and walk counters too; its records do not
+    change.  ``processes`` is the width of
     ``run_grid``'s cell fan-out; checkers, sweeps and estimators always
     run in process.
     """
@@ -98,8 +103,8 @@ class ExperimentSession:
 
     @property
     def use_engine(self) -> bool:
-        """Does this session run on an engine-state backend (fast indexed
-        or vectorized), as opposed to the naive reference paths?"""
+        """Does this session walk scenarios on the engine (fast indexed or
+        vectorized), as opposed to the naive reference walks?"""
         return self.backend != "naive"
 
     # -- state ownership ---------------------------------------------------
@@ -116,10 +121,12 @@ class ExperimentSession:
         of evicting an unrelated entry.
 
         The ``"naive"`` backend is the cache-free reference: it builds a
-        throwaway state per call and retains nothing.
+        throwaway naive state per call (:meth:`EngineState.mask` is
+        ``None`` for every failure set, so each scenario takes the
+        reference walk) and retains nothing.
         """
         if self.backend == "naive":
-            return EngineState(graph)
+            return EngineState(graph, naive=True)
         key = id(graph)
         fingerprint = _fingerprint(graph)
         cached = self._states.get(key)
@@ -147,15 +154,14 @@ class ExperimentSession:
         Cached per (graph, algorithm instance).  Its patterns and decision
         tables live in the state's pattern cache, shared with every sweep
         and estimator that passes the same algorithm instance.  The
-        ``"naive"`` backend gets the reference
-        :class:`~repro.traffic.load.PerPacketRouter` (same API, every load
-        a :func:`~repro.traffic.load.per_packet_loads` call), built per
-        call and retained nowhere.
+        ``"naive"`` backend gets a router on a fresh naive state, built
+        per call and retained nowhere: every load it routes is a
+        :func:`~repro.traffic.load.per_packet_loads` call.
         """
-        from ..traffic.load import PerPacketRouter, TrafficEngine
+        from ..traffic.load import TrafficEngine
 
         if self.backend == "naive":
-            return PerPacketRouter(graph, algorithm)
+            return TrafficEngine(self.state(graph), algorithm)
         # self.state() re-indexes a mutated graph; comparing the cached
         # engine's state to the current one inherits that staleness check
         state = self.state(graph)
@@ -229,7 +235,7 @@ def default_session() -> ExperimentSession:
 
 
 def naive_session() -> ExperimentSession:
-    """The shared naive-backend session: reference paths, no caching.
+    """The shared naive-backend session: reference walks, no caching.
 
     "No caching" is literal: a naive-backend session's
     :meth:`ExperimentSession.state` and

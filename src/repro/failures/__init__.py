@@ -23,6 +23,7 @@ Quickstart::
     print(f"{est.estimate:.3f} [{est.ci_low:.3f}, {est.ci_high:.3f}]")
 """
 
+from ..graphs.edges import canonical_links
 from .estimate import (
     CongestionEstimate,
     MaskEvaluator,
@@ -40,7 +41,6 @@ from .models import (
     RandomGridModel,
     RegionalModel,
     SRLGModel,
-    canonical_links,
     default_sizes,
     sample_failure_grid,
 )

@@ -132,16 +132,17 @@ def _count_sample(model: FailureModel) -> None:
 class MaskEvaluator:
     """Per-failure-set delivery evaluation for one algorithm on one graph.
 
-    Destination algorithms on an engine-backed session get the warm
-    path: each mask is the engine's per-mask delivery check
+    Destination algorithms take the warm path: each mask is the engine's
+    per-mask delivery check
     (:meth:`~repro.core.engine.sweep.EngineState.mask_outcome`, the one
     the sweeps and the serve mask memo run) over the destinations in
     graph order — the checkers' order, so the note names the checkers'
     counterexample.  Each destination's pattern comes from the state's
     pattern cache as the walk first reaches it, so nothing is built
-    before the first draw and a deadline cut stops the builds too.
-    Everything else (source-destination and touring schemes, naive
-    sessions) goes through the reference checkers one mask at a time.
+    before the first draw and a deadline cut stops the builds too.  A
+    naive session's state walks each mask with the reference simulator.
+    Source-destination and touring schemes go through
+    :func:`~repro.core.resilience.check_resilience` one mask at a time.
     """
 
     def __init__(self, graph: nx.Graph, algorithm, session=None):
@@ -152,7 +153,7 @@ class MaskEvaluator:
         self.algorithm = algorithm
         self.session = resolve_session(session)
         self._state = None
-        if self.session.use_engine and isinstance(algorithm, DestinationAlgorithm):
+        if isinstance(algorithm, DestinationAlgorithm):
             self._state = self.session.state(graph)
 
     def delivered(self, failures: FailureSet) -> tuple[bool, str]:
@@ -163,40 +164,19 @@ class MaskEvaluator:
         """
         state = self._state
         if state is None:
-            return self._delivered_reference(failures)
+            from ..core.resilience import check_resilience
+
+            verdict = check_resilience(
+                self.graph, self.algorithm, failure_sets=[failures], session=self.session
+            )
+            note = str(verdict.counterexample) if verdict.counterexample else ""
+            return bool(verdict.resilient), note
         for destination in self.graph.nodes:
             memo = state.pattern(self.algorithm, destination)
             _, counterexample = state.mask_outcome(memo, destination, failures)
             if counterexample is not None:
                 return False, str(counterexample)
         return True, ""
-
-    def _delivered_reference(self, failures: FailureSet) -> tuple[bool, str]:
-        from ..core.model import (
-            DestinationAlgorithm,
-            SourceDestinationAlgorithm,
-            TouringAlgorithm,
-        )
-        from ..core.resilience import (
-            check_perfect_resilience_destination,
-            check_perfect_resilience_source_destination,
-            check_perfect_touring,
-        )
-
-        algorithm = self.algorithm
-        if isinstance(algorithm, TouringAlgorithm):
-            checker = check_perfect_touring
-        elif isinstance(algorithm, SourceDestinationAlgorithm):
-            checker = check_perfect_resilience_source_destination
-        elif isinstance(algorithm, DestinationAlgorithm):
-            checker = check_perfect_resilience_destination
-        else:
-            raise TypeError(f"not a routing algorithm: {algorithm!r}")
-        verdict = checker(
-            self.graph, algorithm, failure_sets=[failures], session=self.session
-        )
-        note = str(verdict.counterexample) if verdict.counterexample else ""
-        return bool(verdict.resilient), note
 
 
 @dataclass

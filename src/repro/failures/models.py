@@ -29,12 +29,7 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from ..graphs.edges import FailureSet, edge, edge_sort_key, sorted_nodes
-
-
-def canonical_links(graph: nx.Graph) -> list:
-    """The graph's links in canonical order (hash-seed independent)."""
-    return sorted((edge(u, v) for u, v in graph.edges), key=edge_sort_key)
+from ..graphs.edges import FailureSet, canonical_links, edge, sorted_nodes
 
 
 def sample_failure_grid(

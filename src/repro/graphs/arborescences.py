@@ -200,8 +200,11 @@ def arc_disjoint_in_arborescences(
     so such a packing cannot exist.  Uses the fast Walecki-based
     construction on odd complete graphs and the backtracking packing
     elsewhere, whose depth is not bounded by the recursion limit.  The
-    result is always verified.
+    result is always verified.  A ``root`` outside the graph raises
+    ``ValueError``.
     """
+    if root not in graph:
+        raise ValueError(f"root {root!r} is not a node of the graph")
     nodes = list(graph.nodes)
     arcs = {arc for u, v in graph.edges for arc in ((u, v), (v, u))}
     connectivity = min(

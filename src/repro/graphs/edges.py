@@ -29,6 +29,12 @@ def edge_sort_key(e: Edge) -> tuple[tuple[str, str], tuple[str, str]]:
     return (_sort_key(u), _sort_key(v))
 
 
+def canonical_links(graph) -> list[Edge]:
+    """The graph's links as canonical edges, in :func:`edge_sort_key`
+    order (hash-seed independent)."""
+    return sorted((edge(u, v) for u, v in graph.edges), key=edge_sort_key)
+
+
 def sorted_nodes(nodes: Iterable[Node]) -> list[Node]:
     """Nodes in ascending order, tolerating mixed/non-comparable labels.
 

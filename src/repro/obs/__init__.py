@@ -62,28 +62,24 @@ class Telemetry:
     guards itself so only the opening process writes the file.
     """
 
-    def __init__(self, trace_path=None, metrics: bool = True):
-        self.registry = MetricsRegistry() if metrics else None
+    def __init__(self, trace_path=None):
+        self.registry = MetricsRegistry()
         self.trace = TraceWriter(trace_path) if trace_path is not None else None
         self._pid = os.getpid()
 
-    # -- metrics convenience (no-ops when metrics were disabled) -----------
+    # -- metrics convenience -----------------------------------------------
 
     def count(self, name: str, value: float = 1.0, help: str = "", **labels) -> None:
-        if self.registry is not None:
-            self.registry.count(name, value, help, **labels)
+        self.registry.count(name, value, help, **labels)
 
     def observe(self, name: str, value: float, help: str = "", **labels) -> None:
-        if self.registry is not None:
-            self.registry.observe(name, value, help, **labels)
+        self.registry.observe(name, value, help, **labels)
 
     def gauge_max(self, name: str, value: float, help: str = "", **labels) -> None:
-        if self.registry is not None:
-            self.registry.gauge_max(name, value, help, **labels)
+        self.registry.gauge_max(name, value, help, **labels)
 
     def set_gauge(self, name: str, value: float, help: str = "", **labels) -> None:
-        if self.registry is not None:
-            self.registry.set_gauge(name, value, help, **labels)
+        self.registry.set_gauge(name, value, help, **labels)
 
     # -- trace convenience (no-ops without a trace writer) -----------------
 

@@ -275,7 +275,7 @@ class ResilienceServer:
             path = parts[1] if len(parts) > 1 else "/"
             if path.startswith("/metrics"):
                 telemetry = _obs.active()
-                if telemetry is not None and telemetry.registry is not None:
+                if telemetry is not None:
                     body = telemetry.registry.render_prometheus()
                     status = "200 OK"
                 else:

@@ -31,7 +31,7 @@ import networkx as nx
 from ..core.engine.sweep import EngineState
 from ..failures.models import RandomGridModel
 from ..graphs.connectivity import surviving_graph
-from ..graphs.edges import FailureSet, edge, edge_sort_key
+from ..graphs.edges import FailureSet, canonical_links, edge_sort_key
 from .load import LoadReport, RoutingAlgorithm, TrafficEngine
 from .matrices import TrafficMatrix
 
@@ -172,7 +172,7 @@ def greedy_congestion_attack(
     :meth:`~repro.experiments.session.ExperimentSession.traffic_engine`.
     """
     engine = _router(graph, algorithm, session)
-    links = sorted((edge(u, v) for u, v in engine.graph.edges), key=edge_sort_key)
+    links = canonical_links(engine.graph)
     baseline = engine.load(demands).max_load
     chosen: set = set()
     # the greedy trajectory is not monotone (a failure can *lower* max

@@ -28,10 +28,10 @@ resulting loads equal a per-packet simulation link for link:
 
 :func:`per_packet_loads` is the naive reference implementation (one
 :func:`repro.core.simulator.route` call per demand) used for differential
-testing, and :class:`PerPacketRouter` puts it behind the router API for
-naive sessions; :class:`TrafficEngine` is the batched router — the one
-load router of every engine-backed session, numpy sessions included —
-and :func:`route_matrix` the one-shot convenience wrapper.
+testing; :class:`TrafficEngine` is the batched router — the one load
+router of every session, which routes every failure set of a naive
+session's state through :func:`per_packet_loads` — and
+:func:`route_matrix` the one-shot convenience wrapper.
 """
 
 from __future__ import annotations
@@ -330,9 +330,11 @@ class TrafficEngine:
     cache (:meth:`EngineState.pattern`), so sweeping thousands of failure
     sets pays for pattern construction once, shared with every sweep,
     checker and estimator on the same state and algorithm instance.
-    Falls back to :func:`per_packet_loads` when the failure set names
-    links outside the graph (naive-matching semantics, exactly like the
-    resilience checkers).
+    Falls back to :func:`per_packet_loads` where the state's
+    :meth:`~repro.core.engine.sweep.EngineState.mask` is ``None``: on a
+    naive session's state, and for a failure set naming links outside
+    the graph (naive-matching semantics, exactly like the resilience
+    checkers).
     """
 
     def __init__(self, graph: nx.Graph | EngineState, algorithm: RoutingAlgorithm):
@@ -419,10 +421,10 @@ class TrafficEngine:
         network = self.state.network
         index = network.index
         self._validate_demands(demands)
-        fmask = network.mask_of(failures)
+        fmask = self.state.mask(failures)
         if fmask is None:
-            # failure entries outside the canonical link set: keep the
-            # naive matching semantics by routing per packet
+            # a naive state, or failure entries outside the canonical
+            # link set: keep the naive semantics by routing per packet
             return per_packet_loads(self.graph, self.algorithm, demands, failures)
 
         # group demands per (memoized pattern, destination): the whole
@@ -471,22 +473,6 @@ def route_matrix(
     decision tables then amortize across the sweep.
     """
     return TrafficEngine(graph, algorithm).load(demands, failures)
-
-
-class PerPacketRouter:
-    """:class:`TrafficEngine`'s ``load`` / ``load_sweep`` API on the naive
-    reference: every load is one :func:`per_packet_loads` call, and
-    nothing is cached.  The load router of a naive session."""
-
-    def __init__(self, graph: nx.Graph, algorithm: RoutingAlgorithm):
-        self.graph = graph
-        self.algorithm = algorithm
-
-    def load(self, demands: TrafficMatrix, failures: FailureSet = EMPTY_FAILURES) -> LoadReport:
-        return per_packet_loads(self.graph, self.algorithm, demands, failures)
-
-    # the one sweep loop: same order, same deadline cut, same telemetry
-    load_sweep = TrafficEngine.load_sweep
 
 
 def per_packet_loads(

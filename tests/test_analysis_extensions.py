@@ -148,3 +148,37 @@ class TestStretch:
         )
         # the ideal-resilience baseline is not perfectly resilient
         assert summary.delivery_rate < 1.0
+
+
+class TestNaiveSession:
+    """A naive session walks every scenario with the reference simulator
+    and measures the engine session's numbers."""
+
+    @pytest.mark.parametrize(
+        "algorithm", [K5SourceRouting(), GreedyLowestNeighbor(), ArborescenceRouting()]
+    )
+    def test_stretch_matches_the_engine_session(self, algorithm):
+        from repro.experiments import ExperimentSession, naive_session
+
+        graph = construct.complete_graph(5)
+        runs = [
+            measure_stretch(
+                graph, algorithm, 0, 4, max_failures=6, samples=60, seed=5, session=session
+            )
+            for session in (naive_session(), ExperimentSession())
+        ]
+        assert runs[0].scenarios == 60
+        assert repr(runs[0]) == repr(runs[1])
+
+    @pytest.mark.parametrize("algorithm", [K5SourceRouting(), GreedyLowestNeighbor()])
+    def test_delivery_curve_matches_the_engine_session(self, algorithm):
+        from repro.experiments import ExperimentSession, naive_session
+
+        graph = construct.complete_graph(5)
+        curves = [
+            delivery_curve(
+                graph, algorithm, 0, 4, sizes=[0, 4, 6], samples=40, seed=2, session=session
+            )
+            for session in (naive_session(), ExperimentSession())
+        ]
+        assert curves[0] == curves[1]

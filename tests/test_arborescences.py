@@ -53,6 +53,13 @@ class TestPacking:
         with pytest.raises(ValueError):
             arc_disjoint_in_arborescences(nx.Graph([(0, 1), (2, 3)]), 0)
 
+    @pytest.mark.parametrize("k", [None, 1])
+    def test_root_outside_the_graph_is_named(self, k):
+        import networkx as nx
+
+        with pytest.raises(ValueError, match="root 99 is not a node of the graph"):
+            arc_disjoint_in_arborescences(nx.cycle_graph(5), 99, k=k)
+
 
 class TestVerification:
     def test_detects_shared_arc(self):

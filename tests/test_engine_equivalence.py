@@ -349,6 +349,60 @@ def assert_mask_outcomes_match(graph, algorithm, destination, failure_sets, want
         assert verdict_tuple(got) == verdict_tuple(expected), failures
 
 
+class TestNaiveState:
+    """A naive session's state answers every per-scenario question with
+    the reference simulator, and gives the indexed state's answers."""
+
+    def test_scenario_queries_take_the_reference_walks(self, monkeypatch):
+        import repro.core.engine.sweep as sweep_module
+        import repro.graphs.connectivity as connectivity
+
+        calls = {"route": 0, "connected": 0}
+
+        def counted(kind, function):
+            def wrapper(*args, **kwargs):
+                calls[kind] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(sweep_module, "naive_route", counted("route", sweep_module.naive_route))
+        monkeypatch.setattr(
+            connectivity, "are_connected", counted("connected", connectivity.are_connected)
+        )
+        graph = fig6_netrail()
+        nodes = sorted(graph.nodes)
+        destination = nodes[0]
+        algorithm = RandomCyclicDestinationOnly(seed=1)
+        indexed = EngineState(graph)
+        naive = naive_session().state(graph)
+        indexed_memo = indexed.pattern(algorithm, destination)
+        naive_memo = naive.pattern(algorithm, destination)
+        sources = nodes[1:]
+        for failures in small_failure_family(graph):
+            assert naive.mask(failures) is None and indexed.mask(failures) is not None
+            expected = indexed.mask_outcome(indexed_memo, destination, failures)
+            routes = [indexed.route(indexed_memo, s, destination, failures) for s in sources]
+            links = [indexed.connected(s, destination, failures) for s in sources]
+            assert calls == {"route": 0, "connected": 0}
+
+            checked, counterexample = naive.mask_outcome(naive_memo, destination, failures)
+            assert verdict_tuple(Verdict(counterexample is None, checked, counterexample)) == (
+                verdict_tuple(Verdict(expected[1] is None, *expected))
+            )
+            assert calls["route"] == checked
+            calls["route"] = 0
+            for source, route_result in zip(sources, routes):
+                got = naive.route(naive_memo, source, destination, failures)
+                assert (got.outcome, got.path, got.steps) == (
+                    route_result.outcome, route_result.path, route_result.steps,
+                )
+            assert calls["route"] == len(sources)
+            assert [naive.connected(s, destination, failures) for s in sources] == links
+            assert calls["connected"] == len(sources)
+            calls.update(route=0, connected=0)
+
+
 class TestMaskOutcomeKernel:
     """``EngineState.mask_outcome``: the one per-mask delivery check behind
     the sweeps, the serve memo, the estimator and the numpy fallback."""

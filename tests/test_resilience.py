@@ -16,6 +16,7 @@ from repro.core.resilience import (
     check_perfect_resilience_source_destination,
     check_perfect_touring,
     check_r_tolerance,
+    check_resilience,
     sampled_failure_sets,
 )
 from repro.graphs import construct
@@ -129,3 +130,46 @@ class TestTouringChecker:
             construct.cycle_graph(4), RightHandTouring(), starts=[0]
         )
         assert verdict.resilient
+
+
+class TestModelDispatch:
+    @pytest.mark.parametrize(
+        "graph, algorithm, checker",
+        [
+            (construct.cycle_graph(5), RightHandTouring(), "check_perfect_touring"),
+            (
+                construct.complete_graph(5),
+                K5SourceRouting(),
+                "check_perfect_resilience_source_destination",
+            ),
+            (
+                construct.complete_graph(5),
+                GreedyLowestNeighbor(),
+                "check_perfect_resilience_destination",
+            ),
+        ],
+    )
+    def test_each_model_calls_its_named_checker(self, monkeypatch, graph, algorithm, checker):
+        # the module-level name is what the dispatch calls, so a wrapper
+        # bound there (a profiler's, a benchmark's) sees every call
+        import repro.core.resilience as resilience
+
+        named = getattr(resilience, checker)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return named(*args, **kwargs)
+
+        monkeypatch.setattr(resilience, checker, counted)
+        failure_sets = list(all_failure_sets(graph, max_failures=2))
+        got = check_resilience(graph, algorithm, failure_sets=failure_sets)
+        want = named(graph, algorithm, failure_sets=failure_sets)
+        assert calls == [algorithm]
+        assert (got.resilient, got.scenarios_checked, str(got.counterexample)) == (
+            want.resilient, want.scenarios_checked, str(want.counterexample),
+        )
+
+    def test_not_an_algorithm_is_refused(self):
+        with pytest.raises(TypeError, match="not a routing algorithm"):
+            check_resilience(construct.cycle_graph(4), object())
