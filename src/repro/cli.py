@@ -48,6 +48,11 @@ from .graphs import generate_zoo
 from .graphs.edges import edges
 
 
+class _UnreadableGraph(Exception):
+    """A graph argument that is neither a registered family nor a
+    readable edge-list file (one line, exit 2)."""
+
+
 def _load_graph(spec: str) -> nx.Graph:
     if known_family(spec):
         # errors from inside a registered builder (bad zoo family, bad
@@ -55,13 +60,18 @@ def _load_graph(spec: str) -> nx.Graph:
         # for a missing edge-list file
         return resolve_topology(spec)
     graph = nx.Graph()
-    with open(spec) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            u, v = line.split()[:2]
-            graph.add_edge(_maybe_int(u), _maybe_int(v))
+    try:
+        with open(spec) as handle:
+            for number, line in enumerate(handle, 1):
+                tokens = line.split()
+                if not tokens or tokens[0].startswith("#"):
+                    continue
+                if len(tokens) < 2:
+                    raise ValueError(f"line {number} is not an edge 'u v'")
+                graph.add_edge(_maybe_int(tokens[0]), _maybe_int(tokens[1]))
+    except (OSError, ValueError) as error:
+        reason = getattr(error, "strerror", None) or error
+        raise _UnreadableGraph(f"cannot read graph {spec}: {reason}") from None
     return graph
 
 
@@ -175,16 +185,16 @@ def _cmd_tour(args) -> int:
     failures = _fail_option(args.fail)
     if failures is None:
         return 2
-    try:
-        router = scheme("right-hand").instantiate()
-        pattern = router.build(graph)
-    except Exception:
-        router = scheme("hamiltonian").instantiate()
-        pattern = router.build(graph)
-    name = router.name
+    specs = [scheme("right-hand"), scheme("hamiltonian")]
+    spec = next((spec for spec in specs if spec.applicable(graph)), None)
+    if spec is None:
+        needs = "; ".join(f"{spec.name} requires {spec.requires}" for spec in specs)
+        print(f"no touring scheme applies to {args.graph}: {needs}", file=sys.stderr)
+        return 2
+    router = spec.instantiate()
     start = sorted(graph.nodes, key=repr)[0]
-    result = simulate_tour(Network(graph), pattern, start, failures)
-    print(f"algorithm: {name}")
+    result = simulate_tour(Network(graph), router.build(graph), start, failures)
+    print(f"algorithm: {router.name}")
     print(f"toured forever: {sorted(result.recurrent, key=repr)}")
     return 0
 
@@ -231,50 +241,39 @@ def _cmd_traffic(args) -> int:
     if model is None:
         return 2
     session = default_session()
+    if args.algorithm == "all":
+        algorithms = traffic.default_competitors()
+    else:
+        algorithms = [scheme(args.algorithm).instantiate()]
     try:
-        if args.algorithm == "all":
-            competitors = traffic.default_competitors()
-            result = traffic.compare_congestion(
-                graph,
-                demands,
-                algorithms=competitors,
-                failure_model=model,
-                graph_name=args.graph,
-                matrix_name=matrix_name,
-                session=session,
-            )
-            curves = result.curves
-            for name, reason in result.skipped:
-                print(f"[skipped] {name}: {reason}", file=sys.stderr)
-        else:
-            algorithm = scheme(args.algorithm).instantiate()
-            curve, reason = traffic.preflight_congestion_curve(
-                session.traffic_engine(graph, algorithm),
-                algorithm,
-                demands,
-                model.grid(graph),
-                graph_name=args.graph,
-                matrix_name=matrix_name,
-            )
-            if curve is None:
-                print(f"{algorithm.name} cannot run on this topology: {reason}", file=sys.stderr)
-                return 2
-            curves = [curve]
+        result = traffic.compare_congestion(
+            graph,
+            demands,
+            algorithms=algorithms,
+            failure_model=model,
+            graph_name=args.graph,
+            matrix_name=matrix_name,
+            session=session,
+        )
     except ValueError as error:  # e.g. a failure size beyond this topology's links
         print(f"cannot sweep: {error}", file=sys.stderr)
         return 2
+    curves = result.curves
+    for name, reason in result.skipped:
+        if args.algorithm != "all":
+            print(f"{name} cannot run on this topology: {reason}", file=sys.stderr)
+            return 2
+        print(f"[skipped] {name}: {reason}", file=sys.stderr)
     print(f"congestion sweep: {args.graph}, matrix {matrix_name}, {len(demands)} demands")
     print(traffic.congestion_table(curves))
     if args.attack:
-        if args.algorithm == "all":
-            # attack the first competitor that actually ran on this
-            # topology (preference order = the registry's
-            # congestion-default line-up)
-            survivors = {curve.algorithm for curve in curves}
-            algorithm = next((a for a in competitors if a.name in survivors), None)
-            if algorithm is None:
-                print("no supported algorithm to attack", file=sys.stderr)
-                return 1
+        # attack the first algorithm that actually ran on this topology
+        # (preference order = the registry's congestion-default line-up)
+        survivors = {curve.algorithm for curve in curves}
+        algorithm = next((a for a in algorithms if a.name in survivors), None)
+        if algorithm is None:
+            print("no supported algorithm to attack", file=sys.stderr)
+            return 1
         attack = traffic.greedy_congestion_attack(
             graph, algorithm, demands, args.attack, session=session
         )
@@ -986,7 +985,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UnreadableGraph as error:
+        print(error, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

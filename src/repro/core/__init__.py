@@ -17,7 +17,6 @@ from .engine import (
     IndexedNetwork,
     MemoizedPattern,
     ScenarioGrid,
-    SweepResult,
     route_indexed,
     sweep_pattern_resilience,
     sweep_resilience,

@@ -65,7 +65,6 @@ from .memo import DROP, ILLEGAL, MemoizedPattern, route_indexed, tour_indexed
 from .sweep import (
     EngineState,
     ScenarioGrid,
-    SweepResult,
     parallel_map,
     sweep_pattern_resilience,
     sweep_resilience,
@@ -79,7 +78,6 @@ __all__ = [
     "IndexedNetwork",
     "MemoizedPattern",
     "ScenarioGrid",
-    "SweepResult",
     "parallel_map",
     "route_indexed",
     "sweep_pattern_resilience",

@@ -24,7 +24,7 @@ import os
 import pickle
 import time
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import networkx as nx
@@ -36,7 +36,7 @@ from ...graphs.connectivity import component_of
 from ...graphs.edges import FailureSet, Node, sorted_nodes
 from ...runtime.deadline import Deadline
 from ...runtime.faults import fire as _fault_fire
-from ..resilience import EXHAUSTIVE_LINK_LIMIT, Counterexample
+from ..resilience import EXHAUSTIVE_LINK_LIMIT, Counterexample, Verdict, default_failure_sets
 from ..model import DestinationAlgorithm, SourceDestinationAlgorithm, TouringAlgorithm
 from ..simulator import Network, RouteResult
 from ..simulator import route as naive_route
@@ -245,24 +245,6 @@ class ScenarioGrid:
     failure_sets: Iterable[FailureSet] | None = None
 
 
-@dataclass
-class SweepResult:
-    """Aggregate verdict plus the per-unit breakdown of a sweep.
-
-    ``units`` holds ``(unit, Verdict)`` in grid order, where a unit is a
-    destination (π^t), an (s, t) pair (π^{s,t}), or ``None`` for the
-    single touring pattern.  The sweep stops at the first failing unit
-    (or a deadline cut), so ``units`` is then a prefix of the grid, not
-    the full breakdown.
-    """
-
-    verdict: Any
-    units: list[tuple[Any, Any]] = field(default_factory=list)
-
-    def __bool__(self) -> bool:
-        return bool(self.verdict)
-
-
 # ---------------------------------------------------------------------------
 # Fork fan-out.
 # ---------------------------------------------------------------------------
@@ -444,7 +426,7 @@ def sweep_pattern_resilience(
     sources: Iterable[Node] | None = None,
     failure_sets: Iterable[FailureSet] | None = None,
     backend: str = "engine",
-) -> Any:
+) -> Verdict:
     """The sweep behind ``check_pattern_resilience``, for one memoized
     pattern (usually :meth:`EngineState.pattern`'s): one
     :meth:`EngineState.mask_outcome` per failure set, in order, up to
@@ -475,9 +457,7 @@ def _sweep_pattern_resilience(
     sources: Iterable[Node] | None = None,
     failure_sets: Iterable[FailureSet] | None = None,
     backend: str = "engine",
-) -> Any:
-    from ..resilience import Verdict, default_failure_sets
-
+) -> Verdict:
     if backend == "numpy":
         from .vectorized import VectorizedUnsupported, pattern_sweep_numpy
 
@@ -519,7 +499,9 @@ def _sweep_pattern_resilience(
         return Verdict(True, checked, exhaustive=exhaustive)
     finally:
         if telemetry is not None:
-            _record_walk(telemetry, "covers", memo.table, memo_before, None, walks=checked)
+            # a naive state walks every scenario with the reference simulator
+            kind = "reference" if state.naive else "covers"
+            _record_walk(telemetry, kind, memo.table, memo_before, None, walks=checked)
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +516,9 @@ def sweep_resilience(
     state: EngineState | None = None,
     backend: str = "engine",
     deadline: Deadline | None = None,
-) -> SweepResult:
-    """Evaluate a whole scenario grid for one algorithm, batched.
+) -> Verdict:
+    """Evaluate a whole scenario grid for one algorithm, batched: the
+    aggregate :class:`~repro.core.resilience.Verdict`.
 
     Dispatches on the algorithm's routing model.  ``state`` injects a
     prebuilt (usually session-owned) :class:`EngineState` so sweeps
@@ -555,9 +538,7 @@ def sweep_resilience(
     if state is not None and state.graph is not graph:
         raise ValueError("the injected EngineState indexes a different graph")
     if deadline is not None and deadline.expired():
-        from ..resilience import Verdict
-
-        return SweepResult(Verdict(True, 0, exhaustive=False), [])
+        return Verdict(True, 0, exhaustive=False)
     if isinstance(algorithm, TouringAlgorithm):
         model = "touring"
     elif isinstance(algorithm, SourceDestinationAlgorithm):
@@ -586,13 +567,11 @@ def _sweep_units(
     state: EngineState,
     backend: str,
     deadline: Deadline | None,
-) -> SweepResult:
+) -> Verdict:
     """One pattern sweep per grid unit, in grid order, up to the first
     failing unit.  A unit is a destination (π^t), whose pattern serves
     every source of ``grid.sources``, or an (s, t) pair (π^{s,t}), whose
     pattern serves only s."""
-    from ..resilience import Verdict
-
     destinations = list(grid.destinations) if grid.destinations is not None else list(graph.nodes)
     pair_model = isinstance(algorithm, SourceDestinationAlgorithm)
     if not pair_model:
@@ -604,8 +583,7 @@ def _sweep_units(
         units = [(s, t) for t in destinations for s in sources if s != t]
     # one list for every unit: an explicit family may be a one-shot iterator
     materialized = list(grid.failure_sets) if grid.failure_sets is not None else None
-    done: list[tuple[Any, Any]] = []
-    total = 0
+    done = total = 0
     exhaustive = True
     for unit in units:
         if deadline is not None and deadline.expired():
@@ -626,19 +604,16 @@ def _sweep_units(
             failure_sets=materialized,
             backend=backend,
         )
-        done.append((unit, verdict))
+        done += 1
         total += verdict.scenarios_checked
         if not verdict.resilient:
             verdict.scenarios_checked = total
-            return SweepResult(verdict, done)
+            return verdict
         exhaustive = exhaustive and verdict.exhaustive
         if deadline is not None:
             deadline.charge()
-    complete = len(done) == len(units)
-    return SweepResult(
-        Verdict(True, total, exhaustive=exhaustive and materialized is None and complete),
-        done,
-    )
+    complete = done == len(units)
+    return Verdict(True, total, exhaustive=exhaustive and materialized is None and complete)
 
 
 def _sweep_touring(
@@ -648,9 +623,7 @@ def _sweep_touring(
     state: EngineState,
     backend: str,
     deadline: Deadline | None,
-) -> SweepResult:
-    from ..resilience import Verdict, default_failure_sets
-
+) -> Verdict:
     network = state.network
     tracker = state.tracker
     use_tracker = network.m <= EXHAUSTIVE_LINK_LIMIT
@@ -661,14 +634,13 @@ def _sweep_touring(
         from .vectorized import VectorizedUnsupported, touring_sweep_numpy
 
         try:
-            verdict = touring_sweep_numpy(
+            return touring_sweep_numpy(
                 state,
                 memo,
                 starts,
                 failure_sets=explicit_sets,
                 exhaustive=False if explicit_sets is not None else None,
             )
-            return SweepResult(verdict, [(None, verdict)])
         except VectorizedUnsupported as unsupported:
             telemetry = _obs.active()
             if telemetry is not None:
@@ -724,7 +696,7 @@ def _sweep_touring(
                         recurrent = _tour_recurrent_indices(network, memo, start_idx, fmask)
                         covered = recurrent is not None and recurrent >= component
                 if not covered:
-                    verdict = Verdict(
+                    return Verdict(
                         False,
                         checked,
                         Counterexample(
@@ -732,11 +704,9 @@ def _sweep_touring(
                         ),
                         exhaustive,
                     )
-                    return SweepResult(verdict, [(None, verdict)])
             if deadline is not None:
                 deadline.charge()
-        verdict = Verdict(True, checked, exhaustive=exhaustive)
-        return SweepResult(verdict, [(None, verdict)])
+        return Verdict(True, checked, exhaustive=exhaustive)
     finally:
         if telemetry is not None:
             _record_walk(telemetry, "tour", memo.table, memo_before, None, walks=tour_walks)

@@ -166,7 +166,7 @@ def _sweep_verdict(graph: nx.Graph, algorithm, session, **grid) -> Verdict:
     session = resolve_session(session)
     return sweep_resilience(
         graph, algorithm, ScenarioGrid(**grid), state=session.state(graph), backend=session.backend
-    ).verdict
+    )
 
 
 def check_perfect_resilience_source_destination(
@@ -293,29 +293,19 @@ def check_ideal_resilience(
     disconnect the graph).  Weaker than perfect resilience: a perfectly
     resilient pattern is ideally resilient, not vice versa.
     """
-    from ..experiments.session import resolve_session
     from ..graphs.connectivity import global_edge_connectivity
-    from .engine.sweep import sweep_pattern_resilience
 
-    session = resolve_session(session)
     if k is None:
         k = global_edge_connectivity(graph)
     if k < 1:
         raise ValueError("ideal resilience needs a connected graph")
-    nodes = list(destinations) if destinations is not None else list(graph.nodes)
-    state = session.state(graph)
-    total = 0
-    for destination in nodes:
-        verdict = sweep_pattern_resilience(
-            state, state.pattern(algorithm, destination), destination,
-            failure_sets=all_failure_sets(graph, max_failures=k - 1),
-            backend=session.backend,
-        )
-        total += verdict.scenarios_checked
-        if not verdict.resilient:
-            verdict.scenarios_checked = total
-            return verdict
-    return Verdict(True, total, exhaustive=True)
+    verdict = _sweep_verdict(
+        graph, algorithm, session, destinations=destinations,
+        failure_sets=all_failure_sets(graph, max_failures=k - 1),
+    )
+    # the family is every set of at most k - 1 links, so a pass is exhaustive
+    verdict.exhaustive = verdict.resilient
+    return verdict
 
 
 def check_k_resilient_touring(

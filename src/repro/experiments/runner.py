@@ -20,8 +20,15 @@ Metrics:
 * ``table_space`` — the §VII analytic rule count of the scheme's
   routing model on the topology.
 
-Schemes whose applicability predicate rejects a topology produce
-``status="skipped"`` records instead of crashing the grid.
+Grid and sampled failure models share one cell path, which makes each
+metric's records in one place: :func:`resilience_record` checks a grid
+model's scenarios or estimates a sampled model's delivery probability,
+and one load run per cell — a grid model's pre-flighted congestion
+curve, a sampled model's streamed estimate — feeds both the
+``congestion`` and the ``stretch`` record.  Schemes whose applicability
+predicate rejects a topology produce ``status="skipped"`` records
+instead of crashing the grid, and so does a scheme whose load
+pre-flight fails.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from repro import obs as _obs
 
 from ..core.resilience import check_resilience
 from ..failures import FailureModel, RandomGridModel, parse_failure_model
+from ..failures.estimate import estimate_congestion, estimate_resilience
 from ..runtime.deadline import Budget, Deadline
 from ..runtime.faults import GridKill, InjectedFault, fire
 from ..runtime.journal import CellJournal
@@ -574,105 +582,22 @@ def _run_cell(
     include_static: bool = True,
     deadline: Deadline | None = None,
 ) -> list[ExperimentRecord]:
+    """Every record of one cell, in metric order, for grid and sampled
+    models alike.  ``grid`` is the shared grid of a grid model (``None``
+    for a sampled one, whose estimates ``deadline`` may cut short)."""
     records: list[ExperimentRecord] = []
     base = dict(topology=topology_name, scheme=spec.name, failure_model=model.label)
-
-    if model.sampled:
-        _sampled_cell(
-            records, session, graph, spec, algorithm, model, metrics,
-            demands, matrix_name, base, deadline,
-        )
-    if "resilience" in metrics and not model.sampled:
-        start = time.perf_counter()
-        failure_sets = [failures for size in sorted(grid) for failures in grid[size]]
-        verdict = check_resilience(graph, algorithm, failure_sets=failure_sets, session=session)
+    if "resilience" in metrics:
         records.append(
-            ExperimentRecord(
-                experiment="resilience",
-                metrics={
-                    "resilient": bool(verdict.resilient),
-                    "scenarios_checked": verdict.scenarios_checked,
-                    "exhaustive": bool(verdict.exhaustive),
-                },
-                params={"model": spec.arity},
-                runtime_seconds=time.perf_counter() - start,
-                note=str(verdict.counterexample) if verdict.counterexample else "",
-                **base,
+            resilience_record(session, topology_name, graph, spec, algorithm, model, grid, deadline)
+        )
+    if "congestion" in metrics or "stretch" in metrics:
+        records.extend(
+            _load_records(
+                session, graph, algorithm, model, grid, metrics,
+                demands, matrix_name, base, deadline,
             )
         )
-
-    needs_curve = ("congestion" in metrics or "stretch" in metrics) and not model.sampled
-    if needs_curve:
-        start = time.perf_counter()
-        curve, error = _congestion_curve(
-            session, graph, algorithm, grid, topology_name, demands, matrix_name
-        )
-        elapsed = time.perf_counter() - start
-        if curve is None:
-            for experiment in ("congestion", "stretch"):
-                if experiment in metrics:
-                    records.append(
-                        ExperimentRecord(
-                            experiment=experiment,
-                            status="skipped",
-                            note=error or "pattern construction failed",
-                            # same merge identity as the ok record would
-                            # have: a later ok run replaces this skip
-                            params={"matrix": matrix_name},
-                            runtime_seconds=elapsed,
-                            **base,
-                        )
-                    )
-        else:
-            series = [
-                {
-                    "failures": point.failures,
-                    "scenarios": point.scenarios,
-                    "mean_max_load": point.mean_max_load,
-                    "worst_max_load": point.worst_max_load,
-                    "mean_p99_load": point.mean_p99_load,
-                    "delivered_fraction": point.delivered_fraction,
-                    "mean_stretch": point.mean_stretch,
-                }
-                for point in curve.points
-            ]
-            last = curve.points[-1]
-            if "congestion" in metrics:
-                records.append(
-                    ExperimentRecord(
-                        experiment="congestion",
-                        metrics={
-                            "worst_max_load": max(p.worst_max_load for p in curve.points),
-                            "mean_max_load_at_max_failures": last.mean_max_load,
-                            "delivered_fraction_at_max_failures": last.delivered_fraction,
-                        },
-                        series=series,
-                        params={"matrix": curve.matrix, "samples": getattr(model, "samples", 0)},
-                        runtime_seconds=elapsed,
-                        **base,
-                    )
-                )
-            if "stretch" in metrics:
-                records.append(
-                    ExperimentRecord(
-                        experiment="stretch",
-                        metrics={
-                            "mean_stretch_at_max_failures": last.mean_stretch,
-                            "max_mean_stretch": max(p.mean_stretch for p in curve.points),
-                        },
-                        series=[
-                            {"failures": p["failures"], "mean_stretch": p["mean_stretch"]}
-                            for p in series
-                        ],
-                        params={"matrix": curve.matrix},
-                        # the curve is computed once; attribute its cost to
-                        # the congestion record when both metrics ride it,
-                        # so summed runtimes do not double-count
-                        runtime_seconds=0.0 if "congestion" in metrics else elapsed,
-                        **base,
-                    )
-                )
-
     if "table_space" in metrics and include_static:
         # failure-model independent: emitted once per (topology, scheme)
         from ..analysis.table_space import table_space
@@ -702,118 +627,122 @@ def _run_cell(
     return records
 
 
-def _sampled_cell(
-    records: list[ExperimentRecord],
+def resilience_record(
     session: ExperimentSession,
+    topology_name: str,
     graph: nx.Graph,
     spec: SchemeSpec,
     algorithm,
     model: FailureModel,
+    grid: dict | None = None,
+    deadline: Deadline | None = None,
+) -> ExperimentRecord:
+    """The ``resilience`` record of one (topology, scheme, model) cell.
+
+    A grid model checks every scenario of its ``grid`` in the scheme's
+    routing model (:func:`~repro.core.resilience.check_resilience`); a
+    sampled model streams through :func:`~repro.failures.estimate.
+    estimate_resilience`, whose metrics carry the point estimate with
+    Wilson CI bounds, whose series holds the running checkpoints, and
+    which ``deadline`` may cut short (``exhaustive=False``).
+    """
+    start = time.perf_counter()
+    if model.sampled:
+        estimate = estimate_resilience(graph, algorithm, model, session=session, deadline=deadline)
+        metrics, series, note = estimate.metrics(), list(estimate.series), estimate.note
+    else:
+        failure_sets = [failures for size in sorted(grid) for failures in grid[size]]
+        verdict = check_resilience(graph, algorithm, failure_sets=failure_sets, session=session)
+        metrics = {
+            "resilient": bool(verdict.resilient),
+            "scenarios_checked": verdict.scenarios_checked,
+            "exhaustive": bool(verdict.exhaustive),
+        }
+        series, note = [], str(verdict.counterexample) if verdict.counterexample else ""
+    return ExperimentRecord(
+        experiment="resilience",
+        topology=topology_name,
+        scheme=spec.name,
+        failure_model=model.label,
+        metrics=metrics,
+        series=series,
+        params={"model": spec.arity},
+        runtime_seconds=time.perf_counter() - start,
+        note=note,
+    )
+
+
+def _load_records(
+    session: ExperimentSession,
+    graph: nx.Graph,
+    algorithm,
+    model: FailureModel,
+    grid: dict | None,
     metrics: Sequence[str],
     demands,
     matrix_name: str,
     base: dict,
     deadline: Deadline | None,
-) -> None:
-    """The estimator path for sampled failure models.
-
-    Same record identities as the grid path (``resilience`` /
-    ``congestion`` / ``stretch`` under the model's label), but the
-    metrics carry point estimates with Wilson CI bounds and the series
-    holds running refinement checkpoints.  A deadline/budget cut leaves
-    ``exhaustive=False`` on whatever samples completed.
-    """
-    from ..failures.estimate import estimate_congestion, estimate_resilience
-
-    if "resilience" in metrics:
-        start = time.perf_counter()
-        estimate = estimate_resilience(
-            graph, algorithm, model, session=session, deadline=deadline
-        )
-        records.append(
-            ExperimentRecord(
-                experiment="resilience",
-                metrics=estimate.metrics(),
-                series=list(estimate.series),
-                params={"model": spec.arity},
-                runtime_seconds=time.perf_counter() - start,
-                note=estimate.note,
-                **base,
-            )
-        )
-    if "congestion" in metrics or "stretch" in metrics:
-        start = time.perf_counter()
-        estimate, error = estimate_congestion(
-            graph, algorithm, demands, model, session=session, deadline=deadline
-        )
-        elapsed = time.perf_counter() - start
-        if estimate is None:
-            for experiment in ("congestion", "stretch"):
-                if experiment in metrics:
-                    records.append(
-                        ExperimentRecord(
-                            experiment=experiment,
-                            status="skipped",
-                            note=error or "pattern construction failed",
-                            params={"matrix": matrix_name},
-                            runtime_seconds=elapsed,
-                            **base,
-                        )
-                    )
-            return
-        if "congestion" in metrics:
-            records.append(
-                ExperimentRecord(
-                    experiment="congestion",
-                    metrics=estimate.metrics(),
-                    series=list(estimate.series),
-                    params={"matrix": matrix_name, "samples": model.samples},
-                    runtime_seconds=elapsed,
-                    **base,
-                )
-            )
-        if "stretch" in metrics:
-            records.append(
-                ExperimentRecord(
-                    experiment="stretch",
-                    metrics=estimate.stretch_metrics(),
-                    series=[
-                        {"samples": point["samples"], "mean_stretch": point["mean_stretch"]}
-                        for point in estimate.series
-                    ],
-                    params={"matrix": matrix_name},
-                    runtime_seconds=0.0 if "congestion" in metrics else elapsed,
-                    **base,
-                )
-            )
-
-
-def _congestion_curve(
-    session: ExperimentSession,
-    graph: nx.Graph,
-    algorithm,
-    grid,
-    topology_name: str,
-    demands,
-    matrix_name: str,
-):
-    """The scheme's congestion curve on the shared grid, or a skip reason.
-
-    This mirrors :func:`repro.traffic.congestion.compare_congestion`
-    exactly — same pre-flight, same ``load_sweep`` on the session's load
-    router — so grid records are differentially equal to the comparison
-    harness.  On a ``backend="naive"`` session that router's state walks
-    every demand with the reference simulator
-    (:func:`repro.traffic.load.per_packet_loads`): the reference surface
-    differential tests compare against.
-    """
+) -> list[ExperimentRecord]:
+    """The ``congestion`` and ``stretch`` records of one cell, from one
+    load run: a grid model's pre-flighted curve over the shared grid
+    (the curve :func:`repro.traffic.congestion.compare_congestion`
+    computes, so the numbers are differentially equal), or a sampled
+    model's streamed estimate.  A scheme that cannot build on the
+    topology gets a skip record per metric instead."""
     from ..traffic.congestion import preflight_congestion_curve
 
-    return preflight_congestion_curve(
-        session.traffic_engine(graph, algorithm),
-        algorithm,
-        demands,
-        grid,
-        graph_name=topology_name,
-        matrix_name=matrix_name,
-    )
+    start = time.perf_counter()
+    if model.sampled:
+        summary, reason = estimate_congestion(
+            graph, algorithm, demands, model, session=session, deadline=deadline
+        )
+    else:
+        summary, reason = preflight_congestion_curve(
+            session.traffic_engine(graph, algorithm), demands, grid
+        )
+    elapsed = time.perf_counter() - start
+    records = []
+    for experiment in ("congestion", "stretch"):
+        if experiment not in metrics:
+            continue
+        if summary is None:
+            record = ExperimentRecord(
+                experiment=experiment,
+                status="skipped",
+                note=reason,
+                # same merge identity as the ok record would have: a
+                # later ok run replaces this skip
+                params={"matrix": matrix_name},
+                runtime_seconds=elapsed,
+                **base,
+            )
+        elif experiment == "congestion":
+            record = ExperimentRecord(
+                experiment=experiment,
+                metrics=summary.metrics(),
+                series=list(summary.series),
+                params={"matrix": matrix_name, "samples": getattr(model, "samples", 0)},
+                runtime_seconds=elapsed,
+                **base,
+            )
+        else:
+            # a curve's points are failure-set sizes, an estimate's
+            # checkpoints sample counts
+            axis = "samples" if model.sampled else "failures"
+            record = ExperimentRecord(
+                experiment=experiment,
+                metrics=summary.stretch_metrics(),
+                series=[
+                    {axis: point[axis], "mean_stretch": point["mean_stretch"]}
+                    for point in summary.series
+                ],
+                params={"matrix": matrix_name},
+                # one load run serves both records: its cost goes to the
+                # congestion record when both ride it, so summed
+                # runtimes do not double-count
+                runtime_seconds=0.0 if "congestion" in metrics else elapsed,
+                **base,
+            )
+        records.append(record)
+    return records

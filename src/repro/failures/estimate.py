@@ -331,19 +331,19 @@ def estimate_congestion(
 ) -> tuple[CongestionEstimate | None, str | None]:
     """Monte-Carlo load statistics for one scheme under a sampled model.
 
-    Same pre-flight contract as :func:`repro.traffic.congestion.
-    preflight_congestion_curve` — ``(estimate, None)`` or ``(None, skip
-    reason)`` when the scheme cannot build on the topology.  Loads come
-    from the session's load router (per-packet simulation on a naive
-    session), one scenario per deadline/budget unit.
+    ``(estimate, None)``, or ``(None, skip reason)`` when the session's
+    load router fails :func:`repro.traffic.congestion.preflight`, the
+    pre-flight a grid model's congestion curve runs too.  Loads come from
+    that router (per-packet simulation on a naive session), one scenario
+    per deadline/budget unit.
     """
     from ..experiments.session import resolve_session
+    from ..traffic.congestion import preflight
 
     engine = resolve_session(session).traffic_engine(graph, algorithm)
-    try:
-        engine.load(demands)  # pre-flight
-    except Exception as error:  # noqa: BLE001 - precondition failures vary by algorithm
-        return None, str(error) or type(error).__name__
+    reason = preflight(engine, demands)
+    if reason is not None:
+        return None, reason
 
     planned = int(model.samples)
     step = max(1, planned // checkpoints) if checkpoints else planned

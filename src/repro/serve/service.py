@@ -62,9 +62,9 @@ from ..core.model import DestinationAlgorithm
 from ..core.resilience import Verdict
 from ..experiments.registry import SchemeNotApplicable, SchemeSpec, scheme as scheme_by_name
 from ..experiments.results import ExperimentRecord, ResultStore
-from ..experiments.runner import METRICS, run_grid
+from ..experiments.runner import METRICS, resilience_record, run_grid
 from ..experiments.session import ExperimentSession
-from ..failures import estimate_resilience, parse_failure_model
+from ..failures import parse_failure_model
 from ..failures.models import FailureModel
 from ..runtime.deadline import Deadline
 from .protocol import (
@@ -361,32 +361,25 @@ class QueryService:
         resilience cell (same grid, same checker path, same record
         shape); with an explicit ``failure_sets`` list it is exactly
         ``sweep_resilience`` over those masks.  A *sampled* model
-        (``"iid:p=0.02,samples=500"``) answers with a point estimate
-        and Wilson CI bounds via :func:`repro.failures.
-        estimate_resilience`; a deadline-cut estimate is ``partial``
-        (and never cached).
+        (``"iid:p=0.02,samples=500"``) answers with ``run_grid``'s own
+        record (:func:`~repro.experiments.runner.resilience_record`): a
+        point estimate and Wilson CI bounds; a deadline-cut estimate is
+        ``partial`` (and never cached).
         """
         return self._verdict(self._resolve("verdict", params), deadline)
 
     def _verdict(self, query: _Query, deadline: Deadline | None):
         graph = query.graph
         algorithm = self._applicable_algorithm(query)
-        start = time.perf_counter()
         if query.masks is None and query.model.sampled:
-            # Monte-Carlo models stream through the estimator and
-            # answer with a point estimate plus Wilson CI bounds —
-            # the exact shape run_grid's sampled cells record
-            estimate = estimate_resilience(
-                graph, algorithm, query.model, session=self.session, deadline=deadline
+            # run_grid's own resilience record of a sampled cell: a
+            # point estimate plus Wilson CI bounds
+            record = resilience_record(
+                self.session, query.record.topology, graph, query.spec, algorithm,
+                query.model, deadline=deadline,
             )
-            record = replace(
-                query.record,
-                metrics=estimate.metrics(),
-                series=list(estimate.series),
-                runtime_seconds=time.perf_counter() - start,
-                note=estimate.note,
-            )
-            return record, not estimate.exhaustive
+            return record, not record.metrics["exhaustive"]
+        start = time.perf_counter()
         destination = query.destination
         if (
             destination is not None
@@ -411,7 +404,7 @@ class QueryService:
                 state=self.session.state(graph),
                 backend=self.session.backend,
                 deadline=deadline,
-            ).verdict
+            )
         record = replace(
             query.record,
             metrics={

@@ -28,7 +28,6 @@ from .congestion import (
     CongestionPoint,
     compare_congestion,
     congestion_table,
-    congestion_vs_failures,
     default_competitors,
     greedy_congestion_attack,
     preflight_congestion_curve,
@@ -60,7 +59,6 @@ __all__ = [
     "all_to_one",
     "compare_congestion",
     "congestion_table",
-    "congestion_vs_failures",
     "default_competitors",
     "gravity",
     "greedy_congestion_attack",

@@ -10,8 +10,10 @@ Elsässer, Schmid 2020/2021).
 
 Three drivers:
 
-* :func:`congestion_vs_failures` — congestion curve over the
-  failure-set sizes of a pinned scenario grid;
+* :func:`preflight_congestion_curve` — pre-flight a router's patterns,
+  then its congestion curve over the failure-set sizes of a pinned
+  scenario grid (the grid runner's, the CLI's and the harness's one
+  curve);
 * :func:`greedy_congestion_attack` — worst-case failure search for load,
   greedy link-by-link with a pruning pass, following the verified-witness
   scaffolding of :mod:`repro.core.adversary.search` (every returned
@@ -66,44 +68,30 @@ class CongestionCurve:
                 return point
         raise KeyError(f"no point at |F| = {size}")
 
+    @property
+    def series(self) -> list[dict]:
+        """Record-ready points (``ExperimentRecord.series``), smallest
+        failure sets first."""
+        names = (
+            "failures", "scenarios", "mean_max_load", "worst_max_load",
+            "mean_p99_load", "delivered_fraction", "mean_stretch",
+        )
+        return [{name: getattr(point, name) for name in names} for point in self.points]
 
-def congestion_vs_failures(
-    graph: nx.Graph | EngineState,
-    algorithm: RoutingAlgorithm,
-    demands: TrafficMatrix,
-    failure_grid: dict[int, list[FailureSet]],
-    graph_name: str = "",
-    matrix_name: str = "",
-    engine: TrafficEngine | None = None,
-    session=None,
-) -> CongestionCurve:
-    """Load statistics per failure-set size of ``failure_grid`` (a
-    :class:`~repro.failures.FailureModel`'s grid) for one algorithm.
+    def metrics(self) -> dict:
+        """Record-ready scalar metrics (``ExperimentRecord.metrics``)."""
+        last = self.points[-1]
+        return {
+            "worst_max_load": max(point.worst_max_load for point in self.points),
+            "mean_max_load_at_max_failures": last.mean_max_load,
+            "delivered_fraction_at_max_failures": last.delivered_fraction,
+        }
 
-    One router serves the whole sweep, so patterns and decision tables
-    are built once (pass a prebuilt ``engine``, or take the router from
-    a ``session``'s :meth:`~repro.experiments.session.ExperimentSession.
-    traffic_engine` to reuse them across calls).
-    """
-    if engine is None:
-        engine = _router(graph, algorithm, session)
-    curve = CongestionCurve(
-        algorithm=algorithm.name,
-        graph=graph_name or f"n={engine.graph.number_of_nodes()}",
-        matrix=matrix_name or f"{len(demands)} demands",
-    )
-    for size in sorted(failure_grid):
-        reports = engine.load_sweep(demands, failure_grid[size])
-        if reports:  # an explicitly passed grid may carry empty buckets
-            curve.points.append(_aggregate(size, reports))
-    return curve
-
-
-def _router(graph: nx.Graph | EngineState, algorithm: RoutingAlgorithm, session):
-    """The session's load router for ``graph``, or a fresh batched one."""
-    if session is None:
-        return TrafficEngine(graph, algorithm)
-    return session.traffic_engine(graph, algorithm)
+    def stretch_metrics(self) -> dict:
+        return {
+            "mean_stretch_at_max_failures": self.points[-1].mean_stretch,
+            "max_mean_stretch": max(point.mean_stretch for point in self.points),
+        }
 
 
 def _aggregate(size: int, reports: list[LoadReport]) -> CongestionPoint:
@@ -171,7 +159,10 @@ def greedy_congestion_attack(
     Given a ``session``, the router is the session's
     :meth:`~repro.experiments.session.ExperimentSession.traffic_engine`.
     """
-    engine = _router(graph, algorithm, session)
+    if session is None:
+        engine = TrafficEngine(graph, algorithm)
+    else:
+        engine = session.traffic_engine(graph, algorithm)
     links = canonical_links(engine.graph)
     baseline = engine.load(demands).max_load
     chosen: set = set()
@@ -238,37 +229,52 @@ def default_competitors() -> list[RoutingAlgorithm]:
     return [spec.instantiate() for spec in list_schemes(tag="congestion-default")]
 
 
+def preflight(engine: TrafficEngine, demands: TrafficMatrix) -> str | None:
+    """Build every pattern a sweep of ``demands`` needs, once: ``None``,
+    or why the router's scheme cannot run on its topology.
+
+    The failure-free report exercises every pattern constructor the
+    sweep reaches, and the router keeps what it built for the sweep.
+    """
+    try:
+        engine.load(demands)
+    except Exception as error:  # noqa: BLE001 - precondition failures vary by algorithm
+        return str(error) or type(error).__name__
+    return None
+
+
 def preflight_congestion_curve(
     engine: TrafficEngine,
-    algorithm: RoutingAlgorithm,
     demands: TrafficMatrix,
     failure_grid: dict[int, list[FailureSet]],
     graph_name: str = "",
     matrix_name: str = "",
 ) -> tuple[CongestionCurve | None, str | None]:
-    """Pre-flight the patterns, then sweep the pinned grid.
+    """Pre-flight the router's patterns, then its congestion curve: load
+    statistics per failure-set size of ``failure_grid`` (a
+    :class:`~repro.failures.FailureModel`'s grid).
 
     The one implementation of "try to build every pattern once, skip
     the scheme with a reason on failure, otherwise sweep the shared
-    grid" — used by :func:`compare_congestion`, the experiments grid
-    runner, and the CLI so their skip semantics and load numbers cannot
-    drift apart.  Returns ``(curve, None)`` or ``(None, skip reason)``.
+    grid" — used by :func:`compare_congestion` (and through it the CLI)
+    and the experiments grid runner, so their skip semantics and load
+    numbers cannot drift apart.  Returns ``(curve, None)`` or ``(None,
+    skip reason)``.  Take the router from a session's
+    :meth:`~repro.experiments.session.ExperimentSession.traffic_engine`
+    to share its patterns and decision tables across calls.
     """
-    try:
-        # pre-flight: building the failure-free report exercises every
-        # pattern constructor the sweep will need
-        engine.load(demands)
-    except Exception as error:  # noqa: BLE001 - precondition failures vary by algorithm
-        return None, str(error) or type(error).__name__
-    curve = congestion_vs_failures(
-        engine.graph,
-        algorithm,
-        demands,
-        failure_grid,
-        graph_name=graph_name,
-        matrix_name=matrix_name,
-        engine=engine,  # patterns built by the pre-flight are reused
+    reason = preflight(engine, demands)
+    if reason is not None:
+        return None, reason
+    curve = CongestionCurve(
+        algorithm=engine.algorithm.name,
+        graph=graph_name or f"n={engine.graph.number_of_nodes()}",
+        matrix=matrix_name or f"{len(demands)} demands",
     )
+    for size in sorted(failure_grid):
+        reports = engine.load_sweep(demands, failure_grid[size])
+        if reports:  # an explicitly passed grid may carry empty buckets
+            curve.points.append(_aggregate(size, reports))
     return curve, None
 
 
@@ -303,7 +309,6 @@ def compare_congestion(
     for algorithm in algorithms:
         curve, reason = preflight_congestion_curve(
             resolved.traffic_engine(graph, algorithm),
-            algorithm,
             demands,
             grid,
             graph_name=graph_name,

@@ -99,6 +99,51 @@ class TestTour:
         assert "toured forever: [0, 1, 2, 3, 4, 5]" in capsys.readouterr().out
 
 
+#: every command that takes a graph, with the graph argument left open
+GRAPH_COMMANDS = {
+    "classify": ("classify", "{}"),
+    "route": ("route", "{}", "0", "1"),
+    "attack": ("attack", "k7", "{}"),
+    "tour": ("tour", "{}"),
+    "traffic": ("traffic", "{}"),
+}
+
+
+class TestGraphInput:
+    """A graph argument that cannot be read is one stderr line and exit 2."""
+
+    @pytest.mark.parametrize("command", sorted(GRAPH_COMMANDS))
+    def test_missing_edge_list_file(self, command, tmp_path, capsys):
+        spec = str(tmp_path / "missing.txt")
+        args = [arg.format(spec) for arg in GRAPH_COMMANDS[command]]
+        assert run_cli(*args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cannot read graph {spec}: No such file or directory\n"
+
+    @pytest.mark.parametrize("command", sorted(GRAPH_COMMANDS))
+    def test_one_token_line(self, command, tmp_path, capsys):
+        path = tmp_path / "net.txt"
+        path.write_text("# comment\n0 1\n2\n1 2\n")
+        args = [arg.format(path) for arg in GRAPH_COMMANDS[command]]
+        assert run_cli(*args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cannot read graph {path}: line 3 is not an edge 'u v'\n"
+
+    def test_tour_names_both_requirements_when_no_scheme_applies(self, capsys):
+        from repro.experiments import scheme
+
+        assert run_cli("tour", "petersen") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "no touring scheme applies to petersen: "
+            f"right-hand requires {scheme('right-hand').requires}; "
+            f"hamiltonian requires {scheme('hamiltonian').requires}\n"
+        )
+
+
 class TestZoo:
     def test_small_slice(self, capsys):
         assert run_cli("zoo", "--stride", "40", "--budget", "1000") == 0

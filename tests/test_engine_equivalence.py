@@ -402,6 +402,32 @@ class TestNaiveState:
             assert calls["connected"] == len(sources)
             calls.update(route=0, connected=0)
 
+    def test_sweep_walks_count_by_backend(self):
+        """A naive sweep's walks count as reference walks, an engine
+        sweep's as covers walks: one per scenario either way."""
+        graph = complete_graph(5)
+        algorithm = RandomCyclicDestinationOnly(seed=1)
+        walks = {}
+        for name, session in (("naive", naive_session()), ("engine", ExperimentSession())):
+            telemetry = obs.Telemetry()
+            with obs.installed(telemetry):
+                verdict = check_perfect_resilience_destination(graph, algorithm, session=session)
+            registry = telemetry.registry
+            assert registry.value("repro_engine_scenarios_total") == verdict.scenarios_checked
+            walks[name] = (
+                verdict_tuple(verdict),
+                {
+                    kind: registry.value("repro_engine_walks_total", kind=kind)
+                    for kind in ("covers", "reference")
+                },
+            )
+        (naive_verdict, naive_walks), (engine_verdict, engine_walks) = walks.values()
+        assert naive_verdict == engine_verdict
+        checked = naive_verdict[1]
+        assert checked > 0
+        assert naive_walks == {"covers": 0, "reference": checked}
+        assert engine_walks == {"covers": checked, "reference": 0}
+
 
 class TestMaskOutcomeKernel:
     """``EngineState.mask_outcome``: the one per-mask delivery check behind

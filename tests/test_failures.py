@@ -927,7 +927,6 @@ FAMILY_SPECS = {
 REMOVED_KEYWORDS = (
     [(op, key) for op in ("verdict", "load", "grid") for key in ("sizes", "samples", "seed")]
     + [("compare_congestion", key) for key in ("sizes", "samples", "seed", "failure_grid")]
-    + [("congestion_vs_failures", key) for key in ("sizes", "samples", "seed")]
     + [("preflight_congestion_curve", "samples")]
     + [("ScenarioGrid", key) for key in ("max_failures", "samples", "seed")]
     + [("default_failure_sets", key) for key in ("max_failures", "samples", "seed")]
@@ -944,7 +943,6 @@ class TestOneVocabulary:
         from repro.traffic import (
             TrafficEngine,
             compare_congestion,
-            congestion_vs_failures,
             permutation,
             preflight_congestion_curve,
         )
@@ -960,11 +958,8 @@ class TestOneVocabulary:
             "load": lambda **kw: client.load("ring(8)", "greedy", **kw),
             "grid": lambda **kw: client.grid(["ring(8)"], **kw),
             "compare_congestion": lambda **kw: compare_congestion(graph, demands, **kw),
-            "congestion_vs_failures": lambda **kw: congestion_vs_failures(
-                graph, algorithm, demands, grid, **kw
-            ),
             "preflight_congestion_curve": lambda **kw: preflight_congestion_curve(
-                TrafficEngine(graph, algorithm), algorithm, demands, grid, **kw
+                TrafficEngine(graph, algorithm), demands, grid, **kw
             ),
             "ScenarioGrid": lambda **kw: ScenarioGrid(**kw),
             "default_failure_sets": lambda **kw: default_failure_sets(graph, **kw),

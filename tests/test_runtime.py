@@ -18,7 +18,7 @@ import repro.core.engine.sweep as sweep
 import repro.experiments.runner as runner
 from repro import obs
 from repro.core.algorithms import ArborescenceRouting
-from repro.core.engine.sweep import ScenarioGrid, parallel_map, sweep_resilience
+from repro.core.engine.sweep import EngineState, ScenarioGrid, parallel_map, sweep_resilience
 from repro.core.resilience import (
     check_perfect_resilience_destination,
     check_perfect_resilience_source_destination,
@@ -425,8 +425,8 @@ class TestSweepRecovery:
         serial = self._cells(graph)
         assert self._cells(graph, session=ExperimentSession(processes=2)) == serial
         arborescence = serial[0]["metrics"]
-        assert arborescence["resilient"] == clean.verdict.resilient
-        assert arborescence["scenarios_checked"] == clean.verdict.scenarios_checked
+        assert arborescence["resilient"] == clean.resilient
+        assert arborescence["scenarios_checked"] == clean.scenarios_checked
 
     def test_crashed_cell_worker_leaves_records_identical(self, case, frozen_clock):
         graph, _, _ = case
@@ -440,35 +440,38 @@ class TestSweepRecovery:
     def test_deadline_cuts_cleanly(self, case):
         graph, grid, clean = case
         cut = sweep_resilience(graph, ArborescenceRouting(), grid, deadline=Budget(2))
-        assert cut.verdict.resilient
-        assert not cut.verdict.exhaustive
-        assert len(cut.units) == 2
-        # completed units are whole: they match the uncut run's prefix
-        for (unit, verdict), (clean_unit, clean_verdict) in zip(cut.units, clean.units):
-            assert unit == clean_unit
-            assert verdict.scenarios_checked == clean_verdict.scenarios_checked
+        assert cut.resilient
+        assert not cut.exhaustive
+        # completed units are whole: the cut checked exactly what an
+        # uncut sweep over the first two destinations checks
+        first_two = ScenarioGrid(destinations=list(graph.nodes)[:2])
+        prefix = sweep_resilience(graph, ArborescenceRouting(), first_two)
+        assert 0 < prefix.scenarios_checked < clean.scenarios_checked
+        assert cut.scenarios_checked == prefix.scenarios_checked
 
     def test_expired_deadline_runs_nothing(self, case):
         graph, grid, _ = case
-        result = sweep_resilience(graph, ArborescenceRouting(), grid, deadline=Deadline(0.0))
-        assert result.verdict.scenarios_checked == 0
-        assert not result.verdict.exhaustive
-        assert result.units == []
+        state = EngineState(graph)
+        result = sweep_resilience(
+            graph, ArborescenceRouting(), grid, state=state, deadline=Deadline(0.0)
+        )
+        assert result.scenarios_checked == 0
+        assert not result.exhaustive
+        assert state.patterns_cached() == 0  # not even a pattern was built
 
     def test_pair_sweep_deadline_cuts_cleanly(self, case):
         graph, grid, _ = case
         algorithm = scheme("distance2").instantiate()
         uncut = sweep_resilience(graph, algorithm, grid)
-        assert uncut.verdict.resilient and uncut.verdict.exhaustive
+        assert uncut.resilient and uncut.exhaustive
         cut = sweep_resilience(graph, algorithm, grid, deadline=Budget(3))
-        assert cut.verdict.resilient
-        assert not cut.verdict.exhaustive
-        assert [(unit, verdict.scenarios_checked) for unit, verdict in cut.units] == [
-            (unit, verdict.scenarios_checked) for unit, verdict in uncut.units[:3]
-        ]
-        assert cut.verdict.scenarios_checked == sum(
-            verdict.scenarios_checked for _, verdict in uncut.units[:3]
-        )
+        assert cut.resilient
+        assert not cut.exhaustive
+        # the first three (source, destination) units in grid order, whole
+        pairs = [(s, t) for t in graph.nodes for s in graph.nodes if s != t][:3]
+        prefix = sweep_resilience(graph, algorithm, ScenarioGrid(pairs=pairs))
+        assert 0 < prefix.scenarios_checked < uncut.scenarios_checked
+        assert cut.scenarios_checked == prefix.scenarios_checked
 
 
 GRID_KWARGS = dict(

@@ -247,7 +247,7 @@ class TestServiceDifferential:
             grid = ScenarioGrid(
                 destinations=[destination] if destination is not None else None,
                 failure_sets=masks)
-            verdict = sweep_resilience(graph, algorithm, grid).verdict
+            verdict = sweep_resilience(graph, algorithm, grid)
             assert not partial
             assert record.metrics == {
                 "resilient": verdict.resilient,
@@ -276,7 +276,7 @@ class TestServiceDifferential:
         ):
             verdict = sweep_resilience(
                 graph, spec.instantiate(),
-                ScenarioGrid(destinations=[destination], failure_sets=masks)).verdict
+                ScenarioGrid(destinations=[destination], failure_sets=masks))
             naive = check_pattern_resilience(
                 graph, pattern, destination, failure_sets=masks, session=naive_session())
             assert not naive.resilient  # the interesting case: a real counterexample

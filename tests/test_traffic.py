@@ -31,12 +31,12 @@ from repro.traffic import (
     all_to_one,
     compare_congestion,
     congestion_table,
-    congestion_vs_failures,
     gravity,
     greedy_congestion_attack,
     hotspot,
     per_packet_loads,
     permutation,
+    preflight_congestion_curve,
     route_matrix,
     total_volume,
 )
@@ -285,7 +285,11 @@ class TestCongestionSweeps:
         graph = construct.fat_tree(4)
         demands = permutation(graph, seed=1)
         grid = RandomGridModel(sizes=(0, 2), samples=4, seed=0).grid(graph)
-        curve = congestion_vs_failures(graph, ArborescenceRouting(), demands, grid)
+        curve, reason = preflight_congestion_curve(
+            TrafficEngine(graph, ArborescenceRouting()), demands, grid
+        )
+        assert reason is None
+        assert curve.algorithm == ArborescenceRouting.name
         assert [point.failures for point in curve.points] == [0, 2]
         baseline = curve.at(0)
         assert baseline.scenarios == 1
@@ -337,8 +341,8 @@ class TestCongestionSweeps:
             "compare_congestion": lambda session: compare_congestion(
                 graph, demands, algorithms=[algorithm], failure_model=model, session=session
             ).curves,
-            "congestion_vs_failures": lambda session: congestion_vs_failures(
-                graph, algorithm, demands, model.grid(graph), session=session
+            "preflight_congestion_curve": lambda session: preflight_congestion_curve(
+                session.traffic_engine(graph, algorithm), demands, model.grid(graph)
             ),
             "greedy_congestion_attack": lambda session: greedy_congestion_attack(
                 graph, algorithm, demands, max_failures=2, session=session
