@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import networkx as nx
 
 from ...graphs.connectivity import are_connected, st_edge_connectivity
-from ...graphs.edges import FailureSet, Node, canonical_links, edge, edge_sort_key
+from ...graphs.edges import FailureSet, Node, canonical_links, edge, sorted_links
 from ..engine.memo import MemoizedPattern
 from ..engine.sweep import EngineState
 from ..model import ForwardingPattern, LocalView
@@ -47,17 +47,14 @@ def make_view(graph: nx.Graph, node: Node, inport: Node | None, alive: Iterable[
     """A hypothetical local view: ``alive`` neighbours survive, the rest failed.
 
     The adaptive adversaries use this to *query* a pattern's behaviour
-    under candidate local failure sets before committing to them.
+    under candidate local failure sets before committing to them.  It
+    is the view the simulator builds, alive ports in its order.
     """
     alive_set = set(alive)
-    try:
-        alive_sorted = tuple(sorted(alive_set))
-    except TypeError:
-        alive_sorted = tuple(sorted(alive_set, key=repr))
     failed = frozenset(
         edge(node, neighbor) for neighbor in graph.neighbors(node) if neighbor not in alive_set
     )
-    return LocalView(node=node, inport=inport, alive=alive_sorted, failed_links=failed)
+    return Network(graph).view(node, inport, failed)
 
 
 def verify_attack(
@@ -164,11 +161,7 @@ def _minimize(
 ) -> FailureSet:
     """Drop failures one by one while the witness still holds."""
     current = set(failures)
-    try:
-        order = sorted(failures)
-    except TypeError:
-        order = sorted(failures, key=edge_sort_key)
-    for link in order:
+    for link in sorted_links(failures):
         candidate = frozenset(current - {link})
         if _verify_fast(state, memo, source, destination, candidate, min_connectivity):
             current.discard(link)

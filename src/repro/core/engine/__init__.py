@@ -9,10 +9,14 @@ with three layers that share work across scenarios:
 
 1. :class:`~repro.core.engine.indexed.IndexedNetwork` maps arbitrary
    node labels to dense integers **once** and stores adjacency as flat
-   index tuples with a per-node incident-link bitmask.  A failure set
+   index tuples with a per-node incident-link bitmask, each node's
+   neighbours in the one order every simulator lists alive ports in
+   (:func:`~repro.graphs.edges.sorted_adjacency`).  A failure set
    becomes a single integer mask, and building a node's local view is
    mask arithmetic (``fmask & incident[node]``) plus a cache lookup
-   instead of frozenset construction.
+   instead of frozenset construction.  Its
+   :meth:`~repro.core.engine.indexed.IndexedNetwork.distances` is the
+   one uncached flood of a mask's surviving graph.
 
 2. :class:`~repro.core.engine.memo.MemoizedPattern` caches forwarding
    decisions per pattern, keyed by ``(node, inport, local failure

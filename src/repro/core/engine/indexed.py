@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import networkx as nx
 
 from ...graphs.edges import Edge, FailureSet, Node, canonical_links, edge
-from ...graphs.edges import _sort_key  # one definition: engine/naive order must agree
+from ...graphs.edges import sorted_adjacency, sorted_nodes
 from ..model import LocalView
 
 
@@ -37,26 +37,18 @@ class LocalState:
 class IndexedNetwork:
     """A graph indexed for mask-based simulation.
 
-    Node order and per-node neighbour order match the naive
-    :class:`~repro.core.simulator.Network` (sorted labels, with the
-    type-name/repr fallback for non-comparable labels), so indexed walks
-    reproduce naive walks hop for hop.
+    Each node's neighbours come in the naive
+    :class:`~repro.core.simulator.Network`'s own order
+    (:func:`~repro.graphs.edges.sorted_adjacency`), so indexed walks
+    reproduce naive walks hop for hop.  Node indices follow
+    :func:`~repro.graphs.edges.sorted_nodes`; they only number the
+    nodes and order nothing a pattern sees.
     """
 
     def __init__(self, graph: nx.Graph):
         self.graph = graph
-        # All-or-nothing fallback, exactly like the naive Network: one
-        # non-comparable neighbourhood switches the *whole* graph to the
-        # (type name, repr) order, so per-node orders never mix regimes.
-        try:
-            adjacency = {v: tuple(sorted(graph.neighbors(v))) for v in graph.nodes}
-            labels = sorted(graph.nodes)
-        except TypeError:
-            adjacency = {
-                v: tuple(sorted(graph.neighbors(v), key=_sort_key)) for v in graph.nodes
-            }
-            labels = sorted(graph.nodes, key=_sort_key)
-        self.labels: tuple[Node, ...] = tuple(labels)
+        adjacency = sorted_adjacency(graph)
+        self.labels: tuple[Node, ...] = tuple(sorted_nodes(graph.nodes))
         self.n = len(self.labels)
         self.index: dict[Node, int] = {label: i for i, label in enumerate(self.labels)}
 
@@ -154,56 +146,36 @@ class IndexedNetwork:
             self._local_cache[key] = state
         return state
 
+    def distances(self, fmask: int, start: int) -> list[int]:
+        """Hops from ``start`` to every node index over the links alive
+        under ``fmask`` (``-1`` where unreachable): the engine's one
+        uncached flood, for queries where caching whole partitions per
+        mask would not pay."""
+        neighbor_indices = self.neighbor_indices
+        neighbor_bits = self.neighbor_bits
+        dist = [-1] * self.n
+        dist[start] = 0
+        frontier = [start]
+        level = 0
+        while frontier:
+            level += 1
+            reached: list[int] = []
+            for node in frontier:
+                indices = neighbor_indices[node]
+                bits = neighbor_bits[node]
+                for i in range(len(indices)):
+                    if bits[i] & fmask:
+                        continue
+                    nxt = indices[i]
+                    if dist[nxt] < 0:
+                        dist[nxt] = level
+                        reached.append(nxt)
+            frontier = reached
+        return dist
+
     def component_of_indices(self, fmask: int, start: int) -> list[int]:
-        """``start``'s component under ``fmask`` as node indices.
-
-        Uncached flood — for sampled sweeps on graphs too large for the
-        per-mask partition cache to pay off.
-        """
-        neighbor_indices = self.neighbor_indices
-        neighbor_bits = self.neighbor_bits
-        seen = bytearray(self.n)
-        seen[start] = 1
-        stack = [start]
-        members = [start]
-        while stack:
-            node = stack.pop()
-            indices = neighbor_indices[node]
-            bits = neighbor_bits[node]
-            for i in range(len(indices)):
-                if bits[i] & fmask:
-                    continue
-                nxt = indices[i]
-                if not seen[nxt]:
-                    seen[nxt] = 1
-                    stack.append(nxt)
-                    members.append(nxt)
-        return members
-
-    def connected_indices(self, fmask: int, a: int, b: int) -> bool:
-        """Is ``b`` reachable from ``a`` under ``fmask``?  (Uncached BFS —
-        for one-off queries where caching whole partitions would not pay.)"""
-        if a == b:
-            return True
-        neighbor_indices = self.neighbor_indices
-        neighbor_bits = self.neighbor_bits
-        seen = bytearray(self.n)
-        seen[a] = 1
-        stack = [a]
-        while stack:
-            node = stack.pop()
-            indices = neighbor_indices[node]
-            bits = neighbor_bits[node]
-            for i in range(len(indices)):
-                if bits[i] & fmask:
-                    continue
-                nxt = indices[i]
-                if nxt == b:
-                    return True
-                if not seen[nxt]:
-                    seen[nxt] = 1
-                    stack.append(nxt)
-        return False
+        """``start``'s component under ``fmask`` as node indices, ascending."""
+        return [node for node, hops in enumerate(self.distances(fmask, start)) if hops >= 0]
 
     def view(self, node: int, inport: int, fmask: int) -> LocalView:
         """The :class:`LocalView` a pattern would see (``inport < 0`` = ⊥).

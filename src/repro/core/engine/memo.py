@@ -249,36 +249,14 @@ def _tour_indexed(
     start: int,
     fmask: int,
 ) -> TourResult:
+    order, entry = _tour_states(network, pattern, start, fmask)
     labels = network.labels
-    incident = network.incident_mask
     stride = network.n + 1
-    current = start
-    inport = -1
-    order: list[int] = [start * stride]
-    index: dict[int, int] = {start * stride: 0}
-    next_hop = pattern.next_hop
-    for _ in range(network.state_bound + 1):
-        decision = next_hop(current, inport, fmask & incident[current])
-        if decision < 0:
-            return TourResult(
-                visited=frozenset(labels[state // stride] for state in order),
-                recurrent=frozenset(),
-                failed=Outcome.DROPPED if decision == DROP else Outcome.ILLEGAL,
-                path=[labels[state // stride] for state in order],
-            )
-        current, inport = decision, current
-        state = current * stride + inport + 1
-        if state in index:
-            cycle = order[index[state] :]
-            return TourResult(
-                visited=frozenset(labels[s // stride] for s in order),
-                recurrent=frozenset(labels[s // stride] for s in cycle),
-                failed=None,
-                path=[labels[s // stride] for s in order],
-            )
-        index[state] = len(order)
-        order.append(state)
-    raise AssertionError("state bound exceeded without repeating a state")  # pragma: no cover
+    path = [labels[state // stride] for state in order]
+    if entry < 0:
+        failed = Outcome.DROPPED if entry == DROP else Outcome.ILLEGAL
+        return TourResult(visited=frozenset(path), recurrent=frozenset(), failed=failed, path=path)
+    return TourResult(visited=frozenset(path), recurrent=frozenset(path[entry:]), path=path)
 
 
 def _tour_recurrent_indices(
@@ -289,9 +267,29 @@ def _tour_recurrent_indices(
 ) -> set[int] | None:
     """The node indices toured forever, or ``None`` if the walk fails.
 
-    The allocation-light core of :func:`tour_indexed` for yes/no
+    The allocation-light form of :func:`tour_indexed` for yes/no
     coverage checks: no label translation, no path materialization.
     The touring sweep batches its walk counters itself.
+    """
+    order, entry = _tour_states(network, pattern, start, fmask)
+    if entry < 0:
+        return None
+    stride = network.n + 1
+    return {state // stride for state in order[entry:]}
+
+
+def _tour_states(
+    network: IndexedNetwork,
+    pattern: MemoizedPattern,
+    start: int,
+    fmask: int,
+) -> tuple[list[int], int]:
+    """The one indexed tour walk: packed ``(node, inport)`` states from
+    ``start`` until one repeats or the pattern fails.
+
+    Returns ``(order, entry)``: the states in walk order, and where in
+    ``order`` the recurrent cycle begins, or the failing decision
+    (:data:`DROP` / :data:`ILLEGAL`, both negative).
     """
     incident = network.incident_mask
     stride = network.n + 1
@@ -303,11 +301,12 @@ def _tour_recurrent_indices(
     for _ in range(network.state_bound + 1):
         decision = next_hop(current, inport, fmask & incident[current])
         if decision < 0:
-            return None
+            return order, decision
         current, inport = decision, current
         state = current * stride + inport + 1
-        if state in index:
-            return {s // stride for s in order[index[state] :]}
+        entry = index.get(state)
+        if entry is not None:
+            return order, entry
         index[state] = len(order)
         order.append(state)
     raise AssertionError("state bound exceeded without repeating a state")  # pragma: no cover

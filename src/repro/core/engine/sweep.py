@@ -40,6 +40,7 @@ from ..resilience import EXHAUSTIVE_LINK_LIMIT, Counterexample, Verdict, default
 from ..model import DestinationAlgorithm, SourceDestinationAlgorithm, TouringAlgorithm
 from ..simulator import Network, RouteResult
 from ..simulator import route as naive_route
+from ..simulator import tour as naive_tour
 from .components import ComponentTracker
 from .indexed import IndexedNetwork
 from .memo import (
@@ -209,9 +210,9 @@ class EngineState:
         """Engine twin of :func:`repro.graphs.connectivity.are_connected`.
 
         Uses the mask-cached partition on small graphs (where sweeps
-        revisit masks), a one-off mask BFS on large ones (where caching
-        every random mask's partition would not pay), and the reference
-        BFS where :meth:`mask` gives ``None``.
+        revisit masks), an :meth:`IndexedNetwork.distances` flood on
+        large ones (where caching every random mask's partition would
+        not pay), and the reference one where :meth:`mask` gives ``None``.
         """
         if source == destination:
             return True
@@ -225,7 +226,7 @@ class EngineState:
             return are_connected(self.graph, source, destination, failures)
         if network.m <= EXHAUSTIVE_LINK_LIMIT:
             return self.tracker.same_component(fmask, src, dst)
-        return network.connected_indices(fmask, src, dst)
+        return network.distances(fmask, src)[dst] >= 0
 
 
 @dataclass
@@ -666,7 +667,7 @@ def _sweep_touring(
     # same sweep-level walk batching as the pattern sweep above: one
     # registry flush for the whole mask loop, never one per tour
     telemetry = _obs.active()
-    tour_walks = 0
+    tour_walks = reference_walks = 0
     memo_before = len(memo.table)
     try:
         for failures in failure_iter:
@@ -677,21 +678,21 @@ def _sweep_touring(
             fmask = state.mask(failures)
             for start in starts:
                 checked += 1
+                covered = True  # a lone node is toured without a walk
                 if fmask is None or start not in index:
-                    from ..simulator import tours_component
-
-                    covered = tours_component(state.naive_network, memo.pattern, start, failures)
+                    component: frozenset | set[int] = component_of(graph, start, failures)
+                    if len(component) > 1:
+                        reference_walks += 1
+                        covered = naive_tour(
+                            state.naive_network, memo.pattern, start, failures
+                        ).tours(component)
                 else:
                     start_idx = index[start]
                     if use_tracker:
-                        component: frozenset[int] | set[int] = tracker.component_index_set(
-                            fmask, start_idx
-                        )
+                        component = tracker.component_index_set(fmask, start_idx)
                     else:
                         component = set(network.component_of_indices(fmask, start_idx))
-                    if len(component) == 1:
-                        covered = True
-                    else:
+                    if len(component) > 1:
                         tour_walks += 1
                         recurrent = _tour_recurrent_indices(network, memo, start_idx, fmask)
                         covered = recurrent is not None and recurrent >= component
@@ -710,3 +711,7 @@ def _sweep_touring(
     finally:
         if telemetry is not None:
             _record_walk(telemetry, "tour", memo.table, memo_before, None, walks=tour_walks)
+            # reference tours ask the pattern itself: no table misses
+            _record_walk(
+                telemetry, "reference", memo.table, len(memo.table), None, walks=reference_walks
+            )

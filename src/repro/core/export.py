@@ -23,7 +23,7 @@ from itertools import combinations
 
 import networkx as nx
 
-from ..graphs.edges import FailureSet, Node, edge
+from ..graphs.edges import FailureSet, Node, edge, sorted_adjacency, sorted_nodes
 from .model import ForwardingPattern, LocalView
 
 
@@ -89,18 +89,17 @@ def materialize(
     """Compile a pattern into explicit per-router rules.
 
     Enumerates, per node, every subset of incident links as the local
-    failure condition and every possible in-port (including ``⊥``).
-    Nodes of degree above ``max_degree`` are rejected (their tables would
-    exceed 2^12 rows — the practical table-space limit the paper alludes
-    to).
+    failure condition and every possible in-port (including ``⊥``).  Each
+    rule answers the view the simulator would build, alive ports in its
+    :func:`~repro.graphs.edges.sorted_adjacency` order, so a reloaded
+    table routes exactly like the pattern.  Nodes of degree above
+    ``max_degree`` are rejected (their tables would exceed 2^12 rows —
+    the practical table-space limit the paper alludes to).
     """
     table = ForwardingTable()
-    try:
-        chosen = list(nodes) if nodes is not None else sorted(graph.nodes)
-    except TypeError:
-        chosen = sorted(graph.nodes, key=repr)
-    for node in chosen:
-        neighbors = sorted(graph.neighbors(node), key=repr)
+    adjacency = sorted_adjacency(graph)
+    for node in sorted_nodes(graph.nodes) if nodes is None else nodes:
+        neighbors = adjacency[node]
         if len(neighbors) > max_degree:
             raise ValueError(
                 f"node {node!r} has degree {len(neighbors)} > {max_degree}; "

@@ -36,7 +36,7 @@ from itertools import combinations
 import networkx as nx
 
 from ..graphs.connectivity import st_edge_connectivity
-from ..graphs.edges import FailureSet, Node, canonical_links
+from ..graphs.edges import FailureSet, Node, canonical_links, sorted_links
 from .model import (
     DestinationAlgorithm,
     ForwardingPattern,
@@ -63,7 +63,7 @@ class Counterexample:
         outcome = self.result.outcome.value if self.result else "tour failure"
         return (
             f"{outcome} for s={self.source!r}, t={self.destination!r}, "
-            f"|F|={len(self.failures)}: {sorted(self.failures)}"
+            f"|F|={len(self.failures)}: {sorted_links(self.failures)}"
         )
 
 

@@ -23,7 +23,7 @@ from enum import Enum
 import networkx as nx
 
 from ..graphs.connectivity import component_of
-from ..graphs.edges import FailureSet, Node, edge
+from ..graphs.edges import FailureSet, Node, edge, sorted_adjacency
 from .model import ForwardingPattern, LocalView
 
 
@@ -61,27 +61,17 @@ class TourResult:
         return self.failed is None and self.recurrent >= component
 
 
-def _sort_key(node: Node) -> tuple[str, str]:
-    return (type(node).__name__, repr(node))
-
-
 class Network:
     """A graph prepared for fast repeated simulation.
 
-    Precomputes sorted adjacency; building one per (graph) and reusing it
-    across failure sets is the hot path of the resilience checkers.
+    Precomputes the :func:`~repro.graphs.edges.sorted_adjacency`;
+    building one per (graph) and reusing it across failure sets is the
+    hot path of the resilience checkers.
     """
 
     def __init__(self, graph: nx.Graph):
         self.graph = graph
-        try:
-            self.adjacency: dict[Node, tuple[Node, ...]] = {
-                v: tuple(sorted(graph.neighbors(v))) for v in graph.nodes
-            }
-        except TypeError:
-            self.adjacency = {
-                v: tuple(sorted(graph.neighbors(v), key=_sort_key)) for v in graph.nodes
-            }
+        self.adjacency = sorted_adjacency(graph)
 
     def view(self, node: Node, inport: Node | None, failures: FailureSet) -> LocalView:
         local = frozenset(e for e in failures if node in e)

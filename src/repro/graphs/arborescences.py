@@ -16,14 +16,13 @@ use the same undirected link in opposite directions).
 from __future__ import annotations
 
 import random
-from collections import deque
 
 import networkx as nx
 
+from .connectivity import Arc, unit_max_flow
 from .edges import Node, edge_sort_key
 from .hamiltonian import hamiltonian_decomposition
 
-Arc = tuple[Node, Node]
 ParentMap = dict[Node, Node]
 
 
@@ -31,36 +30,8 @@ def _arc_connectivity(arcs: set[Arc], nodes: list[Node], s: Node, t: Node, stop_
     """Unit-capacity max flow s -> t over a set of directed arcs."""
     residual: dict[Node, dict[Node, int]] = {v: {} for v in nodes}
     for u, v in arcs:
-        residual[u][v] = residual[u].get(v, 0) + 1
-    flow = 0
-    while flow < stop_at:
-        parent: dict[Node, Node] = {}
-        queue = deque([s])
-        seen = {s}
-        found = False
-        while queue and not found:
-            node = queue.popleft()
-            for neighbor, capacity in residual[node].items():
-                if capacity <= 0 or neighbor in seen:
-                    continue
-                parent[neighbor] = node
-                if neighbor == t:
-                    found = True
-                    break
-                seen.add(neighbor)
-                queue.append(neighbor)
-        if not found:
-            break
-        node = t
-        while node != s:
-            prev = parent[node]
-            residual[prev][node] -= 1
-            if residual[prev][node] == 0:
-                del residual[prev][node]
-            residual[node][prev] = residual[node].get(prev, 0) + 1
-            node = prev
-        flow += 1
-    return flow
+        residual[u][v] = 1
+    return len(unit_max_flow(residual, s, t, stop_at))
 
 
 def verify_arborescences(graph: nx.Graph, root: Node, trees: list[ParentMap]) -> bool:

@@ -5,7 +5,10 @@ The paper's r-tolerance promise (§II, Definition 1) is phrased in terms of
 pairwise link-disjoint paths between them.  This module implements
 unit-capacity max-flow (BFS augmentation, i.e. Edmonds–Karp specialized to
 0/1 capacities) from scratch so the library does not depend on networkx
-flow internals; tests cross-check against networkx.
+flow internals; tests cross-check against networkx.  :func:`unit_max_flow`
+is the one augment loop: the link-disjoint paths and connectivities here
+and the arborescence packing's arc connectivities
+(:mod:`repro.graphs.arborescences`) all run it.
 """
 
 from __future__ import annotations
@@ -27,21 +30,8 @@ def surviving_graph(graph: nx.Graph, failures: FailureSet) -> nx.Graph:
 
 
 def are_connected(graph: nx.Graph, s: Node, t: Node, failures: FailureSet = frozenset()) -> bool:
-    """Is ``t`` reachable from ``s`` in ``G \\ F``?  (BFS, no copying.)"""
-    if s == t:
-        return True
-    seen = {s}
-    queue = deque([s])
-    while queue:
-        node = queue.popleft()
-        for neighbor in graph.neighbors(node):
-            if neighbor in seen or edge(node, neighbor) in failures:
-                continue
-            if neighbor == t:
-                return True
-            seen.add(neighbor)
-            queue.append(neighbor)
-    return False
+    """Is ``t`` reachable from ``s`` in ``G \\ F``?"""
+    return s == t or t in component_of(graph, s, failures)
 
 
 def component_of(graph: nx.Graph, start: Node, failures: FailureSet = frozenset()) -> frozenset[Node]:
@@ -56,6 +46,57 @@ def component_of(graph: nx.Graph, start: Node, failures: FailureSet = frozenset(
             seen.add(neighbor)
             queue.append(neighbor)
     return frozenset(seen)
+
+
+Arc = tuple[Node, Node]
+
+
+def unit_max_flow(
+    residual: dict[Node, dict[Node, int]], s: Node, t: Node, stop_at: int | None = None
+) -> list[list[Arc]]:
+    """Augment a unit flow ``s -> t`` along shortest residual paths.
+
+    ``residual`` maps every node to its out-arcs' capacities (each ``>=
+    1``) and is consumed: each augmenting path moves one unit of
+    capacity from its arcs to their reverses.  Stops when no path is
+    left, or after ``stop_at`` paths.  Returns the augmenting paths in
+    order, each as its arcs from ``t`` back to ``s``; their number is
+    the flow.
+    """
+    paths: list[list[Arc]] = []
+    while stop_at is None or len(paths) < stop_at:
+        parent: dict[Node, Node] = {s: s}
+        queue = deque([s])
+        while queue and t not in parent:
+            node = queue.popleft()
+            for neighbor in residual[node]:
+                if neighbor not in parent:
+                    parent[neighbor] = node
+                    queue.append(neighbor)
+        if t not in parent:
+            break
+        path = []
+        node = t
+        while node != s:
+            prev = parent[node]
+            residual[prev][node] -= 1
+            if residual[prev][node] == 0:
+                del residual[prev][node]
+            residual[node][prev] = residual[node].get(prev, 0) + 1
+            path.append((prev, node))
+            node = prev
+        paths.append(path)
+    return paths
+
+
+def _residual(graph: nx.Graph, failures: FailureSet) -> dict[Node, dict[Node, int]]:
+    """``G \\ F`` bidirected, one unit of capacity per direction."""
+    residual: dict[Node, dict[Node, int]] = {v: {} for v in graph.nodes}
+    for u, v in graph.edges:
+        if edge(u, v) not in failures:
+            residual[u][v] = 1
+            residual[v][u] = 1
+    return residual
 
 
 def st_edge_connectivity(
@@ -73,46 +114,7 @@ def st_edge_connectivity(
     """
     if s == t:
         raise ValueError("s and t must differ")
-    residual: dict[Node, dict[Node, int]] = {v: {} for v in graph.nodes}
-    for u, v in graph.edges:
-        if edge(u, v) in failures:
-            continue
-        residual[u][v] = 1
-        residual[v][u] = 1
-    flow = 0
-    while stop_at is None or flow < stop_at:
-        parent = _bfs_augmenting_path(residual, s, t)
-        if parent is None:
-            break
-        node = t
-        while node != s:
-            prev = parent[node]
-            residual[prev][node] -= 1
-            if residual[prev][node] == 0:
-                del residual[prev][node]
-            residual[node][prev] = residual[node].get(prev, 0) + 1
-            node = prev
-        flow += 1
-    return flow
-
-
-def _bfs_augmenting_path(
-    residual: dict[Node, dict[Node, int]], s: Node, t: Node
-) -> dict[Node, Node] | None:
-    parent: dict[Node, Node] = {}
-    queue = deque([s])
-    seen = {s}
-    while queue:
-        node = queue.popleft()
-        for neighbor, capacity in residual[node].items():
-            if capacity <= 0 or neighbor in seen:
-                continue
-            parent[neighbor] = node
-            if neighbor == t:
-                return parent
-            seen.add(neighbor)
-            queue.append(neighbor)
-    return None
+    return len(unit_max_flow(_residual(graph, failures), s, t, stop_at))
 
 
 def link_disjoint_paths(
@@ -124,33 +126,17 @@ def link_disjoint_paths(
     """
     if s == t:
         raise ValueError("s and t must differ")
-    residual: dict[Node, dict[Node, int]] = {v: {} for v in graph.nodes}
-    for u, v in graph.edges:
-        if edge(u, v) in failures:
-            continue
-        residual[u][v] = 1
-        residual[v][u] = 1
-    used_arcs: set[tuple[Node, Node]] = set()
-    while True:
-        parent = _bfs_augmenting_path(residual, s, t)
-        if parent is None:
-            break
-        node = t
-        while node != s:
-            prev = parent[node]
-            residual[prev][node] -= 1
-            if residual[prev][node] == 0:
-                del residual[prev][node]
-            residual[node][prev] = residual[node].get(prev, 0) + 1
+    used_arcs: set[Arc] = set()
+    for path in unit_max_flow(_residual(graph, failures), s, t):
+        for prev, node in path:
             if (node, prev) in used_arcs:
-                used_arcs.remove((node, prev))
+                used_arcs.remove((node, prev))  # the flow cancels on this link
             else:
                 used_arcs.add((prev, node))
-            node = prev
     return _decompose_paths(used_arcs, s, t)
 
 
-def _decompose_paths(arcs: set[tuple[Node, Node]], s: Node, t: Node) -> list[list[Node]]:
+def _decompose_paths(arcs: set[Arc], s: Node, t: Node) -> list[list[Node]]:
     outgoing: dict[Node, list[Node]] = {}
     for u, v in arcs:
         outgoing.setdefault(u, []).append(v)

@@ -35,6 +35,15 @@ def canonical_links(graph) -> list[Edge]:
     return sorted((edge(u, v) for u, v in graph.edges), key=edge_sort_key)
 
 
+def _ascending(items: Iterable, key) -> list:
+    """``items`` in native order, or by ``key`` when they do not compare."""
+    pool = list(items)  # a one-shot iterator must survive the retry
+    try:
+        return sorted(pool)
+    except TypeError:
+        return sorted(pool, key=key)
+
+
 def sorted_nodes(nodes: Iterable[Node]) -> list[Node]:
     """Nodes in ascending order, tolerating mixed/non-comparable labels.
 
@@ -42,11 +51,27 @@ def sorted_nodes(nodes: Iterable[Node]) -> list[Node]:
     counterexamples are deterministic (independent of set iteration
     order and hash randomization).
     """
-    pool = list(nodes)  # a one-shot iterator must survive the retry
+    return _ascending(nodes, _sort_key)
+
+
+def sorted_links(links: Iterable[Edge]) -> list[Edge]:
+    """Links in ascending order, by :func:`edge_sort_key` when their
+    labels do not compare (what counterexample notes print)."""
+    return _ascending(links, edge_sort_key)
+
+
+def sorted_adjacency(graph) -> dict[Node, tuple[Node, ...]]:
+    """Every node's neighbours in ascending order: the order of the
+    alive ports a rule sees (§II), which every simulator shares.
+
+    One non-comparable neighbourhood switches *every* neighbourhood of
+    the graph to the (type name, repr) order, so the per-node orders of
+    one graph never mix regimes.
+    """
     try:
-        return sorted(pool)
+        return {v: tuple(sorted(graph.neighbors(v))) for v in graph.nodes}
     except TypeError:
-        return sorted(pool, key=_sort_key)
+        return {v: tuple(sorted(graph.neighbors(v), key=_sort_key)) for v in graph.nodes}
 
 
 def edge(u: Node, v: Node) -> Edge:
@@ -107,10 +132,7 @@ def iter_subsets(items: Iterable[Edge], max_size: int | None = None) -> Iterator
     """
     from itertools import combinations
 
-    try:
-        pool = sorted(items)
-    except TypeError:
-        pool = sorted(items, key=edge_sort_key)
+    pool = sorted_links(items)
     limit = len(pool) if max_size is None else min(max_size, len(pool))
     for size in range(limit + 1):
         for combo in combinations(pool, size):

@@ -294,31 +294,9 @@ class _DestinationFlows:
 
     def distance_to_destination(self, source: int) -> int:
         """Hops from ``source`` to the destination in the surviving graph
-        (``-1`` when disconnected).  BFS once per flows group."""
+        (``-1`` when disconnected).  One flood per flows group."""
         if self._dist is None:
-            network = self.network
-            dist = [-1] * network.n
-            dist[self.destination] = 0
-            frontier = [self.destination]
-            neighbor_indices = network.neighbor_indices
-            neighbor_bits = network.neighbor_bits
-            fmask = self.fmask
-            level = 0
-            while frontier:
-                level += 1
-                nxt: list[int] = []
-                for node in frontier:
-                    indices = neighbor_indices[node]
-                    bits = neighbor_bits[node]
-                    for i in range(len(indices)):
-                        if bits[i] & fmask:
-                            continue
-                        candidate = indices[i]
-                        if dist[candidate] < 0:
-                            dist[candidate] = level
-                            nxt.append(candidate)
-                frontier = nxt
-            self._dist = dist
+            self._dist = self.network.distances(self.fmask, self.destination)
         return self._dist[source]
 
 

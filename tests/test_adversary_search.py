@@ -1,5 +1,6 @@
 """The generic adversarial search machinery (exhaustive, random, minimize)."""
 
+import networkx as nx
 import pytest
 
 from repro.core.adversary.search import (
@@ -10,6 +11,7 @@ from repro.core.adversary.search import (
     verify_attack,
 )
 from repro.core.algorithms import GreedyLowestNeighbor, K5SourceRouting
+from repro.core.simulator import Network
 from repro.graphs import construct
 from repro.graphs.connectivity import are_connected, st_edge_connectivity
 from repro.graphs.edges import failure_set
@@ -27,6 +29,15 @@ class TestMakeView:
         view = make_view(g, 0, inport=None, alive=[])
         assert view.alive == ()
         assert len(view.failed_links) == 2
+
+    @pytest.mark.parametrize("alive", [[2, 10], [2, 10, "x"], ["x", 2]])
+    def test_mixed_labels_give_the_simulators_view(self, alive):
+        # node 1's neighbourhood {2, 10, 'x'} does not compare, so the
+        # simulator orders every port of the graph by (type name, repr):
+        # 10 before 2, and ints before strings
+        g = nx.Graph([(1, 2), (2, 10), (10, 1), (1, "x"), ("x", 2)])
+        failed = failure_set(*[(1, v) for v in (2, 10, "x") if v not in alive])
+        assert make_view(g, 1, inport=2, alive=alive) == Network(g).view(1, 2, failed)
 
 
 class TestVerifyAttack:

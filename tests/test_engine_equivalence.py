@@ -15,6 +15,7 @@ import random
 import networkx as nx
 import pytest
 
+from repro.core.algorithms import RightHandTouring
 from repro.core.algorithms.naive import (
     GreedyLowestNeighbor,
     RandomCyclicDestinationOnly,
@@ -41,7 +42,7 @@ from repro.experiments import (
     default_session as engine_session,
     naive_session,
 )
-from repro.graphs.construct import complete_bipartite, complete_graph, fig6_netrail
+from repro.graphs.construct import complete_bipartite, complete_graph, cycle_graph, fig6_netrail
 from repro.graphs.edges import edge, edge_sort_key
 
 RANDOM_GRAPHS_PER_MODEL = 50
@@ -273,21 +274,26 @@ class TestPatternLevel:
     def test_mixed_label_graph_matches_naive_ordering(self, fast_session):
         # one non-comparable neighbourhood flips the naive Network to
         # repr-order for *every* node; the engine must follow suit —
-        # note 10 vs 2 sort differently under native and repr order
-        graph = nx.Graph()
-        graph.add_edges_from([(1, 2), (2, 10), (10, 1), (1, "x"), ("x", 2)])
-        algorithm = GreedyLowestNeighbor()
-        fast = check_perfect_resilience_destination(graph, algorithm, session=fast_session)
-        slow = check_perfect_resilience_destination(graph, algorithm, session=naive_session())
-        assert verdict_tuple(fast) == verdict_tuple(slow)
-        destination = 1
-        scenarios = [
-            (s, destination, failures)
-            for failures in small_failure_family(graph)
-            for s in graph.nodes
-            if s != destination
-        ]
-        assert_routes_match(graph, RandomCyclicDestinationOnly(seed=3), (destination,), scenarios)
+        # note 10 vs 2 sort differently under native and repr order.
+        # Mixed node labels alone flip nothing: in the second graph every
+        # neighbourhood compares, so 6 < 18 < 38 natively at 'a'
+        mixed_neighbourhood = nx.Graph([(1, 2), (2, 10), (10, 1), (1, "x"), ("x", 2)])
+        comparable_neighbourhoods = nx.Graph(
+            [("a", 6), ("a", 18), ("a", 38), ("b", 18), ("b", 38)]
+        )
+        for graph, destination in ((mixed_neighbourhood, 1), (comparable_neighbourhoods, "b")):
+            algorithm = GreedyLowestNeighbor()
+            fast = check_perfect_resilience_destination(graph, algorithm, session=fast_session)
+            slow = check_perfect_resilience_destination(graph, algorithm, session=naive_session())
+            assert verdict_tuple(fast) == verdict_tuple(slow)
+            scenarios = [
+                (s, destination, failures)
+                for failures in small_failure_family(graph)
+                for s in graph.nodes
+                if s != destination
+            ]
+            for unit_algorithm in (algorithm, RandomCyclicDestinationOnly(seed=3)):
+                assert_routes_match(graph, unit_algorithm, (destination,), scenarios)
 
     def test_non_graph_links_fall_back_to_naive_semantics(self, fast_session):
         graph = complete_graph(4)
@@ -428,6 +434,28 @@ class TestNaiveState:
         assert naive_walks == {"covers": 0, "reference": checked}
         assert engine_walks == {"covers": checked, "reference": 0}
 
+    def test_touring_sweep_walks_count_by_backend(self):
+        """A naive touring sweep counts a reference walk for each tour an
+        engine sweep walks; a start alone in its component takes none."""
+        walks = {}
+        for name, session in (("naive", naive_session()), ("engine", ExperimentSession())):
+            telemetry = obs.Telemetry()
+            with obs.installed(telemetry):
+                verdict = check_perfect_touring(cycle_graph(6), RightHandTouring(), session=session)
+            walks[name] = (
+                verdict_tuple(verdict),
+                {
+                    kind: telemetry.registry.value("repro_engine_walks_total", kind=kind)
+                    for kind in ("tour", "reference")
+                },
+            )
+        (naive_verdict, naive_walks), (engine_verdict, engine_walks) = walks.values()
+        assert naive_verdict == engine_verdict
+        tours = engine_walks["tour"]
+        assert 0 < tours < naive_verdict[1]
+        assert naive_walks == {"tour": 0, "reference": tours}
+        assert engine_walks == {"tour": tours, "reference": 0}
+
 
 class TestMaskOutcomeKernel:
     """``EngineState.mask_outcome``: the one per-mask delivery check behind
@@ -494,3 +522,25 @@ class TestMaskOutcomeKernel:
             walks = telemetry.registry.value("repro_engine_walks_total", kind="route")
         indexed = [failures for failures in failing if state.network.mask_of(failures) is not None]
         assert walks == len(indexed)
+
+
+class TestDistances:
+    """``IndexedNetwork.distances``: the engine's one uncached flood."""
+
+    @pytest.mark.parametrize("index", range(0, RANDOM_GRAPHS_PER_MODEL, 10))
+    def test_matches_networkx_hop_counts(self, index):
+        graph = random_graph(8_000 + index)
+        network = EngineState(graph).network
+        for failures in small_failure_family(graph):
+            survivors = nx.Graph(graph)
+            survivors.remove_edges_from(failures)
+            fmask = network.mask_of(failures)
+            for start in graph.nodes:
+                hops = nx.single_source_shortest_path_length(survivors, start)
+                dist = network.distances(fmask, network.index[start])
+                assert {
+                    label: dist[i] for i, label in enumerate(network.labels) if dist[i] >= 0
+                } == hops
+                assert network.component_of_indices(fmask, network.index[start]) == sorted(
+                    network.index[label] for label in hops
+                )

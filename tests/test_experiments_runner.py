@@ -124,6 +124,21 @@ class TestRunGrid:
         assert record.metrics["resilient"] == expected.resilient
         assert record.metrics["scenarios_checked"] == expected.scenarios_checked
 
+    def test_mixed_label_counterexamples_are_noted(self):
+        # a failure set holding (0, 1) and (0, 'x') does not sort natively
+        graph = resolve_topology("ring(6)")
+        graph.add_edges_from([("x", 0), ("x", 1)])
+        result = run_grid(
+            [("ring+x", graph)],
+            ["arborescence", "distance2"],
+            failure_models=["exhaustive:k=3"],
+            metrics=("resilience",),
+        )
+        assert [(record.scheme, record.status, record.note) for record in result.records] == [
+            (name, "ok", "loop for s=1, t=0, |F|=2: [(0, 1), (0, 'x')]")
+            for name in ("arborescence", "distance2")
+        ]
+
     @pytest.mark.parametrize("backend", FAST_BACKENDS)
     def test_naive_backend_congestion_matches_engine(self, backend):
         """Grid and sampled cells of one scheme share one instance: its

@@ -6,12 +6,14 @@ import pytest
 
 from repro.core.algorithms import K5SourceRouting, RightHandTouring, TourToDestination
 from repro.core.export import materialize, reload_pattern
+from repro.core.model import SourceDestinationAlgorithm
 from repro.core.resilience import (
     all_failure_sets,
     check_pattern_resilience,
     check_perfect_touring,
 )
 from repro.core.simulator import Network, route
+from repro.experiments.registry import resolve_topology, scheme
 from repro.graphs import construct
 from repro.graphs.edges import failure_set
 
@@ -56,6 +58,31 @@ class TestReplayFidelity:
             replayed = route(network, replay, 0, 4, failures)
             assert original.outcome == replayed.outcome
             assert original.path == replayed.path
+
+    @pytest.mark.parametrize(
+        "topology,scheme_name",
+        [("ring(12)", "greedy"), ("grid(3,4)", "greedy"), ("grid(3,4)", "distance2")],
+    )
+    def test_replay_is_identical_past_ten_nodes(self, topology, scheme_name):
+        # from 11 integer nodes on, repr order (10 before 2) is not the
+        # simulator's port order: each rule must answer the simulator's view
+        graph = resolve_topology(topology)
+        algorithm = scheme(scheme_name).instantiate()
+        nodes = sorted(graph.nodes)
+        destination = nodes[0]
+        if isinstance(algorithm, SourceDestinationAlgorithm):
+            sources = [nodes[-1]]
+            pattern = algorithm.build(graph, nodes[-1], destination)
+        else:
+            sources = nodes[1:]
+            pattern = algorithm.build(graph, destination)
+        replay = reload_pattern(materialize(graph, pattern))
+        network = Network(graph)
+        for failures in all_failure_sets(graph, max_failures=2):
+            for source in sources:
+                original = route(network, pattern, source, destination, failures)
+                replayed = route(network, replay, source, destination, failures)
+                assert (replayed.outcome, replayed.path) == (original.outcome, original.path)
 
     def test_replayed_pattern_is_still_perfectly_resilient(self):
         graph = construct.wheel_graph(5)

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.algorithms import (
     Distance3BipartiteAlgorithm,
+    GreedyLowestNeighbor,
     K33SourceRouting,
     K5Minus2Routing,
     RightHandTouring,
@@ -14,8 +15,9 @@ from repro.core.algorithms.minor_transfer import (
     delete_link_with_pattern,
 )
 from repro.core.applications import TouringBroadcast
-from repro.core.resilience import check_pattern_resilience
-from repro.core.simulator import route
+from repro.core.engine import EngineState
+from repro.core.resilience import all_failure_sets, check_pattern_resilience
+from repro.core.simulator import Network, route
 from repro.graphs import construct
 from repro.graphs.connectivity import are_connected, component_of
 from repro.graphs.edges import edge, edges
@@ -189,3 +191,46 @@ def test_distance3_property_random_bipartite(data):
         return
     pattern = Distance3BipartiteAlgorithm().build(graph, source, destination)
     assert route(graph, pattern, source, destination, failures).delivered
+
+
+# ---------------------------------------------------------------------------
+# §II: the alive ports' order is part of a rule's view, so the engine must
+# list them as the simulator does, however the node labels mix.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def mixed_label_graphs(draw):
+    """A connected graph whose labels mix ints >= 10 and strings."""
+    n = draw(st.integers(min_value=3, max_value=7))
+    numbers = st.integers(min_value=10, max_value=300)
+    words = st.text("abcxyz", min_size=1, max_size=2)
+    ints = draw(st.lists(numbers, min_size=n, max_size=n, unique=True))
+    strings = draw(st.lists(words, min_size=n, max_size=n, unique=True))
+    labels = [word if draw(st.booleans()) else number for number, word in zip(ints, strings)]
+    graph = nx.Graph()
+    graph.add_nodes_from(labels)
+    for i in range(1, n):  # a random spanning tree keeps it connected
+        graph.add_edge(labels[i], labels[draw(st.integers(min_value=0, max_value=i - 1))])
+    pairs = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)]
+    graph.add_edges_from(pair for pair in pairs if draw(st.booleans()))
+    return graph
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph=mixed_label_graphs())
+def test_engine_routes_mixed_labels_like_the_simulator(graph):
+    network = Network(graph)
+    state = EngineState(graph)
+    algorithm = GreedyLowestNeighbor()
+    for destination in graph.nodes:
+        memo = state.pattern(algorithm, destination)
+        for failures in all_failure_sets(graph, max_failures=1):
+            for source in graph.nodes:
+                if source == destination:
+                    continue
+                got = state.route(memo, source, destination, failures)
+                expected = route(network, memo.pattern, source, destination, failures)
+                assert (got.outcome, got.path, got.steps) == (
+                    expected.outcome, expected.path, expected.steps,
+                ), (source, destination, failures)
