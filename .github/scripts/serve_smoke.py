@@ -8,7 +8,9 @@ Drives a real ``repro serve`` subprocess the way an operator would:
 4. SIGKILL the server while a large verdict is in flight, restart it
    on the same port, and assert the Lazy-Pirate client retried cleanly
    and still got the right answer;
-5. SIGTERM the restarted server — graceful exit 0, answer store intact.
+5. SIGTERM the restarted server — graceful exit 0, answer store intact
+   and still byte-for-byte ``json.dumps(document, indent=2)`` after the
+   kill, the restarted server's reload and its new merge.
 
 Run from the repo root: ``python .github/scripts/serve_smoke.py``.
 """
@@ -145,7 +147,9 @@ def main() -> None:
     code = server.wait(timeout=60)
     assert code == 0, f"SIGTERM exit code {code}"
     with open(STORE) as handle:
-        store = json.load(handle)
+        text = handle.read()
+    store = json.loads(text)
+    assert text == json.dumps(store, indent=2) + "\n", "store bytes are not the indented document"
     records = store.get("records", [])
     assert any(
         record["experiment"] == "resilience"

@@ -80,6 +80,9 @@ class EngineState:
         self._patterns: dict[int, tuple[Any, dict[tuple, MemoizedPattern]]] = {}
         self.pattern_hits = 0
         self.pattern_misses = 0
+        #: walks :meth:`mask_outcome` took with the reference simulator
+        #: (a sweep counts its walk kinds from this tally's delta)
+        self.reference_walks = 0
 
     @property
     def naive_network(self) -> Network:
@@ -181,6 +184,7 @@ class EngineState:
                 if source == destination or (wanted is not None and source not in wanted):
                     continue
                 checked += 1
+                self.reference_walks += 1
                 result = naive_route(naive, memo.pattern, source, destination, failures)
                 if not result.delivered:
                     return checked, Counterexample(source, destination, failures, result)
@@ -491,6 +495,7 @@ def _sweep_pattern_resilience(
     # even a per-walk counter update would dominate it
     telemetry = _obs.active()
     memo_before = len(memo.table)
+    reference_before = state.reference_walks
     try:
         for failures in failure_iter:
             count, counterexample = state.mask_outcome(memo, destination, failures, wanted)
@@ -500,9 +505,16 @@ def _sweep_pattern_resilience(
         return Verdict(True, checked, exhaustive=exhaustive)
     finally:
         if telemetry is not None:
-            # a naive state walks every scenario with the reference simulator
-            kind = "reference" if state.naive else "covers"
-            _record_walk(telemetry, kind, memo.table, memo_before, None, walks=checked)
+            # a naive state walks every scenario with the reference
+            # simulator, an engine state each one outside its index
+            reference = state.reference_walks - reference_before
+            _record_walk(
+                telemetry, "covers", memo.table, memo_before, None, walks=checked - reference
+            )
+            # reference walks ask the pattern itself: no table misses
+            _record_walk(
+                telemetry, "reference", memo.table, len(memo.table), None, walks=reference
+            )
 
 
 # ---------------------------------------------------------------------------

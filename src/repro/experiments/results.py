@@ -11,7 +11,9 @@ answer cache — emit the same record type.
   any other top-level keys its writers put there.
   :meth:`ResultStore.merge` replaces records with the same identity key
   and keeps everything else; :meth:`ResultStore.write_csv` flattens
-  records for spreadsheet use.
+  records for spreadsheet use.  A merge encodes only the records it
+  adds or replaces (each stored record's text is kept beside its
+  identity) and still rewrites the whole file atomically.
 """
 
 from __future__ import annotations
@@ -120,6 +122,12 @@ class ResultStore:
     object (a cell journal, even a one-line one; a truncated document)
     raises :class:`ValueError` on first read instead of being
     overwritten.
+
+    The file is always ``json.dumps(document, indent=2)`` plus a
+    newline, rewritten atomically by every merge.  The store keeps each
+    record's encoded text, so a merge encodes only the records it adds
+    or replaces (and any other top-level section); a reload after an
+    external write encodes every record once more.
     """
 
     def __init__(self, path: str | pathlib.Path):
@@ -133,6 +141,8 @@ class ResultStore:
         self._cache_document: dict | None = None
         self._cache_index: dict[tuple, int] = {}
         self._cache_parsed: dict[int, ExperimentRecord] = {}
+        # each record's encoded text, indented for its place in the file
+        self._cache_texts: dict[int, str] = {}
         self._cache_duplicates = False
 
     # -- raw document ------------------------------------------------------
@@ -199,6 +209,7 @@ class ResultStore:
         self._cache_document = document
         self._cache_index = index
         self._cache_parsed = {}
+        self._cache_texts = {}
         self._cache_duplicates = duplicates
 
     def _record_at(self, position: int) -> ExperimentRecord:
@@ -208,14 +219,38 @@ class ResultStore:
             self._cache_parsed[position] = record
         return record
 
+    def _render(self, document: dict) -> str:
+        """``json.dumps(document, indent=2) + "\\n"``, encoding only the
+        records that have no cached text.
+
+        A value encoded on its own is re-indented for its depth by
+        adding spaces after each newline (JSON escapes the newlines in
+        strings), and laid out the way the encoder lays out an object
+        and a list.
+        """
+        texts = self._cache_texts
+        items = []
+        for key, value in document.items():
+            if key == "records":
+                for position, entry in enumerate(value):
+                    if position not in texts:
+                        texts[position] = json.dumps(entry, indent=2).replace("\n", "\n    ")
+                records = ",\n    ".join(texts[position] for position in range(len(value)))
+                items.append('"records": ' + (f"[\n    {records}\n  ]" if value else "[]"))
+            else:
+                text = json.dumps(value, indent=2).replace("\n", "\n  ")
+                items.append(f"{json.dumps(key)}: {text}")
+        return "{\n  " + ",\n  ".join(items) + "\n}\n" if items else "{}\n"
+
     def _write_document(self, document: dict) -> None:
         # atomic replace: a crash mid-write can never tear the store
         try:
-            atomic_write_text(self.path, json.dumps(document, indent=2, sort_keys=False) + "\n")
+            atomic_write_text(self.path, self._render(document))
         except BaseException:
             # the caches already hold the unwritten records: drop them,
             # so the next read sees what the file holds
             self._cache_document = None
+            self._cache_texts = {}
             raise
         self._cache_stamp = self._stamp()
 
@@ -260,12 +295,15 @@ class ResultStore:
                 merged[record.key()] = record
             ordered = list(merged.values())
             document["records"] = [record.to_dict() for record in ordered]
-            self._write_document(document)
+            # re-index the rebuilt list (dropping every cached text)
+            # before writing it
             self._adopt(document, self._cache_stamp)
+            self._write_document(document)
             return ordered
         raw = document.setdefault("records", [])
         index = self._cache_index
         parsed = self._cache_parsed
+        texts = self._cache_texts
         for record in records:
             key = record.key()
             position = index.get(key)
@@ -276,9 +314,10 @@ class ResultStore:
             else:
                 raw[position] = record.to_dict()
                 parsed[position] = record
+                texts.pop(position, None)
         ordered = [self._record_at(position) for position in range(len(raw))]
-        # skip _adopt's rebuild: the index/parsed caches were maintained
-        # incrementally above and match what we are writing
+        # skip _adopt's rebuild: the index/parsed/text caches were
+        # maintained incrementally above and match what we are writing
         self._write_document(document)
         return ordered
 

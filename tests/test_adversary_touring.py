@@ -2,14 +2,17 @@
 
 import pytest
 
+from repro.core import simulator
 from repro.core.adversary import (
     attack_touring,
     attack_touring_pattern,
     cyclic_permutation_violation,
+    touring,
     touring_impossibility_graphs,
 )
 from repro.core.algorithms import RandomPortCycles, RightHandTouring
 from repro.core.model import FunctionPattern
+from repro.core.resilience import all_failure_sets
 from repro.graphs import construct
 
 
@@ -46,6 +49,24 @@ class TestTheorem16ClosesBothSides:
     def test_fan_survives(self):
         witness = attack_touring(construct.fan_graph(5), RightHandTouring())
         assert witness is None
+
+    def test_each_scenario_floods_its_component_once(self, monkeypatch):
+        # tours_component answers a start alone in its component from its
+        # own flood, so the adversary floods once per (start, failure set)
+        floods = []
+        flood = simulator.component_of
+
+        def counted(*args, **kwargs):
+            floods.append(None)
+            return flood(*args, **kwargs)
+
+        for module in (simulator, touring):
+            if hasattr(module, "component_of"):
+                monkeypatch.setattr(module, "component_of", counted)
+        graph = construct.fan_graph(6)
+        assert attack_touring(graph, RightHandTouring()) is None
+        scenarios = graph.number_of_nodes() * len(list(all_failure_sets(graph)))
+        assert len(floods) == scenarios == 3072
 
 
 class TestLemma1:

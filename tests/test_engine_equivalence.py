@@ -434,6 +434,24 @@ class TestNaiveState:
         assert naive_walks == {"covers": 0, "reference": checked}
         assert engine_walks == {"covers": checked, "reference": 0}
 
+    def test_engine_sweep_counts_walks_outside_the_index_as_reference(self):
+        """An engine sweep walks a failure set naming a link outside the
+        graph with the reference simulator, and counts those walks so."""
+        graph = complete_graph(4)
+        pattern = GreedyLowestNeighbor().build(graph, 0)
+        telemetry = obs.Telemetry()
+        with obs.installed(telemetry):
+            verdict = check_pattern_resilience(
+                graph, pattern, 0, failure_sets=[{(1, 2)}, {(0, 99)}],
+                session=ExperimentSession(),
+            )
+        assert verdict.resilient and verdict.scenarios_checked == 6
+        walks = {
+            kind: telemetry.registry.value("repro_engine_walks_total", kind=kind)
+            for kind in ("covers", "reference")
+        }
+        assert walks == {"covers": 3, "reference": 3}
+
     def test_touring_sweep_walks_count_by_backend(self):
         """A naive touring sweep counts a reference walk for each tour an
         engine sweep walks; a start alone in its component takes none."""

@@ -1,6 +1,11 @@
 """Extended hypothesis property tests over the paper's core invariants."""
 
+import json
+import pathlib
+import tempfile
+
 import networkx as nx
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.algorithms import (
@@ -18,10 +23,12 @@ from repro.core.applications import TouringBroadcast
 from repro.core.engine import EngineState
 from repro.core.resilience import all_failure_sets, check_pattern_resilience
 from repro.core.simulator import Network, route
+from repro.experiments import ExperimentRecord, ResultStore
 from repro.graphs import construct
 from repro.graphs.connectivity import are_connected, component_of
 from repro.graphs.edges import edge, edges
 from repro.graphs.minors import MinorOutcome, contains_subgraph, has_minor
+from repro.runtime import FaultPlan, FaultSpec, TornWrite
 
 
 @st.composite
@@ -234,3 +241,102 @@ def test_engine_routes_mixed_labels_like_the_simulator(graph):
                 assert (got.outcome, got.path, got.steps) == (
                     expected.outcome, expected.path, expected.steps,
                 ), (source, destination, failures)
+
+
+# ---------------------------------------------------------------------------
+# The result store's file is json.dumps(document, indent=2) after every
+# merge, however the merges mix new records, replacements and batches.
+# ---------------------------------------------------------------------------
+
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6)
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def store_records(draw):
+    """A record from a small identity space, so merges replace as often
+    as they add; its fields carry escapes, non-ASCII text and NaN."""
+    return ExperimentRecord(
+        experiment="resilience",
+        topology=draw(st.sampled_from(["ring", "k5", "grid"])),
+        scheme=draw(st.sampled_from(["greedy", "arborescence"])),
+        metrics={"value": draw(json_scalars)},
+        series=draw(st.lists(json_values, max_size=2)),
+        params=draw(st.dictionaries(st.sampled_from(["matrix", "k"]), json_scalars, max_size=2)),
+        note=draw(st.text(max_size=6)),
+    )
+
+
+@st.composite
+def starting_stores(draw):
+    """The text of an empty (missing), blank, foreign-section or legacy
+    duplicate-key store, and the document it holds."""
+    kind = draw(st.sampled_from(["empty", "blank", "foreign", "legacy"]))
+    if kind == "empty":
+        return None, {}
+    if kind == "blank":
+        return "\n  \n", {}
+    if kind == "foreign":
+        records = draw(st.lists(store_records(), max_size=2, unique_by=ExperimentRecord.key))
+        document = {"records": [record.to_dict() for record in records]}
+        sections = st.text(max_size=4).filter(lambda key: key != "records")
+        for key in draw(st.lists(sections, max_size=2)):
+            document[key] = draw(json_values)
+        document = dict(draw(st.permutations(list(document.items()))))
+    else:
+        first, *others = draw(st.lists(store_records(), min_size=2, max_size=4))
+        newer = ExperimentRecord.from_dict({**first.to_dict(), "note": first.note + "!"})
+        document = {"records": [record.to_dict() for record in [first, *others, newer]]}
+    return json.dumps(document), document
+
+
+def _model_merge(document: dict, records: list) -> None:
+    """The store's merge rule on plain dicts: a same-identity record is
+    replaced in place, a new one appended, and legacy duplicates collapse
+    to the first position with the newest value."""
+    merged = {}
+    for entry in document.get("records", []):
+        merged[ExperimentRecord.from_dict(entry).key()] = entry
+    for record in records:
+        merged[record.key()] = record.to_dict()
+    document["records"] = list(merged.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    start=starting_stores(),
+    steps=st.lists(
+        st.tuples(st.lists(store_records(), max_size=3), st.booleans()),
+        min_size=1,
+        max_size=6,
+    ),
+    data=st.data(),
+)
+def test_store_file_is_the_indented_document_after_every_merge(start, steps, data):
+    text, model = start
+    torn = data.draw(st.integers(min_value=0, max_value=len(steps) - 1))
+    with tempfile.TemporaryDirectory() as scratch:
+        path = pathlib.Path(scratch) / "store.json"
+        if text is not None:
+            path.write_text(text)
+        store = ResultStore(path)
+        for step, (records, fresh) in enumerate(steps):
+            if fresh:
+                store = ResultStore(path)  # a cold cache on the same file
+            if step == torn:
+                before = path.read_text() if path.exists() else None
+                with FaultPlan([FaultSpec("torn-write")]).installed():
+                    with pytest.raises(TornWrite):
+                        store.merge(records)
+                assert (path.read_text() if path.exists() else None) == before
+                continue
+            store.merge(records)
+            _model_merge(model, records)
+            assert path.read_text() == json.dumps(model, indent=2) + "\n"

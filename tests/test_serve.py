@@ -211,6 +211,57 @@ class TestResultStoreIndex:
         assert ResultStore(store.path).load_records() == records
 
 
+class TestResultStoreWork:
+    """A served answer pays to encode itself, not the whole store."""
+
+    @staticmethod
+    def _counted_encodes(monkeypatch):
+        encoded = []
+        dumps = json.dumps
+
+        def counted(*args, **kwargs):
+            text = dumps(*args, **kwargs)
+            encoded.append(len(text))
+            return text
+
+        monkeypatch.setattr(json, "dumps", counted)
+        return encoded
+
+    @pytest.mark.parametrize("topology", ["grid", "ring(7)"], ids=["add", "replace"])
+    def test_one_record_merge_encodes_that_record_and_the_other_sections(
+        self, tmp_path, monkeypatch, topology
+    ):
+        path = tmp_path / "s.json"
+        sections = {"thresholds": {"min": 2.0}, "notes": ["warm", "caf\u00e9"]}
+        path.write_text(json.dumps({"records": [], **sections}))
+        store = ResultStore(path)
+        store.merge([_record(f"ring({n})", value=n) for n in range(200)])
+        record = _record(topology, value=-1)
+        bound = len(json.dumps(record.to_dict(), indent=2)) + len(json.dumps(sections, indent=2))
+        encoded = self._counted_encodes(monkeypatch)
+        store.merge([record])
+        assert 0 < sum(encoded) <= bound
+        text = path.read_text()
+        document = json.loads(text)
+        assert text == json.dumps(document, indent=2) + "\n"
+        assert len(document["records"]) == (200 if topology == "ring(7)" else 201)
+        assert ResultStore(path).lookup(record.key()) == record
+
+    def test_a_merge_after_an_external_write_renders_what_the_file_holds(self, tmp_path):
+        path = tmp_path / "s.json"
+        store = ResultStore(path)
+        store.merge([_record("k5", value=1), _record("ring", value=1)])
+        time.sleep(0.01)  # distinct mtime_ns for the stamp check
+        ResultStore(path).merge([_record("k5", value=2)])
+        time.sleep(0.01)
+        store.merge([_record("grid", value=3)])
+        text = path.read_text()
+        document = json.loads(text)
+        assert text == json.dumps(document, indent=2) + "\n"
+        assert [(entry["topology"], entry["metrics"]["value"]) for entry in document["records"]] == [
+            ("k5", 2), ("ring", 1), ("grid", 3)]
+
+
 # ---------------------------------------------------------------------------
 # Service differential: byte-identical to the offline surfaces.
 # ---------------------------------------------------------------------------
